@@ -78,6 +78,16 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
         lines,
     )
 
+    # ssm scan long enough for the chunked kernel: T = 67 is 8 chunks of 9, the last padded
+    p = init_ssm_params(3, 2, rng, dtype=F64)
+    seq = parameter(rng.normal(size=(67, 2)), dtype=F64)
+    probe = Tensor(rng.normal(size=(67, 2)), dtype=F64)
+    ok &= _report(
+        "ssm_scan_long",
+        grad_check(lambda: tt.sum_all(tt.mul(ssm_recurrence(p, seq), probe)), [p.a_bar, p.b_bar, p.c_out, seq]),
+        lines,
+    )
+
     # router
     router = init_router_params(4, rng, dtype=F64)
     xr = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)

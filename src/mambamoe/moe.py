@@ -9,7 +9,6 @@ are always on.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +33,16 @@ VERTICAL_EXPERTS = (2, 3)
 
 
 class ExpertEvalCounter:
-    """Counts spatial-expert scan evaluations; thread-safe for parallel mode."""
+    """Counts spatial-expert scan evaluations."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.count = 0
 
     def reset(self) -> None:
-        with self._lock:
-            self.count = 0
+        self.count = 0
 
     def increment(self) -> None:
-        with self._lock:
-            self.count += 1
+        self.count += 1
 
 
 EXPERT_EVALS = ExpertEvalCounter()
@@ -206,7 +202,6 @@ def sre_forward(
     router: RouterParams,
     x_spa: Tensor,
     topk: int | None = None,
-    parallel: bool = False,
 ) -> Tensor:
     """Weighted combination of directional scan experts.
 
@@ -224,10 +219,7 @@ def sre_forward(
 
     if topk is None or topk == N_SPATIAL_EXPERTS:
         selected = list(range(N_SPATIAL_EXPERTS))
-        if parallel:
-            outputs = tt.parallel_forward([lambda j=j: eval_expert(j) for j in selected])
-        else:
-            outputs = [eval_expert(j) for j in selected]
+        outputs = [eval_expert(j) for j in selected]
         acc = None
         for j, out_j in zip(selected, outputs):
             term = tt.scale_by(out_j, tt.element(weights, j))
@@ -235,10 +227,7 @@ def sre_forward(
         return acc
 
     selected = topk_select(weights.data, topk)
-    if parallel:
-        outputs = tt.parallel_forward([lambda j=j: eval_expert(j) for j in selected])
-    else:
-        outputs = [eval_expert(j) for j in selected]
+    outputs = [eval_expert(j) for j in selected]
     total = None
     picked = {}
     for j in selected:
@@ -259,7 +248,6 @@ def dssem_forward(
     p: MoMebParams,
     x_norm: Tensor,
     topk: int | None = None,
-    parallel: bool = False,
     sre_on: bool = True,
     sse_on: bool = True,
 ) -> Tensor:
@@ -272,7 +260,7 @@ def dssem_forward(
     if x_norm.shape[0] % 2 != 0:
         raise ShapeError(f"dssem_forward: channel width must be even, got {x_norm.shape[0]}")
     x_spa, x_spe = tt.split(x_norm, 2, axis=0)
-    spa_out = sre_forward(p.spatial, p.router, x_spa, topk=topk, parallel=parallel) if sre_on else x_spa
+    spa_out = sre_forward(p.spatial, p.router, x_spa, topk=topk) if sre_on else x_spa
     spe_out = sse_forward(p.spectral_fwd, p.spectral_bwd, x_spe) if sse_on else x_spe
     return tt.conv2d(tt.concat([spa_out, spe_out], axis=0), p.fuse_w, p.fuse_b)
 
@@ -281,13 +269,12 @@ def momeb_forward(
     p: MoMebParams,
     f: Tensor,
     topk: int | None = None,
-    parallel: bool = False,
     sre_on: bool = True,
     sse_on: bool = True,
 ) -> Tensor:
     """LN -> DSSEM -> residual -> LN -> MLP -> residual."""
     x_norm = tt.layer_norm(f, p.ln1_gamma, p.ln1_beta)
-    f_hat = dssem_forward(p, x_norm, topk=topk, parallel=parallel, sre_on=sre_on, sse_on=sse_on)
+    f_hat = dssem_forward(p, x_norm, topk=topk, sre_on=sre_on, sse_on=sse_on)
     g = tt.add(f, f_hat)
     g_norm = tt.layer_norm(g, p.ln2_gamma, p.ln2_beta)
     m = tt.conv2d(g_norm, p.mlp_w1, p.mlp_b1)

@@ -384,7 +384,6 @@ def forward_full(
     sre_on: bool = True,
     sse_on: bool = True,
     frozen_masks: Sequence[np.ndarray] | None = None,
-    parallel: bool = False,
 ) -> ForwardResult:
     """Run the whole pipeline on one scene.
 
@@ -397,7 +396,7 @@ def forward_full(
     feats = extract_features(params.stem, x)
     if momeb_on:
         m_stages = [
-            momeb_forward(params.momeb[i], feats[i], topk=effective_topk, parallel=parallel, sre_on=sre_on, sse_on=sse_on)
+            momeb_forward(params.momeb[i], feats[i], topk=effective_topk, sre_on=sre_on, sse_on=sse_on)
             for i in range(N_STAGES)
         ]
     else:

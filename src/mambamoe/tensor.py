@@ -12,9 +12,9 @@ finite differences are unreliable in single precision).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,15 +185,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tape_stack().pop()
 
-    def splice(self, subtapes: Iterable["Tape"]) -> None:
-        """Append sub-tape records in the given order.
-
-        Used to merge tapes recorded on worker threads; the splice order is
-        chosen by the caller, so results never depend on thread scheduling.
-        """
-        for sub in subtapes:
-            self.ops.extend(sub.ops)
-
     def backward(self, loss: Tensor) -> None:
         backward(self, loss)
 
@@ -259,29 +250,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     grads[id(t)] = np.array(ig, copy=True)
                 else:
                     acc += ig
-
-
-def parallel_forward(thunks: Sequence[Callable[[], object]]) -> list:
-    """Evaluate independent forward thunks on worker threads.
-
-    Each thunk records onto a private sub-tape (the tape stack is
-    thread-local); the sub-tapes are spliced into the caller's tape in
-    thunk order.  Outputs and gradients are therefore bitwise identical to
-    sequential evaluation regardless of scheduling.
-    """
-    main = active_tape()
-
-    def run(thunk):
-        sub = Tape()
-        with sub:
-            value = thunk()
-        return value, sub
-
-    with ThreadPoolExecutor(max_workers=max(1, len(thunks))) as pool:
-        results = list(pool.map(run, thunks))
-    if main is not None:
-        main.splice([sub for _, sub in results])
-    return [value for value, _ in results]
 
 
 # --- shape/dtype checks ----------------------------------------------------
@@ -560,41 +528,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _wrap("layer_norm", (x, gamma, beta), out, bwd, flops=h * w * (7 * c + 4))
 
 
-def _axis_weights(n_src: int, n_dst: int, dtype):
+def _axis_weights(n_src: int, n_dst: int):
     """Half-pixel-center source indices and blend weights for one axis."""
     pos = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
     pos = np.clip(pos, 0.0, float(n_src - 1))
     i0 = np.floor(pos).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_src - 1)
-    t = (pos - i0).astype(dtype)
-    return i0, i1, t
+    return i0, i1, pos - i0
+
+
+@lru_cache(maxsize=None)
+def _interpolation_matrix(n_src: int, n_dst: int, dtype) -> np.ndarray:
+    """(n_dst, n_src) matrix of ``_axis_weights``; cached, read-only."""
+    i0, i1, t = _axis_weights(n_src, n_dst)
+    r = np.zeros((n_dst, n_src))
+    rows = np.arange(n_dst)
+    r[rows, i0] = 1.0 - t
+    r[rows, i1] += t  # i1 == i0 only where t == 0, at the clamped ends
+    r = r.astype(dtype)
+    r.flags.writeable = False
+    return r
 
 
 def bilinear_upsample(x: Tensor, target: tuple[int, int]) -> Tensor:
-    """Bilinear resize to the target extents (half-pixel centers)."""
+    """Bilinear resize to the target extents (half-pixel centers).
+
+    Separable: out[c] = Ry x[c] Rx^T with one interpolation matrix per axis,
+    and the backward pass is dx[c] = Ry^T g[c] Rx.
+    """
     if x.ndim != 3:
         raise ShapeError(f"bilinear_upsample: expects (C,h,w), got {x.shape}")
     c, h, w = x.shape
     ht, wt = int(target[0]), int(target[1])
     if ht < h or wt < w:
         raise ShapeError(f"bilinear_upsample: target {ht}x{wt} smaller than source {h}x{w}")
-    y0, y1, ty = _axis_weights(h, ht, x.data.dtype)
-    x0, x1, tx = _axis_weights(w, wt, x.data.dtype)
-    one = x.data.dtype.type(1.0)
-    wy0, wy1 = (one - ty)[:, None], ty[:, None]
-    wx0, wx1 = (one - tx)[None, :], tx[None, :]
-    r0 = x.data[:, y0, :]
-    r1 = x.data[:, y1, :]
-    out = wy0 * (wx0 * r0[:, :, x0] + wx1 * r0[:, :, x1]) + wy1 * (wx0 * r1[:, :, x0] + wx1 * r1[:, :, x1])
+    ry = _interpolation_matrix(h, ht, x.data.dtype)
+    rx = _interpolation_matrix(w, wt, x.data.dtype)
+    out = np.matmul(ry, (x.data.reshape(c * h, w) @ rx.T).reshape(c, h, wt))
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        for yi, wy in ((y0, wy0), (y1, wy1)):
-            for xi, wx in ((x0, wx0), (x1, wx1)):
-                np.add.at(dx, (slice(None), yi[:, None], xi[None, :]), g * (wy * wx))
-        return (dx,)
+        return (np.matmul(ry.T, (g.reshape(c * ht, wt) @ rx).reshape(c, ht, w)),)
 
-    return _wrap("bilinear_upsample", (x,), np.ascontiguousarray(out), bwd, flops=7 * c * ht * wt)
+    return _wrap("bilinear_upsample", (x,), out, bwd, flops=7 * c * ht * wt)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:

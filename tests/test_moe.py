@@ -21,7 +21,7 @@ from mambamoe.moe import (
     topk_select,
 )
 from mambamoe.scan import SPATIAL_DIRECTIONS, init_ssm_params
-from mambamoe.tensor import Tape, Tensor, grad_check, parameter
+from mambamoe.tensor import Tensor, grad_check, parameter
 
 F64 = np.float64
 
@@ -163,29 +163,6 @@ class TestSreForward:
         (excluded,) = set(range(4)) - set(topk_select(w, 3))
         experts[excluded].a_bar.data[...] = np.nan  # would raise if touched
         sre_forward(experts, router, x, topk=3)
-
-    def test_parallel_dense_matches_serial_bitwise(self):
-        rng = np.random.default_rng(9)
-        experts = tuple(init_ssm_params(3, 2, rng, dtype=F64) for _ in range(4))
-        router = init_router_params(2, rng, dtype=F64)
-        x_data = rng.normal(size=(2, 5, 5))
-        params = [t for e in experts for t in (e.a_bar, e.b_bar, e.c_out)]
-
-        def run(parallel):
-            for t in params:
-                t.zero_grad()
-            x = parameter(x_data.copy())
-            with Tape() as tape:
-                out = sre_forward(experts, router, x, topk=None, parallel=parallel)
-                loss = tt.sum_all(out)
-                tape.backward(loss)
-            return out.data.copy(), [t.grad.copy() for t in params]
-
-        out_s, grads_s = run(False)
-        out_p, grads_p = run(True)
-        assert out_s.tobytes() == out_p.tobytes()
-        for a, b in zip(grads_s, grads_p):
-            assert a.tobytes() == b.tobytes()
 
 
 class TestDssem:

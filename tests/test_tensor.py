@@ -213,6 +213,31 @@ class TestUpsample:
         with pytest.raises(ShapeError):
             tt.bilinear_upsample(Tensor(np.ones((1, 4, 4))), (3, 4))
 
+    def test_matches_gather_formula(self):
+        # the four-neighbour blend, written out per output pixel
+        rng = np.random.default_rng(16)
+        x = rand(rng, 2, 5, 3)
+        y0, y1, ty = tt._axis_weights(5, 12)
+        x0, x1, tx = tt._axis_weights(3, 7)
+        ref = np.empty((2, 12, 7))
+        for i in range(12):
+            for j in range(7):
+                top = (1 - tx[j]) * x[:, y0[i], x0[j]] + tx[j] * x[:, y0[i], x1[j]]
+                bottom = (1 - tx[j]) * x[:, y1[i], x0[j]] + tx[j] * x[:, y1[i], x1[j]]
+                ref[:, i, j] = (1 - ty[i]) * top + ty[i] * bottom
+        np.testing.assert_allclose(tt.bilinear_upsample(Tensor(x), (12, 7)).data, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("src,dst", [((3, 4), (9, 11)), ((16, 16), (128, 128)), ((5, 5), (5, 5))])
+    def test_backward_is_the_adjoint(self, src, dst):
+        # <Up x, g> == <x, Up^T g>, with Up^T g the backward pass
+        rng = np.random.default_rng(17)
+        x = parameter(rand(rng, 3, *src))
+        g = rand(rng, 3, *dst)
+        with Tape() as tape:
+            y = tt.bilinear_upsample(x, dst)
+            tape.backward(tt.sum_all(tt.mul(y, Tensor(g))))
+        np.testing.assert_allclose(np.vdot(y.data, g), np.vdot(x.data, x.grad), rtol=1e-12)
+
     def test_values_are_convex_combinations(self):
         rng = np.random.default_rng(7)
         x = rand(rng, 2, 3, 4)
@@ -408,32 +433,3 @@ class TestPrimitiveGradientsProperty:
 
         rep = grad_check(fn, [x, gamma, beta, kw, kb])
         assert rep.max_rel_err < 1e-4, rep.per_param
-
-
-class TestParallelForward:
-    def test_parallel_matches_serial_bitwise_including_grads(self):
-        rng = np.random.default_rng(15)
-        x = parameter(rand(rng, 4, 6))
-        ws = [parameter(rand(rng, 6, 6)) for _ in range(4)]
-
-        def run(parallel):
-            for p in [x] + ws:
-                p.zero_grad()
-            with Tape() as tape:
-                if parallel:
-                    outs = tt.parallel_forward([lambda w=w: tt.matmul(x, w) for w in ws])
-                else:
-                    outs = [tt.matmul(x, w) for w in ws]
-                acc = outs[0]
-                for o in outs[1:]:
-                    acc = tt.add(acc, o)
-                loss = tt.sum_all(acc)
-                tape.backward(loss)
-            return loss.item(), x.grad.copy(), [w.grad.copy() for w in ws]
-
-        loss_s, gx_s, gw_s = run(False)
-        loss_p, gx_p, gw_p = run(True)
-        assert loss_s == loss_p
-        assert gx_s.tobytes() == gx_p.tobytes()
-        for a, b in zip(gw_s, gw_p):
-            assert a.tobytes() == b.tobytes()
