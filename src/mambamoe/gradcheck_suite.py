@@ -25,7 +25,13 @@ from .network import (
     total_loss,
     uarb,
 )
-from .scan import SPATIAL_DIRECTIONS, init_ssm_params, spatial_expert_forward, ssm_recurrence
+from .scan import (
+    SPATIAL_DIRECTIONS,
+    init_ssm_params,
+    spatial_expert_forward,
+    spectral_bidirectional,
+    ssm_recurrence,
+)
 from .tensor import GradCheckReport, Tensor, grad_check, parameter
 
 F64 = np.float64
@@ -43,11 +49,13 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
     lines: list[str] = []
     ok = True
 
-    # conv2d
-    x = parameter(rng.normal(size=(2, 4, 4)), dtype=F64)
-    w = parameter(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
-    b = parameter(rng.normal(size=3), dtype=F64)
-    ok &= _report("conv2d", grad_check(lambda: tt.sum_all(tt.conv2d(x, w, b)), [x, w, b]), lines)
+    # conv2d on a non-square map, where swapping h and w would show in the padded row stride
+    for name, k in (("conv2d", 3), ("conv2d_1x1", 1)):
+        x = parameter(rng.normal(size=(2, 3, 5)), dtype=F64)
+        w = parameter(rng.normal(size=(3, 2, k, k)), dtype=F64)
+        b = parameter(rng.normal(size=3), dtype=F64)
+        probe = Tensor(rng.normal(size=(3, 3, 5)), dtype=F64)
+        ok &= _report(name, grad_check(lambda: tt.sum_all(tt.mul(tt.conv2d(x, w, b), probe)), [x, w, b]), lines)
 
     # layer_norm
     x = parameter(rng.normal(size=(3, 3, 3)), dtype=F64)
@@ -85,6 +93,19 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
     ok &= _report(
         "ssm_scan_long",
         grad_check(lambda: tt.sum_all(tt.mul(ssm_recurrence(p, seq), probe)), [p.a_bar, p.b_bar, p.c_out, seq]),
+        lines,
+    )
+
+    # both spectral directions as one Toeplitz product
+    fwd, bwd = init_ssm_params(3, 1, rng, dtype=F64), init_ssm_params(3, 1, rng, dtype=F64)
+    xs = parameter(rng.normal(size=(5, 2, 3)), dtype=F64)
+    probe = Tensor(rng.normal(size=(5, 2, 3)), dtype=F64)
+    ok &= _report(
+        "spectral",
+        grad_check(
+            lambda: tt.sum_all(tt.mul(spectral_bidirectional(fwd, bwd, xs), probe)),
+            [fwd.a_bar, fwd.b_bar, fwd.c_out, bwd.a_bar, bwd.b_bar, bwd.c_out, xs],
+        ),
         lines,
     )
 

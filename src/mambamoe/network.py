@@ -21,6 +21,7 @@ from .moe import MoMebParams, init_momeb_params, momeb_forward
 from .tensor import ShapeError, Tensor, parameter
 
 CHECKPOINT_MAGIC = b"MMOE1\n"
+_DTYPE_CODES = {"float32": "f4", "float64": "f8"}
 UNCERTAINTY_EPS = 1e-6
 N_STAGES = 3
 
@@ -466,11 +467,11 @@ def save_checkpoint(path, params: NetworkParams, extra_meta: dict | None = None)
         fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
         fh.write(f"{len(entries)}\n".encode("ascii"))
         for name, t in entries:
-            dtype_code = {"float32": "f4", "float64": "f8"}[t.data.dtype.name]
+            dtype_code = _DTYPE_CODES[t.data.dtype.name]
             shape_txt = ",".join(str(s) for s in t.shape)
             fh.write(f"{name} {dtype_code} {shape_txt}\n".encode("ascii"))
         for _, t in entries:
-            le = t.data.astype("<" + {"float32": "f4", "float64": "f8"}[t.data.dtype.name], copy=False)
+            le = t.data.astype("<" + _DTYPE_CODES[t.data.dtype.name], copy=False)
             fh.write(le.tobytes())
 
 
@@ -493,8 +494,15 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             line, rest = rest.split(b"\n", 1)
         except ValueError as exc:
             raise CheckpointError(f"{path}: truncated manifest") from exc
-        name, dtype_code, shape_txt = line.decode("ascii").split(" ")
-        shape = tuple(int(s) for s in shape_txt.split(",")) if shape_txt else ()
+        try:  # UnicodeDecodeError is a ValueError too
+            name, dtype_code, shape_txt = line.decode("ascii").split(" ")
+            shape = tuple(int(s) for s in shape_txt.split(",")) if shape_txt else ()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: malformed manifest line {line[:80]!r}") from exc
+        if dtype_code not in _DTYPE_CODES.values():
+            raise CheckpointError(f"{path}: unknown dtype code {dtype_code!r} for {name}")
+        if any(s < 0 for s in shape):
+            raise CheckpointError(f"{path}: negative extent in shape {shape} of {name}")
         manifest.append((name, dtype_code, shape))
     arrays: dict[str, np.ndarray] = {}
     offset = 0
@@ -509,12 +517,15 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if offset != len(rest):
         raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")
 
-    spec = NetSpec(
-        bands=int(meta["bands"]),
-        channels=int(meta["channels"]),
-        state_dim=int(meta["state_dim"]),
-        n_class=int(meta["n_class"]),
-    )
+    try:
+        spec = NetSpec(
+            bands=int(meta["bands"]),
+            channels=int(meta["channels"]),
+            state_dim=int(meta["state_dim"]),
+            n_class=int(meta["n_class"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad meta line ({exc!r})") from exc
     dtype = np.float32 if manifest and manifest[0][1] == "f4" else np.float64
 
     def alloc(name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -5,17 +5,20 @@ pushed through the recurrence
 
     h_t = A_bar h_{t-1} + B_bar f_t,    y_t = C_out h_t + f_t,    h_0 = 0,
 
-and folded back onto the grid.  Spectral experts run the same recurrence
-along the band axis with scalar tokens (E = 1), batched over all pixels and
-sharing one parameter set across the scene.
+and folded back onto the grid.  Spectral experts apply the same map along
+the band axis with scalar tokens (E = 1), sharing one parameter set across
+the scene.  With scalar tokens the recurrence is a causal convolution with
+kernel k_j = C_out A_bar^j B_bar, so the two spectral directions together
+are one (T, T) Toeplitz matrix applied to all pixels in one product.
 
-One in-place kernel, ``_linear_scan``, carries every pass through time: the
-states in the forward pass and the adjoint (the reversed scan with A_bar^T)
-in the backward pass.  Narrow batches, such as a spatial scan over h*w
-tokens, are cut into chunks of about sqrt(T) steps, so a scan takes about
-2 sqrt(T) Python-level steps; wide batches, such as the per-pixel spectral
-scans, step through time once with each step a product over all pixels.
-Everything outside the recurrence is a batched product over all steps.
+One in-place kernel, ``_linear_scan``, carries every pass of
+``ssm_recurrence`` through time: the states in the forward pass and the
+adjoint (the reversed scan with A_bar^T) in the backward pass.  Narrow
+batches, such as a spatial scan over h*w tokens, are cut into chunks of
+about sqrt(T) steps, so a scan takes about 2 sqrt(T) Python-level steps;
+wide batches step through time once with each step a product over the
+batch.  Everything outside the recurrence is a batched product over all
+steps.
 """
 
 from __future__ import annotations
@@ -316,45 +319,71 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     return unflatten_spatial(ssm_recurrence(params, seq), direction, h, w)
 
 
-def _band_sequence(x: Tensor, reverse: bool) -> Tensor:
-    """(Cs,h,w) -> (T=Cs, E=1, N=h*w) per-pixel scalar band sequences."""
-    cs, h, w = x.shape
-    src = x.data[::-1] if reverse else x.data
-    out = np.ascontiguousarray(src.reshape(cs, 1, h * w))
-
-    def bwd(g):
-        dg = g.reshape(cs, h, w)
-        return ((dg[::-1] if reverse else dg).copy(),)
-
-    return custom_op("band_sequence", (x,), out, bwd)
-
-
-def _band_unsequence(y: Tensor, reverse: bool, h: int, w: int) -> Tensor:
-    cs = y.shape[0]
-    arr = y.data.reshape(cs, h, w)
-    out = np.ascontiguousarray(arr[::-1] if reverse else arr)
-
-    def bwd(g):
-        dg = g[::-1] if reverse else g
-        return (np.ascontiguousarray(dg.reshape(cs, 1, h * w)),)
-
-    return custom_op("band_unsequence", (y,), out, bwd)
-
-
 def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:
     """Sum of forward and backward band-axis scans, shared across pixels.
 
     Tokens are per-pixel scalars (E = 1), so parameter count is independent
     of the spatial extent; the forward scan visits bands first-to-last and
-    the backward scan last-to-first.
+    the backward scan last-to-first.  With scalar tokens each scan is a
+    causal convolution along the bands with kernel k_j = C A^j B (the
+    convolution view of S4), and the backward scan is the forward one
+    conjugated by band reversal.  Both scans together are therefore one
+    (T, T) matrix, M = lower-Toeplitz(k_fwd) + upper-Toeplitz(k_bwd), and
+    out = (M + 2 I) f is one product over all pixels; nothing runs through
+    ``_linear_scan``.  The backward pass sums the diagonals of g f^T into
+    dk; with v_j = A^j B and w_j = (C A^j)^T, dC = sum_j dk_j v_j^T,
+    dB = sum_j dk_j w_j and dA = W^T H V with the Hankel matrix
+    H[i, m] = dk_{i+m+1}.  Both directions run as one stack of two.
     """
     if fwd.embed_dim != 1 or bwd.embed_dim != 1:
         raise ShapeError("spectral_bidirectional: spectral experts use scalar tokens (E = 1)")
+    if fwd.state_dim != bwd.state_dim:
+        raise ShapeError(f"spectral_bidirectional: state dims {fwd.state_dim} and {bwd.state_dim} differ")
     if x.ndim != 3:
         raise ShapeError(f"spectral_bidirectional: expects (Cs,h,w), got {x.shape}")
-    _, h, w = x.shape
-    out_f = _band_unsequence(ssm_recurrence(fwd, _band_sequence(x, reverse=False)), False, h, w)
-    out_b = _band_unsequence(ssm_recurrence(bwd, _band_sequence(x, reverse=True)), True, h, w)
-    from .tensor import add
+    if not x.dtype == fwd.a_bar.dtype == bwd.a_bar.dtype:
+        raise ShapeError("spectral_bidirectional: input/parameter dtypes must match")
+    t_len, h, w = x.shape
+    f = x.data.reshape(t_len, h * w)
+    # rows v_j = A^j B of both directions, then rows w_j = (C A^j)^T, by
+    # doubling: rows m..2m-1 are rows 0..m-1 times the m-th power
+    a = np.array([fwd.a_bar.data, bwd.a_bar.data])
+    power = np.concatenate([a.transpose(0, 2, 1), a])  # (4, D, D)
+    rows = np.empty((4, t_len, fwd.state_dim), dtype=x.dtype)
+    rows[:, 0] = [fwd.b_bar.data[:, 0], bwd.b_bar.data[:, 0], fwd.c_out.data[0], bwd.c_out.data[0]]
+    have = 1
+    while have < t_len:
+        take = min(have, t_len - have)
+        np.matmul(rows[:, :take], power, out=rows[:, have : have + take])
+        have += take
+        if have < t_len:
+            power = power @ power
+    v, wr = rows[:2], rows[2:]
+    k = np.matmul(v, wr[:, 0, :, None])[:, :, 0]  # (2, T): k_fwd, k_bwd
+    # (M + 2 I)[t, s] = q[t - s + T - 1], q = (k_bwd[T-1], .., k_bwd[1], k_fwd[0] + k_bwd[0] + 2, k_fwd[1], ..)
+    steps = np.arange(t_len)
+    diagonal = np.subtract.outer(steps, steps) + (t_len - 1)
+    q = np.concatenate([k[1, :0:-1], k[0]])
+    q[t_len - 1] += k[1, 0] + 2
+    m = q[diagonal]
+    out = m @ f
 
-    return add(out_f, out_b)
+    def backward(g):
+        g2 = g.reshape(t_len, h * w)
+        dq = np.bincount(diagonal.ravel(), weights=(g2 @ f.T).ravel()).astype(x.dtype)
+        dk = np.array([dq[t_len - 1 :], dq[t_len - 1 :: -1]])  # (2, T)
+        hankel = np.concatenate([dk[:, 1:], np.zeros_like(dk)], axis=1)[:, np.add.outer(steps, steps)]
+        da = wr.transpose(0, 2, 1) @ hankel @ v
+        db = np.matmul(dk[:, None, :], wr)  # (2, 1, D)
+        dc = np.matmul(dk[:, None, :], v)
+        dx = m.T @ g2
+        return da[0], db[0].T, dc[0], da[1], db[1].T, dc[1], dx.reshape(t_len, h, w)
+
+    d = fwd.state_dim
+    return custom_op(
+        "spectral_bidirectional",
+        (fwd.a_bar, fwd.b_bar, fwd.c_out, bwd.a_bar, bwd.b_bar, bwd.c_out, x),
+        out.reshape(t_len, h, w),
+        backward,
+        flops=2 * t_len * h * w * (2 * d * d + 5 * d + 1) + t_len * h * w,
+    )

@@ -427,11 +427,49 @@ def spatial_mean(x: Tensor) -> Tensor:
 # --- spatial primitives ------------------------------------------------------
 
 
+def _pad_flat(x: np.ndarray) -> np.ndarray:
+    """(C, h, w) -> (C, (h+2)(w+2) + 2): a zero border of one pixel, rows of
+    stride w+2, and two trailing zeros so that every 3x3 tap window fits."""
+    c, h, w = x.shape
+    row = w + 2
+    flat = np.zeros((c, (h + 2) * row + 2), dtype=x.dtype)
+    flat[:, : (h + 2) * row].reshape(c, h + 2, row)[:, 1 : h + 1, 1 : w + 1] = x
+    return flat
+
+
+def _shifted_gemm(taps: np.ndarray, flat: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Sum over the nine taps of taps[di, dj] @ flat[:, di(w+2)+dj :][: h(w+2)].
+
+    Output position i(w+2)+j holds pixel (i, j); the two columns j = w, w+1
+    of each row are junk.  Returns the (C_out, h, w+2) map, junk included.
+    """
+    row = w + 2
+    span = h * row
+    acc = np.matmul(taps[0, 0], flat[:, :span])
+    tmp = np.empty_like(acc)
+    for di in range(3):
+        for dj in range(3):
+            if di or dj:
+                off = di * row + dj
+                np.matmul(taps[di, dj], flat[:, off : off + span], out=tmp)
+                acc += tmp
+    return acc.reshape(-1, h, row)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> Tensor:
     """Same-size 2-D cross-correlation, stride 1, zero padding.
 
     x: (C_in, h, w); weight: (C_out, C_in, k, k) with k in {1, 3};
     bias: (C_out,).  pad defaults to (k - 1) // 2 and must equal it.
+
+    A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
+    is nine shifted products (the implicit-GEMM lowering): the input is
+    padded once into a flat buffer with row stride w+2, so each tap reads
+    the contiguous window starting at di(w+2)+dj, and two junk columns per
+    row are cropped.  The backward pass pads g the same way: dW for a tap
+    is g times that tap's input window transposed, and dx is the shifted
+    sum with the flipped, transposed taps.  dx is computed only for an
+    input that requires a gradient or is on the tape; otherwise it is None.
     """
     if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
         raise ShapeError(f"conv2d: bad ranks x{x.shape} w{weight.shape} b{bias.shape}")
@@ -448,31 +486,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
     if pad is not None and pad != p:
         raise ShapeError(f"conv2d: pad must be (k-1)//2 = {p} to preserve size, got {pad}")
     _, h, w = x.shape
+    need_dx = x.requires_grad or x._on_tape
     if k == 1:
-        patches = x.data.reshape(c_in, 1, 1, h, w)
+        w2 = weight.data.reshape(c_out, c_in)
+        x2 = x.data.reshape(c_in, h * w)
+        product = (w2 @ x2).reshape(c_out, h, w)
+
+        def bwd(g):
+            g2 = g.reshape(c_out, h * w)
+            dx = (w2.T @ g2).reshape(c_in, h, w) if need_dx else None
+            return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
+
     else:
-        xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
-        patches = np.empty((c_in, k, k, h, w), dtype=x.data.dtype)
-        for di in range(k):
-            for dj in range(k):
-                patches[:, di, dj] = xp[:, di : di + h, dj : dj + w]
-    out = np.tensordot(weight.data, patches, axes=([1, 2, 3], [0, 1, 2]))
-    out += bias.data[:, None, None]
+        taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
+        xp = _pad_flat(x.data)
+        product = _shifted_gemm(taps, xp, h, w)[:, :, :w]
+        span = h * (w + 2)
 
-    def bwd(g):
-        dw = np.tensordot(g, patches, axes=([1, 2], [3, 4]))
-        db = g.sum(axis=(1, 2))
-        dpatch = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in,k,k,h,w)
-        if k == 1:
-            dx = dpatch.reshape(c_in, h, w)
-        else:
-            dxp = np.zeros((c_in, h + 2 * p, w + 2 * p), dtype=g.dtype)
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, di : di + h, dj : dj + w] += dpatch[:, di, dj]
-            dx = np.ascontiguousarray(dxp[:, p : p + h, p : p + w])
-        return dx, dw, db
+        def bwd(g):
+            gp = _pad_flat(g)
+            g_rows = gp[:, w + 3 : w + 3 + span]  # g at row stride w+2, junk columns zero
+            dw = np.empty((c_out, c_in, 3, 3), dtype=g.dtype)
+            for di in range(3):
+                for dj in range(3):
+                    off = di * (w + 2) + dj
+                    dw[:, :, di, dj] = g_rows @ xp[:, off : off + span].T
+            dx = None
+            if need_dx:
+                flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
+                dx = _shifted_gemm(flipped, gp, h, w)[:, :, :w]  # the tape copies what it keeps
+            return dx, dw, g.sum(axis=(1, 2))
 
+    out = product + bias.data[:, None, None]
     n_flops = h * w * c_out * (2 * c_in * k * k) + h * w * c_out
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=n_flops)
 

@@ -1,10 +1,13 @@
 """Encoder/decoder assembly, uncertainty sampling, loss, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mambamoe import tensor as tt
 from mambamoe.network import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     HeadParams,
     MaskRng,
@@ -415,3 +418,41 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @staticmethod
+    def load_edited(tmp_path, part: int, edit):
+        """Load a valid checkpoint after ``edit`` rewrote one of its first
+        lines: 0 is the meta line, 2 the first manifest line."""
+        params = init_network_params(tiny_spec(), np.random.default_rng(40), dtype=np.float32)
+        path = tmp_path / "model.mmoe"
+        save_checkpoint(path, params)
+        parts = path.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 3)
+        parts[part] = edit(parts[part])
+        path.write_bytes(CHECKPOINT_MAGIC + b"\n".join(parts))
+        load_checkpoint(path)
+
+    def test_manifest_line_with_extra_space(self, tmp_path):
+        with pytest.raises(CheckpointError, match="malformed manifest"):
+            self.load_edited(tmp_path, 2, lambda line: line.replace(b" ", b"  ", 1))
+
+    def test_meta_without_bands(self, tmp_path):
+        def drop_bands(line):
+            meta = json.loads(line)
+            del meta["bands"]
+            return json.dumps(meta).encode()
+
+        with pytest.raises(CheckpointError, match="bands"):
+            self.load_edited(tmp_path, 0, drop_bands)
+
+    def test_non_ascii_byte_in_manifest(self, tmp_path):
+        with pytest.raises(CheckpointError, match="malformed manifest"):
+            self.load_edited(tmp_path, 2, lambda line: b"\xff" + line)
+
+    def test_negative_extent(self, tmp_path):
+        # an empty payload passes the length check, so only the shape can reject it
+        with pytest.raises(CheckpointError, match="negative extent"):
+            self.load_edited(tmp_path, 2, lambda line: line.rsplit(b" ", 1)[0] + b" 0,-1")
+
+    def test_unknown_dtype_code(self, tmp_path):
+        with pytest.raises(CheckpointError, match="dtype code 'q9'"):
+            self.load_edited(tmp_path, 2, lambda line: line.replace(b" f4 ", b" q9 "))

@@ -381,22 +381,65 @@ class TestSpectralExpert:
         fwd = ssm_recurrence(p, Tensor(x.data.reshape(1, 1, 9))).data.reshape(1, 3, 3)
         np.testing.assert_allclose(out, 2.0 * fwd, atol=1e-12)
 
-    def test_matches_per_pixel_unrolled_oracle(self):
-        rng = np.random.default_rng(12)
-        fwd, bwd = self.make_params(3, rng), self.make_params(3, rng)
-        x = rng.normal(size=(3, 1, 2))  # 3 bands, 2 pixels
-        out = spectral_bidirectional(fwd, bwd, Tensor(x)).data
-        for pix in range(2):
-            bands = x[:, 0, pix][:, None]  # (T, E=1)
-            f = unrolled_reference(fwd.a_bar.data, fwd.b_bar.data, fwd.c_out.data, bands)
-            b = unrolled_reference(bwd.a_bar.data, bwd.b_bar.data, bwd.c_out.data, bands[::-1])[::-1]
-            np.testing.assert_allclose(out[:, 0, pix], (f + b)[:, 0], atol=1e-6)
+    @staticmethod
+    def run_with_grads(fwd, bwd, x, probe):
+        """Output of spectral_bidirectional and the gradients of sum(probe * output)."""
+        xt = parameter(x)
+        params = [fwd.a_bar, fwd.b_bar, fwd.c_out, bwd.a_bar, bwd.b_bar, bwd.c_out]
+        for t in params:
+            t.zero_grad()
+        with tt.Tape() as tape:
+            y = spectral_bidirectional(fwd, bwd, xt)
+            tape.backward(tt.sum_all(tt.mul(y, Tensor(probe))))
+        return y.data, [t.grad for t in params] + [xt.grad]
+
+    @pytest.mark.parametrize("t_len, d", [(1, 3), (2, 3), (24, 24)])
+    def test_matches_per_pixel_unrolled_oracle(self, t_len, d):
+        rng = np.random.default_rng(12 + t_len)
+        fwd, bwd = self.make_params(d, rng), self.make_params(d, rng)
+        x = rng.normal(size=(t_len, 2, 3))
+        probe = rng.normal(size=x.shape)
+        out, grads = self.run_with_grads(fwd, bwd, x, probe)
+        # per-pixel band sequences (T, E=1, N=6); the backward scan runs on the reversed bands
+        f, g = x.reshape(t_len, 1, 6), probe.reshape(t_len, 1, 6)
+        ab, bb, cb = bwd.a_bar.data, bwd.b_bar.data, bwd.c_out.data
+        ref = batched_reference(fwd.a_bar.data, fwd.b_bar.data, fwd.c_out.data, f)
+        ref += batched_reference(ab, bb, cb, f[::-1])[::-1]
+        assert rel_err(out, ref.reshape(x.shape)) < 1e-10
+        *grads_f, df_f = loop_reference_grads(fwd.a_bar.data, fwd.b_bar.data, fwd.c_out.data, f, g)
+        *grads_b, df_b = loop_reference_grads(ab, bb, cb, f[::-1], g[::-1])
+        ref_grads = grads_f + grads_b + [(df_f + df_b[::-1]).reshape(x.shape)]
+        for got, want in zip(grads, ref_grads):
+            assert rel_err(got, want) < 1e-10
+
+    def test_float32_matches_float64(self):
+        rng = np.random.default_rng(16)
+        p64 = [self.make_params(24, rng) for _ in range(2)]
+        p32 = [SsmParams(*(parameter(t.data, dtype=np.float32) for t in (p.a_bar, p.b_bar, p.c_out))) for p in p64]
+        x = rng.normal(size=(24, 8, 8))
+        probe = rng.normal(size=x.shape)
+        out64, grads64 = self.run_with_grads(*p64, x, probe)
+        out32, grads32 = self.run_with_grads(*p32, x.astype(np.float32), probe.astype(np.float32))
+        assert out32.dtype == np.float32
+        assert rel_err(out32, out64) < 1e-5
+        for got, want in zip(grads32, grads64):
+            assert rel_err(got, want) < 1e-5
 
     def test_scalar_token_contract(self):
         rng = np.random.default_rng(13)
         wide = init_ssm_params(2, 3, rng, dtype=F64)
         with pytest.raises(ShapeError):
             spectral_bidirectional(wide, wide, Tensor(np.ones((3, 2, 2))))
+
+    def test_rank_dtype_and_state_dim_contract(self):
+        rng = np.random.default_rng(17)
+        p = self.make_params(2, rng)
+        with pytest.raises(ShapeError):
+            spectral_bidirectional(p, p, Tensor(np.ones((3, 4))))
+        with pytest.raises(ShapeError):
+            spectral_bidirectional(p, p, Tensor(np.ones((3, 2, 2), dtype=np.float32)))
+        with pytest.raises(ShapeError):
+            spectral_bidirectional(p, self.make_params(3, rng), Tensor(np.ones((3, 2, 2))))
 
     def test_gradient(self):
         rng = np.random.default_rng(14)
