@@ -11,8 +11,6 @@ Usage: python3 scripts/run_synth_experiment.py [--seeds 5] [--epochs 200]
 import argparse
 from dataclasses import replace
 
-import numpy as np
-
 from mambamoe.data import default_synthetic_spec, generate_synthetic
 from mambamoe.inspect_experts import inspect_expert_weights
 from mambamoe.train import TrainConfig, evaluate, format_summary_report, summarize_metrics, topk_sweep, train
@@ -23,12 +21,7 @@ def run_variant(scene, base: TrainConfig, seeds, **flags):
     for seed in seeds:
         cfg = replace(base, seed=seed, **flags)
         result = train(cfg, scene)
-        runs.append(
-            evaluate(
-                result.params, scene, result.test_mask,
-                topk=cfg.topk_infer, momeb_on=cfg.momeb_on, sre_on=cfg.sre_on, sse_on=cfg.sse_on,
-            )
-        )
+        runs.append(evaluate(result.params, scene, result.test_mask, topk=cfg.topk_infer))
         results.append(result)
     return summarize_metrics(runs, list(seeds)), results
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import data as dataio
 from . import profiler
 from . import train as training
 from .network import CheckpointError, NetSpec, load_checkpoint, save_checkpoint
-from .tensor import NumericalError
+from .tensor import NumericalError, ShapeError
 
 
 class ConfigError(ValueError):
@@ -33,25 +33,21 @@ class DataError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Config-file keys and their defaults (all overridable per file)."""
+    """The CLI's own config keys and their defaults; every ``TrainConfig``
+    field is a config key too, read into ``train``."""
 
     dataset: str = "synthetic"  # path to a .hsc file, or the literal "synthetic"
     checkpoint: str = ""  # model file for eval/predict/inspect
     out_dir: str = "out"
     palette: str = ""  # optional palette file for rendered maps
-    seed: int = 0
-    lr: float = 5e-4
-    epochs: int = 200
-    samples_per_class: int = 15
-    topk_infer: int = 3
-    channels: int = 16
-    state_dim: int = 8
-    repeats: int = 10
-    momeb_on: bool = True
-    uarb_on: bool = True
-    sre_on: bool = True
-    sse_on: bool = True
     synth_seed: int = 11
+    train: training.TrainConfig = field(default_factory=training.TrainConfig)
+
+
+def _config_fields() -> dict[str, Field]:
+    """Every config-file key: RunConfig's own fields, then TrainConfig's."""
+    own = [f for f in fields(RunConfig) if f.name != "train"]
+    return {f.name: f for f in own + list(fields(training.TrainConfig))}
 
 
 def _parse_value(key: str, raw: str, kind):
@@ -69,54 +65,42 @@ def _parse_value(key: str, raw: str, kind):
         raise ConfigError(f"key {key}: {exc}") from exc
 
 
-def parse_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+def parse_config(path: str | None, **overrides) -> RunConfig:
+    """Read a config file (None: all defaults), then apply ``overrides``,
+    already-typed values keyed like the file.  The result is validated as a
+    whole, so an override cannot bypass a check."""
+    keys = _config_fields()
+    values = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line.rstrip()!r}")
+            key, _, raw = body.partition("=")
+            key = key.strip()
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = _parse_value(key, raw, type(keys[key].default))
+    values.update(overrides)
+    own = {f.name for f in fields(RunConfig)}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line.rstrip()!r}")
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        if key not in kinds:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, kinds[key]))
-    return cfg
+        train = training.TrainConfig(**{k: v for k, v in values.items() if k not in own})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(**{k: v for k, v in values.items() if k in own}, train=train)
 
 
 def config_help_text() -> str:
     lines = ["config file keys (key = value, # comments):"]
-    for f in fields(RunConfig):
+    for f in _config_fields().values():
         lines.append(f"  {f.name} (default: {f.default!r})")
     return "\n".join(lines)
-
-
-def _train_config(cfg: RunConfig) -> training.TrainConfig:
-    try:
-        return training.TrainConfig(
-            lr=cfg.lr,
-            epochs=cfg.epochs,
-            samples_per_class=cfg.samples_per_class,
-            seed=cfg.seed,
-            topk_infer=cfg.topk_infer,
-            channels=cfg.channels,
-            state_dim=cfg.state_dim,
-            momeb_on=cfg.momeb_on,
-            uarb_on=cfg.uarb_on,
-            sre_on=cfg.sre_on,
-            sse_on=cfg.sse_on,
-            repeats=cfg.repeats,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_scene(cfg: RunConfig) -> dataio.HsiScene:
@@ -141,16 +125,17 @@ def _load_model(cfg: RunConfig, scene: dataio.HsiScene):
         params, meta = load_checkpoint(path)
     except CheckpointError as exc:
         raise DataError(str(exc)) from exc
-    mismatches = []
-    for field_name, expected in (
-        ("bands", scene.header.bands),
-        ("n_class", scene.header.n_class),
-        ("channels", cfg.channels),
-        ("state_dim", cfg.state_dim),
-    ):
-        have = {"bands": params.spec.bands, "n_class": params.spec.n_class, "channels": params.spec.channels, "state_dim": params.spec.state_dim}[field_name]
-        if have != expected:
-            mismatches.append(f"{field_name}: checkpoint={have} expected={expected}")
+    spec = params.spec
+    mismatches = [
+        f"{name}: checkpoint={have} expected={expected}"
+        for name, have, expected in (
+            ("bands", spec.bands, scene.header.bands),
+            ("n_class", spec.n_class, scene.header.n_class),
+            ("channels", spec.channels, cfg.train.channels),
+            ("state_dim", spec.state_dim, cfg.train.state_dim),
+        )
+        if have != expected
+    ]
     if mismatches:
         raise DataError("checkpoint/config mismatch: " + "; ".join(mismatches))
     return params, meta
@@ -177,52 +162,25 @@ def _parse_topk(raw: str) -> list[int]:
     return ks
 
 
-def _eval_flags(meta: dict, cfg: RunConfig) -> dict:
-    """Architecture switches are taken from the checkpoint when present so an
-    ablated model evaluates as trained."""
-    return {
-        "momeb_on": bool(meta.get("momeb_on", cfg.momeb_on)),
-        "sre_on": bool(meta.get("sre_on", cfg.sre_on)),
-        "sse_on": bool(meta.get("sse_on", cfg.sse_on)),
-    }
-
-
 # --- commands --------------------------------------------------------------------
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
-    tcfg = _train_config(cfg)
+    tcfg = cfg.train
     scene = _load_scene(cfg)
     result = training.train(tcfg, scene)
-    metrics = training.evaluate(
-        result.params,
-        scene,
-        result.test_mask,
-        topk=tcfg.topk_infer,
-        momeb_on=tcfg.momeb_on,
-        sre_on=tcfg.sre_on,
-        sse_on=tcfg.sse_on,
-    )
+    metrics = training.evaluate(result.params, scene, result.test_mask, topk=tcfg.topk_infer)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         out_dir / "checkpoint.mmoe",
         result.params,
-        extra_meta={
-            "seed": tcfg.seed,
-            "samples_per_class": tcfg.samples_per_class,
-            "momeb_on": tcfg.momeb_on,
-            "uarb_on": tcfg.uarb_on,
-            "sre_on": tcfg.sre_on,
-            "sse_on": tcfg.sse_on,
-        },
+        extra_meta={"seed": tcfg.seed, "samples_per_class": tcfg.samples_per_class, "uarb_on": tcfg.uarb_on},
     )
     (out_dir / "history.csv").write_text(training.format_history_csv(result.history), encoding="utf-8")
     (out_dir / "metrics.txt").write_text(
         training.format_metrics_report(metrics, scene.header.class_names), encoding="utf-8"
     )
-    pred = training.predict_labels(
-        result.params, scene, topk=tcfg.topk_infer, momeb_on=tcfg.momeb_on, sre_on=tcfg.sre_on, sse_on=tcfg.sse_on
-    )
+    pred = training.predict_labels(result.params, scene, topk=tcfg.topk_infer)
     dataio.render_map(pred, _palette_for(cfg, scene), out_dir / "prediction.ppm")
     print(f"trained {tcfg.epochs} epochs in {result.seconds:.1f}s; final loss {result.history[-1][1]:.4f}")
     print(training.format_metrics_report(metrics, scene.header.class_names), end="")
@@ -233,24 +191,23 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_eval(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
     scene = _load_scene(cfg)
     params, meta = _load_model(cfg, scene)
-    flags = _eval_flags(meta, cfg)
-    seed = meta.get("seed", cfg.seed)
-    n = meta.get("samples_per_class", cfg.samples_per_class)
+    seed = meta.get("seed", cfg.train.seed)
+    n = meta.get("samples_per_class", cfg.train.samples_per_class)
     ss_split = np.random.SeedSequence(seed).spawn(3)[1]
     _, test_mask = training.split_per_class(scene.labels.astype(np.int64), n, ss_split)
-    print(f"split: seed={seed} samples_per_class={n}; flags {flags}")
+    spec = params.spec
+    print(f"split: seed={seed} samples_per_class={n}; momeb_on={spec.momeb_on} sre_on={spec.sre_on} sse_on={spec.sse_on}")
     for k in _parse_topk(topk_raw):
-        m = training.evaluate(params, scene, test_mask, topk=k, **flags)
+        m = training.evaluate(params, scene, test_mask, topk=k)
         print(f"topk={k}  OA {100 * m.oa:6.2f}  AA {100 * m.aa:6.2f}  kappa {100 * m.kappa:6.2f}")
     return 0
 
 
 def cmd_predict(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
     scene = _load_scene(cfg)
-    params, meta = _load_model(cfg, scene)
-    flags = _eval_flags(meta, cfg)
+    params, _ = _load_model(cfg, scene)
     k = _parse_topk(topk_raw)[0]
-    pred = training.predict_labels(params, scene, topk=k, **flags)
+    pred = training.predict_labels(params, scene, topk=k)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "prediction.ppm"
     dataio.render_map(pred, _palette_for(cfg, scene), out_path)
@@ -262,10 +219,8 @@ def cmd_inspect(cfg: RunConfig) -> int:
     from .inspect_experts import inspect_expert_weights
 
     scene = _load_scene(cfg)
-    params, meta = _load_model(cfg, scene)
-    flags = _eval_flags(meta, cfg)
-    report = inspect_expert_weights(params, scene, momeb_on=flags["momeb_on"], sre_on=flags["sre_on"], sse_on=flags["sse_on"])
-    print(report.format())
+    params, _ = _load_model(cfg, scene)
+    print(inspect_expert_weights(params, scene).format())
     return 0
 
 
@@ -296,7 +251,10 @@ def cmd_profile(cfg: RunConfig, input_raw: str, n_class: int) -> int:
         bands, height, width = (int(tok) for tok in input_raw.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"--input must be BxHxW, got {input_raw!r}") from exc
-    spec = NetSpec(bands=bands, channels=cfg.channels, state_dim=cfg.state_dim, n_class=n_class)
+    try:
+        spec = NetSpec(bands=bands, channels=cfg.train.channels, state_dim=cfg.train.state_dim, n_class=n_class)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
     report = profiler.make_report(spec, (bands, height, width))
     print(profiler.report_table(report), end="")
     print(profiler.report_csv(report), end="")
@@ -325,21 +283,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config)
+        overrides = {}
         if args.seed is not None:
-            cfg.seed = args.seed
+            overrides["seed"] = args.seed
             if args.command == "synth":
-                cfg.synth_seed = args.seed
+                overrides["synth_seed"] = args.seed
         if args.topk is not None and args.command not in ("eval", "predict"):
-            cfg.topk_infer = _parse_topk(args.topk)[0]
+            overrides["topk_infer"] = _parse_topk(args.topk)[0]
+        cfg = parse_config(args.config, **overrides)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
 
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         if args.command == "eval":
-            return cmd_eval(cfg, out_dir, args.topk or str(cfg.topk_infer))
+            return cmd_eval(cfg, out_dir, args.topk or str(cfg.train.topk_infer))
         if args.command == "predict":
-            return cmd_predict(cfg, out_dir, args.topk or str(cfg.topk_infer))
+            return cmd_predict(cfg, out_dir, args.topk or str(cfg.train.topk_infer))
         if args.command == "inspect":
             return cmd_inspect(cfg)
         if args.command == "gradcheck":

@@ -12,7 +12,7 @@ training happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,10 @@ def load_hsc(path) -> HsiScene:
         idx = buf.find(b"\n")
         if idx < 0:
             raise TruncatedFileError(f"{path}: truncated in {what}")
-        return buf[:idx].decode("utf-8"), buf[idx + 1 :]
+        try:
+            return buf[:idx].decode("utf-8"), buf[idx + 1 :]
+        except UnicodeDecodeError as exc:
+            raise HscError(f"{path}: {what} is not UTF-8 (byte {exc.start})") from exc
 
     header_line, rest = take_line(rest, "header")
     try:
@@ -319,18 +322,25 @@ def default_palette(n_class: int) -> dict[int, tuple[int, int, int]]:
 def load_palette(path) -> dict[int, tuple[int, int, int]]:
     """Text palette: one `id r g b` line per class; `#` starts a comment."""
     palette: dict[int, tuple[int, int, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            toks = body.split()
-            if len(toks) != 4:
-                raise PaletteError(f"{path}:{lineno}: expected `id r g b`, got {line.rstrip()!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PaletteError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        toks = body.split()
+        if len(toks) != 4:
+            raise PaletteError(f"{path}:{lineno}: expected `id r g b`, got {line.rstrip()!r}")
+        try:
             cid, r, g, b = (int(t) for t in toks)
-            if not all(0 <= v <= 255 for v in (r, g, b)):
-                raise PaletteError(f"{path}:{lineno}: rgb components must be in [0, 255]")
-            palette[cid] = (r, g, b)
+        except ValueError as exc:
+            raise PaletteError(f"{path}:{lineno}: expected integers `id r g b`, got {line.rstrip()!r}") from exc
+        if not all(0 <= v <= 255 for v in (r, g, b)):
+            raise PaletteError(f"{path}:{lineno}: rgb components must be in [0, 255]")
+        palette[cid] = (r, g, b)
     return palette
 
 

@@ -11,20 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .data import HsiScene, SceneHeader, normalize_scene
-from .moe import dssem_forward, init_momeb_params, momeb_forward, route, init_router_params
-from .network import (
-    MaskRng,
-    NetSpec,
-    classify_head,
-    extract_features,
-    ffb,
-    forward_full,
-    init_network_params,
-    residual_block,
-    total_loss,
-    uarb,
-)
+from .moe import dssem_forward, momeb_forward, route
+from .network import NetSpec, classify_head, ffb, forward_full, init_network_params, total_loss
 from .scan import (
     SPATIAL_DIRECTIONS,
     init_ssm_params,
@@ -110,7 +98,7 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
     )
 
     # router
-    router = init_router_params(4, rng, dtype=F64)
+    router = init_network_params(NetSpec(bands=1, channels=8, state_dim=1, n_class=1), rng, F64).momeb[0].router
     xr = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)
     probe4 = Tensor(rng.normal(size=(4,)), dtype=F64)
     ok &= _report(
@@ -120,7 +108,7 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
     )
 
     # dssem + momeb (block-level)
-    block = init_momeb_params(4, 3, rng, dtype=F64)
+    block = init_network_params(NetSpec(bands=1, channels=4, state_dim=3, n_class=1), rng, F64).momeb[0]
     xb = parameter(rng.normal(size=(4, 4, 4)), dtype=F64)
     probe_b = Tensor(rng.normal(size=(4, 4, 4)), dtype=F64)
     block_params = [t for _, t in block.named("blk")]

@@ -66,20 +66,16 @@ class InspectReport:
 def downsample_labels(labels: np.ndarray, factor: int = 2) -> np.ndarray:
     """Majority label of each factor x factor block (ties to the lower id,
     unlabeled pixels ignored unless the block is entirely unlabeled)."""
-    h, w = labels.shape
-    h2, w2 = h // factor, w // factor
-    out = np.zeros((h2, w2), dtype=labels.dtype)
-    max_id = int(labels.max(initial=0))
-    for r in range(h2):
-        for c in range(w2):
-            block = labels[r * factor : (r + 1) * factor, c * factor : (c + 1) * factor].ravel()
-            counts = np.bincount(block, minlength=max_id + 1)
-            counts[0] = 0
-            out[r, c] = counts.argmax() if counts.sum() else 0
-    return out
+    h2, w2 = labels.shape[0] // factor, labels.shape[1] // factor
+    n_ids = int(labels.max(initial=0)) + 1
+    blocks = labels[: h2 * factor, : w2 * factor].reshape(h2, factor, w2, factor).transpose(0, 2, 1, 3)
+    pairs = np.arange(h2 * w2).reshape(h2, w2, 1, 1) * n_ids + blocks  # (block, label) as one index
+    counts = np.bincount(pairs.ravel(), minlength=h2 * w2 * n_ids).reshape(h2, w2, n_ids)
+    counts[..., 0] = 0  # argmax of an all-zero row is 0: an entirely unlabeled block stays unlabeled
+    return counts.argmax(axis=-1).astype(labels.dtype)
 
 
-def stage1_expert_shares(params: NetworkParams, x: Tensor, sre_on: bool = True) -> np.ndarray:
+def stage1_expert_shares(params: NetworkParams, x: Tensor) -> np.ndarray:
     """Per-pixel normalized expert response magnitudes at stage 1: (4, h1, w1)."""
     feats = extract_features(params.stem, x)
     block = params.momeb[0]
@@ -95,13 +91,7 @@ def stage1_expert_shares(params: NetworkParams, x: Tensor, sre_on: bool = True) 
     return mags / total
 
 
-def inspect_expert_weights(
-    params: NetworkParams,
-    scene: HsiScene,
-    momeb_on: bool = True,
-    sre_on: bool = True,
-    sse_on: bool = True,
-) -> InspectReport:
+def inspect_expert_weights(params: NetworkParams, scene: HsiScene) -> InspectReport:
     x = normalize_scene(scene)
     feats = extract_features(params.stem, x)
     stage_weights = []
@@ -111,7 +101,7 @@ def inspect_expert_weights(
         x_spa, _ = split(x_norm, 2, axis=0)
         stage_weights.append(route(block.router, x_spa).data.astype(np.float64))
 
-    shares = stage1_expert_shares(params, x, sre_on=sre_on)
+    shares = stage1_expert_shares(params, x)
     labels_s1 = downsample_labels(scene.labels.astype(np.int64))
     rows = []
     for cls in range(1, scene.header.n_class + 1):

@@ -16,13 +16,11 @@ import numpy as np
 from . import tensor as tt
 from .scan import (
     SPATIAL_DIRECTIONS,
-    ScanDirection,
     SsmParams,
-    init_ssm_params,
     spatial_expert_forward,
     spectral_bidirectional,
 )
-from .tensor import ShapeError, Tensor, parameter
+from .tensor import ShapeError, Tensor
 
 N_SPATIAL_EXPERTS = 4
 
@@ -30,22 +28,6 @@ N_SPATIAL_EXPERTS = 4
 # across runs: 0=TL_BR, 1=BR_TL (horizontal pair), 2=TR_BL, 3=BL_TR (vertical pair)
 HORIZONTAL_EXPERTS = (0, 1)
 VERTICAL_EXPERTS = (2, 3)
-
-
-class ExpertEvalCounter:
-    """Counts spatial-expert scan evaluations."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-
-
-EXPERT_EVALS = ExpertEvalCounter()
 
 
 @dataclass
@@ -72,18 +54,6 @@ class RouterParams:
             (f"{prefix}.w2", self.w2),
             (f"{prefix}.b2", self.b2),
         ]
-
-
-def init_router_params(channels_half: int, rng: np.random.Generator, dtype=np.float32) -> RouterParams:
-    hidden = max(channels_half // 2, 1)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / channels_half), (hidden, channels_half))
-    w2 = rng.normal(0.0, np.sqrt(1.0 / hidden), (N_SPATIAL_EXPERTS, hidden))
-    return RouterParams(
-        parameter(w1, dtype=dtype),
-        parameter(np.zeros(hidden), dtype=dtype),
-        parameter(w2, dtype=dtype),
-        parameter(np.zeros(N_SPATIAL_EXPERTS), dtype=dtype),
-    )
 
 
 @dataclass
@@ -134,33 +104,6 @@ class MoMebParams:
         return items
 
 
-def init_momeb_params(channels: int, state_dim: int, rng: np.random.Generator, dtype=np.float32) -> MoMebParams:
-    if channels % 2 != 0:
-        raise ShapeError(f"init_momeb_params: channel width must be even, got {channels}")
-    half = channels // 2
-
-    def conv_init(c_out, c_in, k):
-        std = np.sqrt(2.0 / (c_in * k * k))
-        return parameter(rng.normal(0.0, std, (c_out, c_in, k, k)), dtype=dtype)
-
-    return MoMebParams(
-        ln1_gamma=parameter(np.ones(channels), dtype=dtype),
-        ln1_beta=parameter(np.zeros(channels), dtype=dtype),
-        ln2_gamma=parameter(np.ones(channels), dtype=dtype),
-        ln2_beta=parameter(np.zeros(channels), dtype=dtype),
-        spatial=tuple(init_ssm_params(state_dim, half, rng, dtype=dtype) for _ in range(N_SPATIAL_EXPERTS)),
-        spectral_fwd=init_ssm_params(state_dim, 1, rng, dtype=dtype),
-        spectral_bwd=init_ssm_params(state_dim, 1, rng, dtype=dtype),
-        router=init_router_params(half, rng, dtype=dtype),
-        fuse_w=conv_init(channels, channels, 1),
-        fuse_b=parameter(np.zeros(channels), dtype=dtype),
-        mlp_w1=conv_init(2 * channels, channels, 1),
-        mlp_b1=parameter(np.zeros(2 * channels), dtype=dtype),
-        mlp_w2=conv_init(channels, 2 * channels, 1),
-        mlp_b2=parameter(np.zeros(channels), dtype=dtype),
-    )
-
-
 def route(router: RouterParams, x_spa: Tensor) -> Tensor:
     """Router weights for one feature map: pool -> MLP -> softmax over 4.
 
@@ -207,35 +150,24 @@ def sre_forward(
 
     topk=None (or 4) runs all experts weighted by the router (training
     mode).  With topk=k < 4 only the selected experts are evaluated and
-    their weights are renormalized to sum to one.  k=4 intentionally takes
-    the dense path: the weights already sum to one, and skipping the
-    renormalization keeps the result bit-identical to dense mode.
+    their weights are renormalized to sum to one.  k=4 skips the
+    renormalization: the weights already sum to one, and the tape then
+    holds the same ops as in dense mode, so the result is bit-identical.
+    All selected experts run before the combine.
     """
     weights = route(router, x_spa)
-
-    def eval_expert(j: int):
-        EXPERT_EVALS.increment()
-        return spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j])
-
-    if topk is None or topk == N_SPATIAL_EXPERTS:
-        selected = list(range(N_SPATIAL_EXPERTS))
-        outputs = [eval_expert(j) for j in selected]
-        acc = None
-        for j, out_j in zip(selected, outputs):
-            term = tt.scale_by(out_j, tt.element(weights, j))
-            acc = term if acc is None else tt.add(acc, term)
-        return acc
-
-    selected = topk_select(weights.data, topk)
-    outputs = [eval_expert(j) for j in selected]
-    total = None
-    picked = {}
-    for j in selected:
-        picked[j] = tt.element(weights, j)
-        total = picked[j] if total is None else tt.add(total, picked[j])
+    renormalize = topk is not None and topk != N_SPATIAL_EXPERTS
+    selected = topk_select(weights.data, topk) if renormalize else list(range(N_SPATIAL_EXPERTS))
+    outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
+    if renormalize:
+        picked, total = {}, None
+        for j in selected:
+            picked[j] = tt.element(weights, j)
+            total = picked[j] if total is None else tt.add(total, picked[j])
     acc = None
     for j, out_j in zip(selected, outputs):
-        term = tt.scale_by(out_j, tt.div(picked[j], total))
+        w_j = tt.div(picked[j], total) if renormalize else tt.element(weights, j)
+        term = tt.scale_by(out_j, w_j)
         acc = term if acc is None else tt.add(acc, term)
     return acc
 

@@ -11,13 +11,14 @@ inference those blocks are skipped entirely and no randomness is consumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .moe import MoMebParams, init_momeb_params, momeb_forward
+from .moe import MoMebParams, RouterParams, momeb_forward
+from .scan import SsmParams
 from .tensor import ShapeError, Tensor, parameter
 
 CHECKPOINT_MAGIC = b"MMOE1\n"
@@ -32,19 +33,28 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Widths that define a network: input bands, channel width C, SSM state
-    dim D, and class count."""
+    """What defines a network: input bands, channel width C, SSM state dim D
+    and class count, plus the ablation switches for the expert blocks
+    (``momeb_on``) and, inside them, the spatial (``sre_on``) and spectral
+    (``sse_on``) experts.  A switched-off part passes its input through; its
+    parameters still exist, so the parameter tree never depends on them."""
 
     bands: int
     channels: int
     state_dim: int
     n_class: int
+    momeb_on: bool = True
+    sre_on: bool = True
+    sse_on: bool = True
 
     def __post_init__(self):
         if self.channels % 2 != 0:
             raise ShapeError(f"NetSpec: channel width must be even, got {self.channels}")
         if min(self.bands, self.state_dim, self.n_class) < 1:
             raise ShapeError(f"NetSpec: widths must be positive, got {self}")
+        for name in ("momeb_on", "sre_on", "sse_on"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"NetSpec: {name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -143,8 +153,6 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
     )
 
     def ssm(prefix, e):
-        from .scan import SsmParams
-
         return SsmParams(
             p(f"{prefix}.a_bar", (d, d)),
             p(f"{prefix}.b_bar", (d, e)),
@@ -152,8 +160,6 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
         )
 
     def momeb(prefix):
-        from .moe import RouterParams
-
         return MoMebParams(
             ln1_gamma=p(f"{prefix}.ln1.gamma", (c,)),
             ln1_beta=p(f"{prefix}.ln1.beta", (c,)),
@@ -380,24 +386,23 @@ def forward_full(
     topk: int | None = None,
     y_trn: np.ndarray | None = None,
     mask_rng: MaskRng | None = None,
-    momeb_on: bool = True,
     uarb_on: bool = True,
-    sre_on: bool = True,
-    sse_on: bool = True,
     frozen_masks: Sequence[np.ndarray] | None = None,
 ) -> ForwardResult:
     """Run the whole pipeline on one scene.
 
     Training mode uses dense experts (topk ignored) and, when enabled,
     the uncertainty-sampled stage supervision; inference uses top-k expert
-    selection and consumes no randomness.
+    selection and consumes no randomness.  The ablation switches come from
+    ``params.spec``.
     """
     _, h, w = x.shape
     effective_topk = None if train else topk
+    spec = params.spec
     feats = extract_features(params.stem, x)
-    if momeb_on:
+    if spec.momeb_on:
         m_stages = [
-            momeb_forward(params.momeb[i], feats[i], topk=effective_topk, sre_on=sre_on, sse_on=sse_on)
+            momeb_forward(params.momeb[i], feats[i], topk=effective_topk, sre_on=spec.sre_on, sse_on=spec.sse_on)
             for i in range(N_STAGES)
         ]
     else:
@@ -450,17 +455,10 @@ def save_checkpoint(path, params: NetworkParams, extra_meta: dict | None = None)
     """Versioned binary container: magic, JSON meta line, manifest, payloads.
 
     Payloads are raw little-endian in manifest order; round-trips are
-    bit-exact.
+    bit-exact.  The meta line holds every ``NetSpec`` field, which
+    ``extra_meta`` cannot override.
     """
-    meta = {
-        "version": 1,
-        "bands": params.spec.bands,
-        "channels": params.spec.channels,
-        "state_dim": params.spec.state_dim,
-        "n_class": params.spec.n_class,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {**(extra_meta or {}), "version": 1, **asdict(params.spec)}
     entries = params.named_params()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -517,12 +515,15 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if offset != len(rest):
         raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")
 
-    try:
+    try:  # a file without a switch predates the ablation switches: the part is on
         spec = NetSpec(
             bands=int(meta["bands"]),
             channels=int(meta["channels"]),
             state_dim=int(meta["state_dim"]),
             n_class=int(meta["n_class"]),
+            momeb_on=meta.get("momeb_on", True),
+            sre_on=meta.get("sre_on", True),
+            sse_on=meta.get("sse_on", True),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad meta line ({exc!r})") from exc

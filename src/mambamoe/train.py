@@ -40,7 +40,11 @@ class TrainingAbort(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """All hyperparameters, seeds and ablation switches for one run."""
+    """All hyperparameters, seeds and ablation switches for one run.
+
+    ``momeb_on``, ``sre_on`` and ``sse_on`` become part of the trained
+    model's ``NetSpec``; ``uarb_on`` only shapes the training loss.
+    """
 
     lr: float = 5e-4
     epochs: int = 200
@@ -60,6 +64,14 @@ class TrainConfig:
             raise ValueError(f"topk_infer must be in [1, 4], got {self.topk_infer}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.channels < 2 or self.channels % 2 != 0:
+            raise ValueError(f"channels must be even and >= 2, got {self.channels}")
+        if self.state_dim < 1:
+            raise ValueError(f"state_dim must be >= 1, got {self.state_dim}")
 
 
 def split_per_class(labels: np.ndarray, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +159,9 @@ def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> Train
         channels=config.channels,
         state_dim=config.state_dim,
         n_class=scene.header.n_class,
+        momeb_on=config.momeb_on,
+        sre_on=config.sre_on,
+        sse_on=config.sse_on,
     )
     params = init_network_params(spec, np.random.default_rng(ss_init))
     tensors = params.tensors()
@@ -160,17 +175,7 @@ def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> Train
             p.zero_grad()
         try:
             with Tape() as tape:
-                result = forward_full(
-                    params,
-                    x,
-                    train=True,
-                    y_trn=y_trn,
-                    mask_rng=mask_rng,
-                    momeb_on=config.momeb_on,
-                    uarb_on=config.uarb_on,
-                    sre_on=config.sre_on,
-                    sse_on=config.sse_on,
-                )
+                result = forward_full(params, x, train=True, y_trn=y_trn, mask_rng=mask_rng, uarb_on=config.uarb_on)
                 loss = total_loss(result.stages, labels, train_mask, result.final_logits)
                 tape.backward(loss)
         except NumericalError as exc:
@@ -230,40 +235,25 @@ def metrics_from_confusion(conf: np.ndarray) -> Metrics:
     return Metrics(confusion=conf, oa=oa, aa=aa, kappa=float(kappa), per_class_acc=recalls)
 
 
-def predict_labels(
-    params: NetworkParams,
-    scene: HsiScene,
-    topk: int = 3,
-    momeb_on: bool = True,
-    sre_on: bool = True,
-    sse_on: bool = True,
-) -> np.ndarray:
+def predict_labels(params: NetworkParams, scene: HsiScene, topk: int = 3) -> np.ndarray:
     """Inference-mode argmax class map for the whole scene (no randomness)."""
     x = normalize_scene(scene)
-    result = forward_full(params, x, train=False, topk=topk, momeb_on=momeb_on, sre_on=sre_on, sse_on=sse_on)
+    result = forward_full(params, x, train=False, topk=topk)
     return (result.final_logits.data.argmax(axis=0) + 1).astype(np.uint16)
 
 
-def evaluate(
-    params: NetworkParams,
-    scene: HsiScene,
-    test_mask: np.ndarray,
-    topk: int = 3,
-    momeb_on: bool = True,
-    sre_on: bool = True,
-    sse_on: bool = True,
-) -> Metrics:
+def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk: int = 3) -> Metrics:
     if not np.asarray(test_mask).any():
         raise ValueError("evaluate: empty test mask")
-    pred = predict_labels(params, scene, topk=topk, momeb_on=momeb_on, sre_on=sre_on, sse_on=sse_on)
+    pred = predict_labels(params, scene, topk=topk)
     labels = scene.labels.astype(np.int64)
     conf = confusion_matrix(labels[test_mask], pred[test_mask], scene.header.n_class)
     return metrics_from_confusion(conf)
 
 
-def topk_sweep(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, **flags) -> list[tuple[int, Metrics]]:
+def topk_sweep(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray) -> list[tuple[int, Metrics]]:
     """Evaluate one trained model at every expert-selection level."""
-    return [(k, evaluate(params, scene, test_mask, topk=k, **flags)) for k in (1, 2, 3, 4)]
+    return [(k, evaluate(params, scene, test_mask, topk=k)) for k in (1, 2, 3, 4)]
 
 
 # --- repeated runs ----------------------------------------------------------------
@@ -296,17 +286,7 @@ def run_repeats(config: TrainConfig, scene: HsiScene) -> RepeatSummary:
     for i in range(config.repeats):
         cfg = replace(config, seed=config.seed + i)
         result = train(cfg, scene)
-        runs.append(
-            evaluate(
-                result.params,
-                scene,
-                result.test_mask,
-                topk=cfg.topk_infer,
-                momeb_on=cfg.momeb_on,
-                sre_on=cfg.sre_on,
-                sse_on=cfg.sse_on,
-            )
-        )
+        runs.append(evaluate(result.params, scene, result.test_mask, topk=cfg.topk_infer))
         seeds.append(cfg.seed)
     return summarize_metrics(runs, seeds)
 

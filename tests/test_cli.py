@@ -1,9 +1,15 @@
 """Command-line interface: config grammar, exit codes, artifacts."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from mambamoe.cli import ConfigError, config_help_text, main, parse_config
+from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
+from mambamoe.data import default_synthetic_spec, generate_synthetic, save_hsc
+from mambamoe.network import CHECKPOINT_MAGIC
+from mambamoe.train import TrainConfig
 
 
 def write_cfg(tmp_path, name="run.cfg", **overrides):
@@ -31,9 +37,9 @@ class TestConfigGrammar:
         path = tmp_path / "a.cfg"
         path.write_text("seed = 7  # the seed\n\n# full line comment\nlr = 1e-3\nuarb_on = false\n")
         cfg = parse_config(path)
-        assert cfg.seed == 7
-        assert cfg.lr == 1e-3
-        assert cfg.uarb_on is False
+        assert cfg.train.seed == 7
+        assert cfg.train.lr == 1e-3
+        assert cfg.train.uarb_on is False
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "b.cfg"
@@ -49,14 +55,68 @@ class TestConfigGrammar:
 
     def test_help_lists_every_key_with_default(self):
         text = config_help_text()
-        from dataclasses import fields
-        from mambamoe.cli import RunConfig
+        keys = [f for f in fields(RunConfig) if f.name != "train"] + list(fields(TrainConfig))
+        assert {f.name: f.default for f in keys} == {
+            "dataset": "synthetic",
+            "checkpoint": "",
+            "out_dir": "out",
+            "palette": "",
+            "synth_seed": 11,
+            "seed": 0,
+            "lr": 5e-4,
+            "epochs": 200,
+            "samples_per_class": 15,
+            "topk_infer": 3,
+            "channels": 16,
+            "state_dim": 8,
+            "repeats": 10,
+            "momeb_on": True,
+            "uarb_on": True,
+            "sre_on": True,
+            "sse_on": True,
+        }
+        for f in keys:
+            assert f"  {f.name} (default: {f.default!r})" in text
 
-        for f in fields(RunConfig):
-            assert f.name in text
+
+def one_error_line(capsys, category):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {category}: "), err
+    return err[0]
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["train", "profile"])
+    @pytest.mark.parametrize(
+        "body",
+        [b"channels = 7\n", b"state_dim = 0\n", b"epochs = 0\n", b"seed = 1 # \xff\n"],
+        ids=["odd-channels", "zero-state-dim", "zero-epochs", "non-utf8"],
+    )
+    def test_bad_config_exit_1_one_line(self, tmp_path, capsys, command, body):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(body)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        one_error_line(capsys, "config")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["profile", "--classes", "0"], ["profile", "--input", "0x13x13"], ["train", "--seed", "-1"]],
+        ids=["zero-classes", "zero-bands", "negative-seed"],
+    )
+    def test_bad_flag_exit_1_one_line(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        one_error_line(capsys, "config")
+
+    def test_non_utf8_class_name_exit_2_one_line(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.hsc"
+        save_hsc(generate_synthetic(default_synthetic_spec()), scene_path)
+        blob = scene_path.read_bytes()
+        name_at = blob.index(b"\n", len(b"HSC1\n")) + 1  # first byte of the first class name
+        scene_path.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1 :])
+        cfg = write_cfg(tmp_path, dataset=str(scene_path))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "class name 1" in one_error_line(capsys, "data")
+
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nope = 1\n")
@@ -142,6 +202,18 @@ class TestTrainEvalPredictPipeline:
         err = capsys.readouterr().err
         assert "channels" in err and "checkpoint=8" in err and "expected=16" in err
 
+    def test_switch_that_is_not_a_bool_exit_2(self, trained, capsys):
+        tmp_path, _, out = trained
+        blob = (out / "checkpoint.mmoe").read_bytes()
+        meta_line, rest = blob[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
+        meta = json.loads(meta_line)
+        meta["sre_on"] = "false"
+        edited = tmp_path / "string_switch.mmoe"
+        edited.write_bytes(CHECKPOINT_MAGIC + json.dumps(meta).encode() + b"\n" + rest)
+        cfg = write_cfg(tmp_path, name="str.cfg", checkpoint=str(edited))
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "sre_on" in one_error_line(capsys, "data")
+
     def test_inspect_prints_weight_rows_summing_to_one(self, trained, capsys):
         tmp_path, _, out = trained
         cfg = write_cfg(tmp_path, name="ins.cfg", checkpoint=str(out / "checkpoint.mmoe"))
@@ -153,6 +225,21 @@ class TestTrainEvalPredictPipeline:
             nums = [float(tok) for tok in line.replace("[", " ").replace("]", " ").split() if _is_float(tok)]
             weights = nums[-4:] if "router" in line else nums[1:5]
             assert abs(sum(weights) - 1.0) < 1e-5, line
+
+
+def test_ablated_model_evaluates_as_trained(tmp_path, capsys):
+    """The switches travel in the checkpoint, so an eval config without
+    `sse_on` still evaluates the model trained with the spectral experts off."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_cfg(tmp_path, sse_on=False)), "--out", str(out)]) == 0
+    trained_oa = next(l.split()[-1] for l in (out / "metrics.txt").read_text().splitlines() if l.startswith("OA"))
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, name="eval.cfg", checkpoint=str(out / "checkpoint.mmoe"))
+    assert main(["eval", "--config", str(cfg), "--topk", "3", "--out", str(tmp_path / "e")]) == 0
+    printed = capsys.readouterr().out
+    assert "sse_on=False" in printed
+    (row,) = [l for l in printed.splitlines() if l.startswith("topk=3")]
+    assert row.split()[2] == trained_oa
 
 
 class TestProfileCommand:

@@ -108,6 +108,18 @@ class TestHscRoundTrip:
         with pytest.raises(HscError):
             load_hsc(path)
 
+    @pytest.mark.parametrize("line, what", [(0, "header"), (1, "class name 1"), (5, "provenance")])
+    def test_non_utf8_text_line(self, tmp_path, line, what):
+        path = tmp_path / "u.hsc"
+        save_hsc(generate_synthetic(default_synthetic_spec()), path)
+        blob = path.read_bytes()
+        at = len(b"HSC1\n")
+        for _ in range(line):  # first byte of the chosen text line (4 class names, then provenance)
+            at = blob.index(b"\n", at) + 1
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
+        with pytest.raises(HscError, match=f"{what} is not UTF-8"):
+            load_hsc(path)
+
     def test_label_above_declared_classes_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         scene = random_scene(rng, bands=1, h=2, w=2, k=2)
@@ -273,5 +285,12 @@ class TestRenderMap:
         with pytest.raises(PaletteError):
             load_palette(path)
         path.write_text("1 300 0 0\n")
+        with pytest.raises(PaletteError):
+            load_palette(path)
+
+    @pytest.mark.parametrize("body", [b"1 \xff 0 0\n", b"1 a 2 3\n"], ids=["non-utf8", "non-integer"])
+    def test_palette_rejects_non_utf8_and_non_integers(self, tmp_path, body):
+        path = tmp_path / "pal.txt"
+        path.write_bytes(b"0 0 0 0\n" + body)
         with pytest.raises(PaletteError):
             load_palette(path)

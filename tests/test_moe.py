@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mambamoe import moe
 from mambamoe import tensor as tt
 from mambamoe.moe import (
-    EXPERT_EVALS,
     HORIZONTAL_EXPERTS,
     VERTICAL_EXPERTS,
     MoMebParams,
     dssem_forward,
     expert_weight_records,
-    init_momeb_params,
-    init_router_params,
     momeb_forward,
     route,
     sre_forward,
     topk_select,
 )
+from mambamoe.network import NetSpec, init_network_params
 from mambamoe.scan import SPATIAL_DIRECTIONS, init_ssm_params
 from mambamoe.tensor import Tensor, grad_check, parameter
 
@@ -27,11 +26,17 @@ F64 = np.float64
 
 
 def make_block(channels=4, state=3, seed=0, dtype=F64):
-    return init_momeb_params(channels, state, np.random.default_rng(seed), dtype=dtype)
+    """The first expert block of a network; ``seed`` may be a Generator."""
+    spec = NetSpec(bands=1, channels=channels, state_dim=state, n_class=1)
+    return init_network_params(spec, np.random.default_rng(seed), dtype=dtype).momeb[0]
 
 
-def zero_router(channels_half, dtype=F64):
-    r = init_router_params(channels_half, np.random.default_rng(0), dtype=dtype)
+def make_router(channels_half, rng):
+    return make_block(channels=2 * channels_half, state=1, seed=rng).router
+
+
+def zero_router(channels_half):
+    r = make_router(channels_half, 0)
     for t in (r.w1, r.b1, r.w2, r.b2):
         t.data[...] = 0.0
     return r
@@ -47,14 +52,14 @@ class TestRoute:
     @settings(max_examples=30, deadline=None)
     def test_weights_positive_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        router = init_router_params(4, rng, dtype=F64)
+        router = make_router(4, rng)
         w = route(router, Tensor(rng.normal(size=(4, 2, 5)))).data
         assert w.min() > 0
         assert abs(w.sum() - 1.0) < 1e-6
 
     def test_hand_computed_pool_mlp_softmax(self):
         rng = np.random.default_rng(2)
-        router = init_router_params(2, rng, dtype=F64)
+        router = make_router(2, rng)
         x = rng.normal(size=(2, 2, 2))
         w = route(router, Tensor(x)).data
 
@@ -96,13 +101,10 @@ class TestTopkSelect:
 
 
 class TestSreForward:
-    def setup_method(self):
-        EXPERT_EVALS.reset()
-
     def make(self, seed=3):
         rng = np.random.default_rng(seed)
         experts = tuple(init_ssm_params(3, 2, rng, dtype=F64) for _ in range(4))
-        router = init_router_params(2, rng, dtype=F64)
+        router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 4, 4)))
         return experts, router, x
 
@@ -111,7 +113,7 @@ class TestSreForward:
         one = init_ssm_params(3, 2, rng, dtype=F64)
         one.a_bar.data[...] = 0.0  # memoryless: every direction gives the same map
         experts = (one, one, one, one)
-        router = init_router_params(2, rng, dtype=F64)
+        router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 3, 3)))
         from mambamoe.scan import spatial_expert_forward
 
@@ -122,9 +124,13 @@ class TestSreForward:
 
     def test_topk4_bitwise_equals_dense(self):
         experts, router, x = self.make()
-        dense = sre_forward(experts, router, x, topk=None)
-        top4 = sre_forward(experts, router, x, topk=4)
+        with tt.Tape() as dense_tape:
+            dense = sre_forward(experts, router, x, topk=None)
+        with tt.Tape() as top4_tape:
+            top4 = sre_forward(experts, router, x, topk=4)
         assert dense.data.tobytes() == top4.data.tobytes()
+        # no renormalization at k=4: the tape records the dense ops, in the dense order
+        assert [op.name for op in top4_tape.ops] == [op.name for op in dense_tape.ops]
 
     def test_topk1_equals_argmax_expert_alone(self):
         experts, router, x = self.make(seed=5)
@@ -147,15 +153,21 @@ class TestSreForward:
         ref = sum((w[j] / total) * outs[j] for j in sel)
         np.testing.assert_allclose(sre_forward(experts, router, x, topk=2).data, ref, atol=1e-7)
 
-    def test_eval_counter_counts_k_per_call(self):
+    def test_eval_counter_counts_k_per_call(self, monkeypatch):
         experts, router, x = self.make(seed=7)
-        for k in (1, 2, 3, 4):
-            EXPERT_EVALS.reset()
+        calls = []
+        real = moe.spatial_expert_forward
+
+        def counted(expert, x_spa, direction):
+            calls.append(direction.name)
+            return real(expert, x_spa, direction)
+
+        monkeypatch.setattr(moe, "spatial_expert_forward", counted)
+        w = route(router, x).data
+        for k in (1, 2, 3, 4, None):
+            calls.clear()
             sre_forward(experts, router, x, topk=k)
-            assert EXPERT_EVALS.count == k
-        EXPERT_EVALS.reset()
-        sre_forward(experts, router, x, topk=None)
-        assert EXPERT_EVALS.count == 4
+            assert calls == [SPATIAL_DIRECTIONS[j].name for j in topk_select(w, k or 4)]
 
     def test_unselected_experts_not_evaluated(self):
         experts, router, x = self.make(seed=8)
@@ -231,7 +243,7 @@ class TestMomebForward:
         rng = np.random.default_rng(seed)
         c = 2 * int(rng.integers(1, 4))
         h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        block = init_momeb_params(c, 2, rng, dtype=F64)
+        block = make_block(channels=c, state=2, seed=rng)
         out = momeb_forward(block, Tensor(rng.normal(size=(c, h, w))))
         assert out.shape == (c, h, w)
 

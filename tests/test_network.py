@@ -1,6 +1,7 @@
 """Encoder/decoder assembly, uncertainty sampling, loss, checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,11 +296,26 @@ class TestForwardFull:
         assert dense.final_probs.data.tobytes() == top4.final_probs.data.tobytes()
 
     def test_momeb_off_bypasses_blocks(self):
-        params = tiny_params(seed=28)
+        spec = replace(tiny_spec(), momeb_on=False)
+        params = init_network_params(spec, np.random.default_rng(28), dtype=F64)
         x = Tensor(np.random.default_rng(29).normal(size=(2, 16, 16)))
-        res = forward_full(params, x, train=False, topk=3, momeb_on=False)
+        res = forward_full(params, x, train=False, topk=3)
         feats = extract_features(params.stem, x)
         assert res.encoder_feats[0].data.tobytes() == feats[0].data.tobytes()
+
+    @pytest.mark.parametrize("switch", ["sre_on", "sse_on"])
+    def test_expert_switches_come_from_the_spec(self, switch):
+        from mambamoe.moe import momeb_forward
+
+        params = init_network_params(replace(tiny_spec(), **{switch: False}), np.random.default_rng(30), dtype=F64)
+        x = Tensor(np.random.default_rng(31).normal(size=(2, 16, 16)))
+        res = forward_full(params, x, train=False, topk=2)
+        feats = extract_features(params.stem, x)
+        for i in range(3):
+            ablated = momeb_forward(params.momeb[i], feats[i], topk=2, **{switch: False})
+            full = momeb_forward(params.momeb[i], feats[i], topk=2)
+            assert res.encoder_feats[i].data.tobytes() == ablated.data.tobytes()
+            assert not np.allclose(ablated.data, full.data)
 
     def test_tiny_network_matches_hand_composed_pipeline(self):
         from mambamoe.moe import momeb_forward
@@ -419,6 +435,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flags", [(False, True, True), (True, False, True), (True, True, False)])
+    def test_ablation_switches_round_trip(self, tmp_path, flags):
+        spec = replace(tiny_spec(), **dict(zip(("momeb_on", "sre_on", "sse_on"), flags)))
+        path = tmp_path / "model.mmoe"
+        params = init_network_params(spec, np.random.default_rng(41), dtype=np.float32)
+        save_checkpoint(path, params, extra_meta={"sre_on": not spec.sre_on})  # the spec wins
+        loaded, meta = load_checkpoint(path)
+        assert loaded.spec == spec
+        assert (meta["momeb_on"], meta["sre_on"], meta["sse_on"]) == flags
+
+    @staticmethod
+    def edit_meta(edit):
+        def rewrite(line):
+            meta = json.loads(line)
+            edit(meta)
+            return json.dumps(meta).encode()
+
+        return rewrite
+
+    def test_meta_without_switches_loads_full_model(self, tmp_path):
+        def drop_switches(meta):
+            for key in ("momeb_on", "sre_on", "sse_on"):
+                del meta[key]
+
+        params, meta = self.load_edited(tmp_path, 0, self.edit_meta(drop_switches))
+        assert "sre_on" not in meta
+        assert params.spec == tiny_spec()
+        assert params.spec.momeb_on and params.spec.sre_on and params.spec.sse_on
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_switch_that_is_not_a_json_bool(self, tmp_path, value):
+        with pytest.raises(CheckpointError, match="sre_on must be a bool"):
+            self.load_edited(tmp_path, 0, self.edit_meta(lambda meta: meta.update(sre_on=value)))
+
     @staticmethod
     def load_edited(tmp_path, part: int, edit):
         """Load a valid checkpoint after ``edit`` rewrote one of its first
@@ -429,20 +479,15 @@ class TestCheckpoint:
         parts = path.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 3)
         parts[part] = edit(parts[part])
         path.write_bytes(CHECKPOINT_MAGIC + b"\n".join(parts))
-        load_checkpoint(path)
+        return load_checkpoint(path)
 
     def test_manifest_line_with_extra_space(self, tmp_path):
         with pytest.raises(CheckpointError, match="malformed manifest"):
             self.load_edited(tmp_path, 2, lambda line: line.replace(b" ", b"  ", 1))
 
     def test_meta_without_bands(self, tmp_path):
-        def drop_bands(line):
-            meta = json.loads(line)
-            del meta["bands"]
-            return json.dumps(meta).encode()
-
         with pytest.raises(CheckpointError, match="bands"):
-            self.load_edited(tmp_path, 0, drop_bands)
+            self.load_edited(tmp_path, 0, self.edit_meta(lambda meta: meta.pop("bands")))
 
     def test_non_ascii_byte_in_manifest(self, tmp_path):
         with pytest.raises(CheckpointError, match="malformed manifest"):

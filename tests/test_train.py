@@ -219,10 +219,9 @@ class TestTrainingLoop:
         for flags in ({"momeb_on": False}, {"uarb_on": False}, {"sre_on": False}, {"sse_on": False}):
             cfg = TrainConfig(epochs=4, seed=0, samples_per_class=5, channels=8, state_dim=4, **flags)
             result = train(cfg, scene)
-            m = evaluate(
-                result.params, scene, result.test_mask,
-                topk=3, momeb_on=cfg.momeb_on, sre_on=cfg.sre_on, sse_on=cfg.sse_on,
-            )
+            spec = result.params.spec
+            assert (spec.momeb_on, spec.sre_on, spec.sse_on) == (cfg.momeb_on, cfg.sre_on, cfg.sse_on)
+            m = evaluate(result.params, scene, result.test_mask, topk=3)
             assert 0.0 <= m.oa <= 1.0
 
     def test_evaluate_rejects_empty_test_mask(self):
@@ -260,7 +259,6 @@ class TestTrainingLoop:
         assert 0.0 <= summary.mean["oa"] <= 1.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(topk_infer=5)
-        with pytest.raises(ValueError):
-            TrainConfig(samples_per_class=0)
+        for bad in ({"topk_infer": 5}, {"samples_per_class": 0}, {"seed": -1}, {"epochs": 0}, {"channels": 7}, {"channels": 0}, {"state_dim": 0}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
