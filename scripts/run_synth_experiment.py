@@ -13,17 +13,7 @@ from dataclasses import replace
 
 from mambamoe.data import default_synthetic_spec, generate_synthetic
 from mambamoe.inspect_experts import inspect_expert_weights
-from mambamoe.train import TrainConfig, evaluate, format_summary_report, summarize_metrics, topk_sweep, train
-
-
-def run_variant(scene, base: TrainConfig, seeds, **flags):
-    runs, results = [], []
-    for seed in seeds:
-        cfg = replace(base, seed=seed, **flags)
-        result = train(cfg, scene)
-        runs.append(evaluate(result.params, scene, result.test_mask, topk=cfg.topk_infer))
-        results.append(result)
-    return summarize_metrics(runs, list(seeds)), results
+from mambamoe.train import TrainConfig, format_summary_report, run_repeats, topk_sweep
 
 
 def main() -> None:
@@ -33,19 +23,18 @@ def main() -> None:
     args = parser.parse_args()
 
     scene = generate_synthetic(default_synthetic_spec())
-    base = TrainConfig(epochs=args.epochs)
-    seeds = range(args.seeds)
+    base = TrainConfig(epochs=args.epochs, repeats=args.seeds)  # seeds 0 .. seeds-1
 
     print("=== full model ===")
-    summary_full, results_full = run_variant(scene, base, seeds)
+    summary_full, results_full = run_repeats(base, scene)
     print(format_summary_report(summary_full, scene.header.class_names))
 
     print("=== ablation: expert blocks off ===")
-    summary_nm, _ = run_variant(scene, base, seeds, momeb_on=False)
+    summary_nm, _ = run_repeats(replace(base, momeb_on=False), scene)
     print(format_summary_report(summary_nm, scene.header.class_names))
 
     print("=== ablation: stage supervision off ===")
-    summary_nu, _ = run_variant(scene, base, seeds, uarb_on=False)
+    summary_nu, _ = run_repeats(replace(base, uarb_on=False), scene)
     print(format_summary_report(summary_nu, scene.header.class_names))
 
     print("=== ablation ordering ===")

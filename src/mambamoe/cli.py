@@ -103,28 +103,25 @@ def config_help_text() -> str:
     return "\n".join(lines)
 
 
+def _read(load, what: str, path: str):
+    """``load(path)``; a file that cannot be opened (missing, a directory,
+    unreadable) is a DataError.  Format errors propagate as they are."""
+    try:
+        return load(Path(path))
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
 def _load_scene(cfg: RunConfig) -> dataio.HsiScene:
     if cfg.dataset == "synthetic":
         return dataio.generate_synthetic(dataio.default_synthetic_spec(seed=cfg.synth_seed))
-    path = Path(cfg.dataset)
-    if not path.exists():
-        raise DataError(f"dataset not found: {path}")
-    try:
-        return dataio.load_hsc(path)
-    except dataio.HscError as exc:
-        raise DataError(str(exc)) from exc
+    return _read(dataio.load_hsc, "dataset", cfg.dataset)
 
 
 def _load_model(cfg: RunConfig, scene: dataio.HsiScene):
     if not cfg.checkpoint:
         raise ConfigError("this command needs a `checkpoint = <path>` config key")
-    path = Path(cfg.checkpoint)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    try:
-        params, meta = load_checkpoint(path)
-    except CheckpointError as exc:
-        raise DataError(str(exc)) from exc
+    params, meta = _read(load_checkpoint, "checkpoint", cfg.checkpoint)
     spec = params.spec
     mismatches = [
         f"{name}: checkpoint={have} expected={expected}"
@@ -143,10 +140,7 @@ def _load_model(cfg: RunConfig, scene: dataio.HsiScene):
 
 def _palette_for(cfg: RunConfig, scene: dataio.HsiScene):
     if cfg.palette:
-        path = Path(cfg.palette)
-        if not path.exists():
-            raise DataError(f"palette not found: {path}")
-        return dataio.load_palette(path)
+        return _read(dataio.load_palette, "palette", cfg.palette)
     return dataio.default_palette(scene.header.n_class)
 
 
@@ -168,6 +162,7 @@ def _parse_topk(raw: str) -> list[int]:
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     tcfg = cfg.train
     scene = _load_scene(cfg)
+    palette = _palette_for(cfg, scene)  # a bad palette fails before training, not after
     result = training.train(tcfg, scene)
     metrics = training.evaluate(result.params, scene, result.test_mask, topk=tcfg.topk_infer)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,7 +176,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         training.format_metrics_report(metrics, scene.header.class_names), encoding="utf-8"
     )
     pred = training.predict_labels(result.params, scene, topk=tcfg.topk_infer)
-    dataio.render_map(pred, _palette_for(cfg, scene), out_dir / "prediction.ppm")
+    dataio.render_map(pred, palette, out_dir / "prediction.ppm")
     print(f"trained {tcfg.epochs} epochs in {result.seconds:.1f}s; final loss {result.history[-1][1]:.4f}")
     print(training.format_metrics_report(metrics, scene.header.class_names), end="")
     print(f"outputs in {out_dir}")
@@ -206,11 +201,12 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
 def cmd_predict(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
     scene = _load_scene(cfg)
     params, _ = _load_model(cfg, scene)
+    palette = _palette_for(cfg, scene)
     k = _parse_topk(topk_raw)[0]
     pred = training.predict_labels(params, scene, topk=k)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "prediction.ppm"
-    dataio.render_map(pred, _palette_for(cfg, scene), out_path)
+    dataio.render_map(pred, palette, out_path)
     print(f"wrote {out_path}")
     return 0
 

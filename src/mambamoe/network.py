@@ -375,7 +375,6 @@ class ForwardResult:
     final_probs: Tensor
     stages: list[StageOutput] = field(default_factory=list)
     encoder_feats: list[Tensor] = field(default_factory=list)
-    fused_feats: list[Tensor] = field(default_factory=list)
 
 
 def forward_full(
@@ -427,7 +426,6 @@ def forward_full(
         final_probs=final_probs,
         stages=stages,
         encoder_feats=m_stages,
-        fused_feats=fused,
     )
 
 

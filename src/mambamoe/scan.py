@@ -9,16 +9,15 @@ and folded back onto the grid.  Spectral experts apply the same map along
 the band axis with scalar tokens (E = 1), sharing one parameter set across
 the scene.  With scalar tokens the recurrence is a causal convolution with
 kernel k_j = C_out A_bar^j B_bar, so the two spectral directions together
-are one (T, T) Toeplitz matrix applied to all pixels in one product.
+are one (T, T) Toeplitz matrix applied to all pixels in one product; they
+never run the recurrence step by step.
 
-One in-place kernel, ``_linear_scan``, carries every pass of
+One in-place kernel, ``_linear_scan``, carries every pass of the spatial
 ``ssm_recurrence`` through time: the states in the forward pass and the
-adjoint (the reversed scan with A_bar^T) in the backward pass.  Narrow
-batches, such as a spatial scan over h*w tokens, are cut into chunks of
-about sqrt(T) steps, so a scan takes about 2 sqrt(T) Python-level steps;
-wide batches step through time once with each step a product over the
-batch.  Everything outside the recurrence is a batched product over all
-steps.
+adjoint (the reversed scan with A_bar^T) in the backward pass.  It cuts the
+h*w tokens into chunks of about sqrt(T) steps, so a scan takes about
+2 sqrt(T) Python-level steps.  Everything outside the recurrence is one
+product over all steps.
 """
 
 from __future__ import annotations
@@ -41,32 +40,22 @@ class ScanDirection(Enum):
     right-to-left).  BR_TL and BL_TR are their exact sequence reversals.
     The row-major pair therefore traverses the grid horizontally and the
     column-major pair vertically, which is what lets stripe-like structure
-    excite one pair more than the other.  SPEC_FWD/SPEC_BWD order the band
-    axis of spectral token sequences.
+    excite one pair more than the other.
     """
 
     TL_BR = "tl_br"
     BR_TL = "br_tl"
     TR_BL = "tr_bl"
     BL_TR = "bl_tr"
-    SPEC_FWD = "spec_fwd"
-    SPEC_BWD = "spec_bwd"
-
-    @property
-    def is_spatial(self) -> bool:
-        return self in _SPATIAL
 
     @property
     def orientation(self) -> str:
         if self in (ScanDirection.TL_BR, ScanDirection.BR_TL):
             return "horizontal"
-        if self in (ScanDirection.TR_BL, ScanDirection.BL_TR):
-            return "vertical"
-        return "spectral"
+        return "vertical"
 
 
-_SPATIAL = (ScanDirection.TL_BR, ScanDirection.BR_TL, ScanDirection.TR_BL, ScanDirection.BL_TR)
-SPATIAL_DIRECTIONS = _SPATIAL
+SPATIAL_DIRECTIONS = tuple(ScanDirection)
 
 
 @lru_cache(maxsize=None)
@@ -79,15 +68,11 @@ def scan_order(direction: ScanDirection, h: int, w: int) -> np.ndarray:
     if direction is ScanDirection.TR_BL:
         cols = np.arange(w - 1, -1, -1, dtype=np.int64)
         return (np.arange(h, dtype=np.int64)[None, :] * w + cols[:, None]).reshape(-1)
-    if direction is ScanDirection.BL_TR:
-        return scan_order(ScanDirection.TR_BL, h, w)[::-1].copy()
-    raise ShapeError(f"scan_order: {direction} is not a spatial direction")
+    return scan_order(ScanDirection.TR_BL, h, w)[::-1].copy()
 
 
 def flatten_spatial(x: Tensor, direction: ScanDirection) -> Tensor:
     """Reorder a (E,h,w) map into a (h*w, E) token sequence."""
-    if not direction.is_spatial:
-        raise ShapeError(f"flatten_spatial: {direction} is not a spatial direction")
     if x.ndim != 3:
         raise ShapeError(f"flatten_spatial: expects (E,h,w), got {x.shape}")
     e, h, w = x.shape
@@ -104,8 +89,6 @@ def flatten_spatial(x: Tensor, direction: ScanDirection) -> Tensor:
 
 def unflatten_spatial(seq: Tensor, direction: ScanDirection, h: int, w: int) -> Tensor:
     """Exact inverse of flatten_spatial."""
-    if not direction.is_spatial:
-        raise ShapeError(f"unflatten_spatial: {direction} is not a spatial direction")
     if seq.ndim != 2 or seq.shape[0] != h * w:
         raise ShapeError(f"unflatten_spatial: sequence {seq.shape} does not cover a {h}x{w} grid")
     t, e = seq.shape
@@ -187,15 +170,10 @@ def spectral_radius_estimate(a_bar: Tensor | np.ndarray, iters: int = 100, seed:
     return float(rho)
 
 
-def _chunk_length(t_len: int, n: int) -> int:
-    """Steps per chunk of ``_linear_scan``.
-
-    A batch at least as wide as the sequence is long is one chunk: the plain
-    recurrence, each step a product over the whole batch.  A narrower batch
-    is cut into chunks of ceil(sqrt(T)) steps, so a scan takes about
-    2 sqrt(T) Python-level steps instead of T.
-    """
-    return t_len if n >= t_len else math.isqrt(t_len - 1) + 1
+def _chunk_length(t_len: int) -> int:
+    """Steps per chunk of ``_linear_scan``: ceil(sqrt(T)), so a scan takes
+    about 2 sqrt(T) Python-level steps instead of T."""
+    return math.isqrt(t_len - 1) + 1
 
 
 def _powers(m: np.ndarray, count: int) -> np.ndarray:
@@ -211,7 +189,7 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
 
 
 def _linear_scan(a: np.ndarray, u: np.ndarray) -> None:
-    """In place over time: u[t] <- a @ u[t-1] + u[t] for a (T, D, N) stack.
+    """In place over time: u[t] <- a @ u[t-1] + u[t] for a (T, D) stack.
 
     Two-level chunked scan (in the style of Mamba-2's SSD chunking): with
     tokens as rows, step 1 runs the recurrence inside every chunk at once,
@@ -219,95 +197,62 @@ def _linear_scan(a: np.ndarray, u: np.ndarray) -> None:
     A^L, and step 3 adds the carried-in state to every position of each
     chunk with the powers A^1..A^(L-1) in one batched product.
     """
-    t_len, d, n = u.shape
-    step = _chunk_length(t_len, n)
-    if step >= t_len:
-        tmp = np.empty((d, n), dtype=u.dtype)
-        for t in range(1, t_len):
-            np.matmul(a, u[t - 1], out=tmp)
-            u[t] += tmp
-        return
+    t_len, d = u.shape
+    step = _chunk_length(t_len)
     k = -(-t_len // step)
-    rows = np.zeros((k * step, n, d), dtype=u.dtype)
-    rows[:t_len] = u.transpose(0, 2, 1)
-    # w[j, c] is step j of chunk c; w[j] is one (K*N, D) block of rows
-    w = np.ascontiguousarray(rows.reshape(k, step, n, d).transpose(1, 0, 2, 3))
-    flat = w.reshape(step, k * n, d)
+    rows = np.zeros((k * step, d), dtype=u.dtype)
+    rows[:t_len] = u
+    # w[j, c] is step j of chunk c; w[j] is one (K, D) block of rows
+    w = np.ascontiguousarray(rows.reshape(k, step, d).transpose(1, 0, 2))
     at = a.T
-    tmp = np.empty((k * n, d), dtype=u.dtype)
+    tmp = np.empty((k, d), dtype=u.dtype)
     for j in range(1, step):
-        np.matmul(flat[j - 1], at, out=tmp)
-        flat[j] += tmp
+        np.matmul(w[j - 1], at, out=tmp)
+        w[j] += tmp
     powers = _powers(at, step)
     ends = w[step - 1]
     for c in range(1, k):
         ends[c] += ends[c - 1] @ powers[-1]
-    carried = ends[:-1].reshape((k - 1) * n, d)
-    w[: step - 1, 1:] += np.matmul(carried, powers[:-1]).reshape(step - 1, k - 1, n, d)
-    u[...] = w.transpose(1, 0, 3, 2).reshape(k * step, d, n)[:t_len]
-
-
-def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x[t] for every t of a (T, K, N) stack, as one product."""
-    t_len, k, n = x.shape
-    if k == 1:
-        return m * x
-    if n == 1:
-        return (x.reshape(t_len, k) @ m.T).reshape(t_len, -1, 1)
-    return np.matmul(m, x)
-
-
-def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum over t and n of x[t,:,n] y[t,:,n]^T for (T, P, N) and (T, Q, N) stacks."""
-    t_len, p, n = x.shape
-    if n == 1:
-        return x.reshape(t_len, p).T @ y.reshape(t_len, y.shape[1])
-    return np.matmul(x, y.transpose(0, 2, 1)).sum(axis=0)
+    w[: step - 1, 1:] += np.matmul(ends[:-1], powers[:-1])
+    u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
 
 
 def ssm_recurrence(params: SsmParams, seq: Tensor) -> Tensor:
-    """Run the linear recurrence over a token sequence.
+    """Run the linear recurrence over a (T, E) token sequence.
 
-    seq is (T, E) or, for batched per-pixel scans, (T, E, N); the output has
-    the same shape.  Only the state recurrence runs through time, in
-    ``_linear_scan``: the forward pass scans B_bar f into the states, and the
-    backward pass scans the reversed C_out^T g with A_bar^T into the adjoint
-    dh.  Every other term (B_bar f, C_out h + f, and the gradients of A_bar,
-    B_bar, C_out and the sequence) is one batched product over all steps.
-    This is the same maths as the step-by-step loop; the chunked order of
-    the sums rounds differently, by about 1e-6 relative in float32.
+    Only the state recurrence runs through time, in ``_linear_scan``: the
+    forward pass scans B_bar f into the states, and the backward pass scans
+    the reversed C_out^T g with A_bar^T into the adjoint dh.  Every other
+    term (B_bar f, C_out h + f, and the gradients of A_bar, B_bar, C_out and
+    the sequence) is one product over all steps.  This is the same maths as
+    the step-by-step loop; the chunked order of the sums rounds differently,
+    by about 1e-6 relative in float32.
     """
-    if seq.ndim not in (2, 3):
-        raise ShapeError(f"ssm_recurrence: sequence must be (T,E) or (T,E,N), got {seq.shape}")
+    if seq.ndim != 2:
+        raise ShapeError(f"ssm_recurrence: sequence must be (T,E), got {seq.shape}")
     if seq.shape[1] != params.embed_dim:
         raise ShapeError(f"ssm_recurrence: token width {seq.shape[1]} != params embed dim {params.embed_dim}")
     if seq.dtype != params.a_bar.dtype:
         raise ShapeError("ssm_recurrence: sequence/parameter dtypes must match")
     a, b, c = params.a_bar, params.b_bar, params.c_out
-    squeeze = seq.ndim == 2
-    f = seq.data[:, :, None] if squeeze else seq.data
-    t_len, e, n = f.shape
+    f = seq.data
+    t_len, e = f.shape
     d = params.state_dim
 
-    states = _apply(b.data, f)
+    states = f @ b.data.T
     _linear_scan(a.data, states)
-    out = _apply(c.data, states)
+    out = states @ c.data.T
     out += f
 
     def bwd(g):
-        g3 = g[:, :, None] if squeeze else g
-        dh = _apply(c.data.T, g3)
+        dh = g @ c.data
         _linear_scan(a.data.T, dh[::-1])
-        da = _outer_sum(dh[1:], states[:-1])
-        db = _outer_sum(dh, f)
-        dc = _outer_sum(g3, states)
-        df = _apply(b.data.T, dh)
-        df += g3
-        return da, db, dc, (df[:, :, 0] if squeeze else df)
+        df = dh @ b.data
+        df += g
+        return dh[1:].T @ states[:-1], dh.T @ f, g.T @ states, df
 
-    result = out[:, :, 0] if squeeze else out
-    n_flops = t_len * n * (2 * d * d + d + 4 * d * e + e)
-    return custom_op("ssm_recurrence", (a, b, c, seq), result, bwd, flops=n_flops)
+    n_flops = t_len * (2 * d * d + d + 4 * d * e + e)
+    return custom_op("ssm_recurrence", (a, b, c, seq), out, bwd, flops=n_flops)
 
 
 def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:

@@ -11,8 +11,7 @@ finite differences are unreliable in single precision).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -109,34 +108,8 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -145,15 +118,7 @@ def parameter(data, dtype=None) -> Tensor:
 
 # --- tape ------------------------------------------------------------------
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list["Tape"] = []  # the innermost open tape is last
 
 
 @dataclass
@@ -179,19 +144,18 @@ class Tape:
         self._replayed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
     def backward(self, loss: Tensor) -> None:
         backward(self, loss)
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _wrap(name: str, inputs: tuple, out_data: np.ndarray, backward_fn, flops: int = 0) -> Tensor:
@@ -274,11 +238,6 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     return _wrap("add", (x, y), x.data + y.data, lambda g: (g, g), flops=x.size)
 
 
-def sub(x: Tensor, y: Tensor) -> Tensor:
-    _check_same_shape("sub", x, y)
-    return _wrap("sub", (x, y), x.data - y.data, lambda g: (g, -g), flops=x.size)
-
-
 def mul(x: Tensor, y: Tensor) -> Tensor:
     _check_same_shape("mul", x, y)
     return _wrap("mul", (x, y), x.data * y.data, lambda g: (g * y.data, g * x.data), flops=x.size)
@@ -356,13 +315,6 @@ def relu(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     return _wrap("sum_all", (x,), x.data.sum().reshape(()), lambda g: (np.full_like(x.data, g.reshape(())),), flops=x.size)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    inv = 1.0 / n
-    out = (x.data.sum() * x.data.dtype.type(inv)).reshape(())
-    return _wrap("mean_all", (x,), out, lambda g: (np.full_like(x.data, g.reshape(()) * x.data.dtype.type(inv)),), flops=x.size)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -278,17 +278,17 @@ def summarize_metrics(runs: list[Metrics], seeds: list[int] | None = None) -> Re
     )
 
 
-def run_repeats(config: TrainConfig, scene: HsiScene) -> RepeatSummary:
-    """Repeat the protocol with seeds seed+0 .. seed+repeats-1."""
+def run_repeats(config: TrainConfig, scene: HsiScene) -> tuple[RepeatSummary, list[TrainResult]]:
+    """Repeat the protocol with seeds seed+0 .. seed+repeats-1; returns the
+    summary of the held-out metrics and each run's trained result."""
     if config.repeats < 1:
         raise ValueError("repeats must be >= 1")
-    runs, seeds = [], []
+    runs, results = [], []
     for i in range(config.repeats):
-        cfg = replace(config, seed=config.seed + i)
-        result = train(cfg, scene)
-        runs.append(evaluate(result.params, scene, result.test_mask, topk=cfg.topk_infer))
-        seeds.append(cfg.seed)
-    return summarize_metrics(runs, seeds)
+        result = train(replace(config, seed=config.seed + i), scene)
+        runs.append(evaluate(result.params, scene, result.test_mask, topk=config.topk_infer))
+        results.append(result)
+    return summarize_metrics(runs, [r.config.seed for r in results]), results
 
 
 # --- report formatting ---------------------------------------------------------------

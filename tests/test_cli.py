@@ -124,12 +124,22 @@ class TestExitCodes:
         assert code == 1
         assert "error: config:" in capsys.readouterr().err
 
-    def test_missing_dataset_exit_2_no_partial_outputs(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, dataset=str(tmp_path / "missing.hsc"))
+    @pytest.mark.parametrize(
+        "command, key, path",
+        [
+            ("train", "dataset", "missing.hsc"),
+            ("train", "dataset", "."),
+            ("eval", "checkpoint", "."),
+            ("train", "palette", "."),  # read before training, so no checkpoint, history or metrics either
+        ],
+        ids=["missing-dataset", "dataset-is-dir", "checkpoint-is-dir", "palette-is-dir"],
+    )
+    def test_missing_dataset_exit_2_no_partial_outputs(self, tmp_path, capsys, command, key, path):
+        cfg = write_cfg(tmp_path, **{key: str(tmp_path / path)})
         out = tmp_path / "out"
-        code = main(["train", "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "error: data:" in capsys.readouterr().err
+        one_error_line(capsys, "data")
         assert not out.exists()
 
     def test_eval_without_checkpoint_key_exit_1(self, tmp_path, capsys):
