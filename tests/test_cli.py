@@ -124,18 +124,25 @@ class TestExitCodes:
         assert code == 1
         assert "error: config:" in capsys.readouterr().err
 
+    def test_missing_dataset_exit_2_no_partial_outputs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dataset=str(tmp_path / "missing.hsc"))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        one_error_line(capsys, "data")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "command, key, path",
+        "command, key",
         [
-            ("train", "dataset", "missing.hsc"),
-            ("train", "dataset", "."),
-            ("eval", "checkpoint", "."),
-            ("train", "palette", "."),  # read before training, so no checkpoint, history or metrics either
+            ("train", "dataset"),
+            ("eval", "checkpoint"),
+            ("train", "palette"),  # read before training, so no checkpoint, history or metrics either
         ],
-        ids=["missing-dataset", "dataset-is-dir", "checkpoint-is-dir", "palette-is-dir"],
+        ids=["dataset-is-dir", "checkpoint-is-dir", "palette-is-dir"],
     )
-    def test_missing_dataset_exit_2_no_partial_outputs(self, tmp_path, capsys, command, key, path):
-        cfg = write_cfg(tmp_path, **{key: str(tmp_path / path)})
+    def test_directory_path_exit_2_no_partial_outputs(self, tmp_path, capsys, command, key):
+        cfg = write_cfg(tmp_path, **{key: str(tmp_path)})
         out = tmp_path / "out"
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code == 2

@@ -216,13 +216,15 @@ class TestChunkedScan:
     LONG = 4096
     L = _chunk_length(LONG)  # 64
     LENGTHS = (1, 2, L - 1, L, L + 1, 67, LONG)
+    # case IDs "<T>-1": the one-column case of the kernel's former (T, D, N) form, under its old ID
+    IDS = "{}-1".format
 
     def test_chunk_length_regimes(self):
         assert self.L == 64
         assert _chunk_length(67) == 9  # 67 is no multiple of 9: the last chunk is padded
         assert (_chunk_length(1), _chunk_length(2)) == (1, 2)  # one chunk
 
-    @pytest.mark.parametrize("t_len", LENGTHS)
+    @pytest.mark.parametrize("t_len", LENGTHS, ids=IDS)
     def test_kernel_matches_loop(self, t_len):
         rng = np.random.default_rng(t_len * 10 + 1)
         a = 0.9 * np.eye(4) + rng.normal(0.0, 0.05, (4, 4))
@@ -250,7 +252,7 @@ class TestChunkedScan:
         for got, ref in zip(grads, ref_grads):
             assert rel_err(got, ref.reshape(got.shape)) < 1e-10
 
-    @pytest.mark.parametrize("t_len", LENGTHS)
+    @pytest.mark.parametrize("t_len", LENGTHS, ids=IDS)
     def test_recurrence_and_adjoint_match_loops_float64(self, t_len):
         self.assert_matches_loops(5, (t_len, 3), seed=t_len * 10 + 2)
 
