@@ -23,18 +23,18 @@ def main() -> None:
     args = parser.parse_args()
 
     scene = generate_synthetic(default_synthetic_spec())
-    base = TrainConfig(epochs=args.epochs, repeats=args.seeds)  # seeds 0 .. seeds-1
+    base = TrainConfig(epochs=args.epochs)  # seeds 0 .. seeds-1
 
     print("=== full model ===")
-    summary_full, results_full = run_repeats(base, scene)
+    summary_full, results_full = run_repeats(base, scene, args.seeds)
     print(format_summary_report(summary_full, scene.header.class_names))
 
     print("=== ablation: expert blocks off ===")
-    summary_nm, _ = run_repeats(replace(base, momeb_on=False), scene)
+    summary_nm, _ = run_repeats(replace(base, momeb_on=False), scene, args.seeds)
     print(format_summary_report(summary_nm, scene.header.class_names))
 
     print("=== ablation: stage supervision off ===")
-    summary_nu, _ = run_repeats(replace(base, uarb_on=False), scene)
+    summary_nu, _ = run_repeats(replace(base, uarb_on=False), scene, args.seeds)
     print(format_summary_report(summary_nu, scene.header.class_names))
 
     print("=== ablation ordering ===")

@@ -22,6 +22,7 @@ from .scan import SsmParams
 from .tensor import ShapeError, Tensor, parameter
 
 CHECKPOINT_MAGIC = b"MMOE1\n"
+CHECKPOINT_VERSION = 2  # version 1 held dense (D, D) transition matrices
 _DTYPE_CODES = {"float32": "f4", "float64": "f8"}
 UNCERTAINTY_EPS = 1e-6
 N_STAGES = 3
@@ -154,7 +155,7 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
 
     def ssm(prefix, e):
         return SsmParams(
-            p(f"{prefix}.a_bar", (d, d)),
+            p(f"{prefix}.a_log", (d,)),
             p(f"{prefix}.b_bar", (d, e)),
             p(f"{prefix}.c_out", (e, d)),
         )
@@ -200,16 +201,16 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
 
 
 def init_network_params(spec: NetSpec, rng: np.random.Generator, dtype=np.float32) -> NetworkParams:
-    """He-normal convs with zero biases; LN affine at identity; SSM experts
-    per their dedicated initializer."""
+    """He-normal convs with zero biases; LN affine at identity; SSM decays
+    near 0.9 and projections N(0, 1/D)."""
 
     def alloc(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name.endswith(".b") or name.endswith(".beta") or name.endswith(".b1") or name.endswith(".b2"):
             return np.zeros(shape)
         if name.endswith(".gamma"):
             return np.ones(shape)
-        if name.endswith(".a_bar"):
-            return 0.9 * np.eye(shape[0]) + rng.normal(0.0, 0.01, shape)
+        if name.endswith(".a_log"):  # decay lam = exp(-exp(a_log)) = 0.9 + N(0, 0.01^2)
+            return np.log(-np.log(0.9 + rng.normal(0.0, 0.01, shape)))
         if name.endswith(".b_bar") or name.endswith(".c_out"):
             return rng.normal(0.0, 1.0 / np.sqrt(spec.state_dim), shape)
         if ".router.w1" in name:
@@ -456,7 +457,7 @@ def save_checkpoint(path, params: NetworkParams, extra_meta: dict | None = None)
     bit-exact.  The meta line holds every ``NetSpec`` field, which
     ``extra_meta`` cannot override.
     """
-    meta = {**(extra_meta or {}), "version": 1, **asdict(params.spec)}
+    meta = {**(extra_meta or {}), "version": CHECKPOINT_VERSION, **asdict(params.spec)}
     entries = params.named_params()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -484,6 +485,12 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         n_entries = int(count_line)
     except (ValueError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {version!r} is not {CHECKPOINT_VERSION}; version-1 files hold dense "
+            "a_bar matrices, which do not convert to the diagonal decay a_log: retrain the model"
+        )
     manifest = []
     for _ in range(n_entries):
         try:

@@ -3,15 +3,16 @@
 Conventions: a multiply-accumulate is 2 FLOPs; elementwise ops, softmax
 terms and pooling cost 1 FLOP per scalar operation; pure bookkeeping
 (splits, concats, scan reorderings) is free.  One directional scan over T
-tokens of width E with state size D costs T * (2D^2 + 2DE + 2ED + E).
-FLOPs are counted for the inference forward pass (stage supervision is a
-training-only construct).
+tokens of width E with D states costs T * (2D + 4DE + E): the elementwise
+decay and state update, the input and output projections, and the skip
+add.  An expert holds D + 2DE parameters (the decay vector a_log and the
+two projections).  FLOPs are counted for the inference forward pass
+(stage supervision is a training-only construct).
 
 The parameter formulas are written independently of the network builder
 and must agree with a constructed network exactly; the FLOP formulas must
 agree with the runtime instrumentation counter within a few percent (the
-counter additionally sees small bookkeeping terms such as the scan's
-state-accumulate add).
+counter additionally sees small bookkeeping terms).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _conv_params(c_out: int, c_in: int, k: int) -> int:
 
 
 def _ssm_params(d: int, e: int) -> int:
-    return d * d + d * e + e * d
+    return d + 2 * d * e
 
 
 def count_params(spec: NetSpec) -> tuple[int, dict[str, int]]:
@@ -71,7 +72,7 @@ def _conv_flops(c_out: int, c_in: int, k: int, h: int, w: int) -> int:
 
 
 def _scan_flops(t: int, d: int, e: int) -> int:
-    return t * (2 * d * d + 2 * d * e + 2 * e * d + e)
+    return t * (2 * d + 4 * d * e + e)
 
 
 def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, dict[int, int], dict[str, int]]:

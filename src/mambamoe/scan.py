@@ -3,21 +3,27 @@
 Spatial feature maps are flattened along one of four frozen scan orders,
 pushed through the recurrence
 
-    h_t = A_bar h_{t-1} + B_bar f_t,    y_t = C_out h_t + f_t,    h_0 = 0,
+    h_t = lam ⊙ h_{t-1} + B_bar f_t,    y_t = C_out h_t + f_t,    h_0 = 0,
 
-and folded back onto the grid.  Spectral experts apply the same map along
-the band axis with scalar tokens (E = 1), sharing one parameter set across
-the scene.  With scalar tokens the recurrence is a causal convolution with
-kernel k_j = C_out A_bar^j B_bar, so the two spectral directions together
-are one (T, T) Toeplitz matrix applied to all pixels in one product; they
-never run the recurrence step by step.
+and folded back onto the grid.  The state transition is diagonal, as in
+S4D and Mamba: state d decays by lam_d = exp(-exp(a_log_d)), which lies in
+[0, 1] for every a_log, so a scan of bounded inputs stays bounded however
+long it runs.  A scan over T tokens of width E with D states costs
+T (2D + 4DE + E) FLOPs.
+
+Spectral experts apply the same map along the band axis with scalar
+tokens (E = 1), sharing one parameter set across the scene.  With scalar
+tokens the recurrence is a causal convolution with kernel
+k_j = sum_d c_d b_d lam_d^j, one Vandermonde product, so the two spectral
+directions together are one (T, T) Toeplitz matrix applied to all pixels
+in one product; they never run the recurrence step by step.
 
 One in-place kernel, ``_linear_scan``, carries every pass of the spatial
 ``ssm_recurrence`` through time: the states in the forward pass and the
-adjoint (the reversed scan with A_bar^T) in the backward pass.  It cuts the
-h*w tokens into chunks of about sqrt(T) steps, so a scan takes about
-2 sqrt(T) Python-level steps.  Everything outside the recurrence is one
-product over all steps.
+adjoint (the same scan over the reversed stack) in the backward pass.  It
+cuts the h*w tokens into chunks of about sqrt(T) steps, so a scan takes
+about 2 sqrt(T) Python-level steps.  Everything outside the recurrence is
+one product over all steps.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, custom_op, parameter
+from .tensor import ShapeError, Tensor, custom_op
 
 
 class ScanDirection(Enum):
@@ -104,70 +110,53 @@ def unflatten_spatial(seq: Tensor, direction: ScanDirection, h: int, w: int) -> 
 
 @dataclass
 class SsmParams:
-    """Trainable matrices of one scan expert."""
+    """Trainable arrays of one scan expert; no value of a_log can make a
+    scan unstable."""
 
-    a_bar: Tensor  # (D, D) state transition
+    a_log: Tensor  # (D,) decay parameter: state d decays by exp(-exp(a_log[d])) per step
     b_bar: Tensor  # (D, E) input projection
     c_out: Tensor  # (E, D) output projection
 
     def __post_init__(self):
-        d = self.a_bar.shape[0]
-        if self.a_bar.shape != (d, d):
-            raise ShapeError(f"SsmParams: a_bar must be square, got {self.a_bar.shape}")
+        if self.a_log.ndim != 1:
+            raise ShapeError(f"SsmParams: a_log must be a (D,) vector, got {self.a_log.shape}")
+        d = self.a_log.shape[0]
         if self.b_bar.shape[0] != d or self.c_out.shape[1] != d:
             raise ShapeError(
-                f"SsmParams: inconsistent state dim across a_bar {self.a_bar.shape}, "
+                f"SsmParams: inconsistent state dim across a_log {self.a_log.shape}, "
                 f"b_bar {self.b_bar.shape}, c_out {self.c_out.shape}"
             )
         if self.b_bar.shape[1] != self.c_out.shape[0]:
             raise ShapeError(
                 f"SsmParams: token width differs between b_bar {self.b_bar.shape} and c_out {self.c_out.shape}"
             )
-        if not self.a_bar.dtype == self.b_bar.dtype == self.c_out.dtype:
+        if not self.a_log.dtype == self.b_bar.dtype == self.c_out.dtype:
             raise ShapeError(
-                f"SsmParams: dtypes must match, got a_bar {self.a_bar.dtype}, "
+                f"SsmParams: dtypes must match, got a_log {self.a_log.dtype}, "
                 f"b_bar {self.b_bar.dtype}, c_out {self.c_out.dtype}"
             )
 
     @property
     def state_dim(self) -> int:
-        return self.a_bar.shape[0]
+        return self.a_log.shape[0]
 
     @property
     def embed_dim(self) -> int:
         return self.b_bar.shape[1]
 
+    @property
+    def decay(self) -> np.ndarray:
+        """Per-state decay lam = exp(-exp(a_log)), in [0, 1]."""
+        return np.exp(-np.exp(self.a_log.data))
+
     def named(self, prefix: str):
-        return [(f"{prefix}.a_bar", self.a_bar), (f"{prefix}.b_bar", self.b_bar), (f"{prefix}.c_out", self.c_out)]
+        return [(f"{prefix}.a_log", self.a_log), (f"{prefix}.b_bar", self.b_bar), (f"{prefix}.c_out", self.c_out)]
 
 
-def init_ssm_params(state_dim: int, embed_dim: int, rng: np.random.Generator, dtype=np.float32) -> SsmParams:
-    """A_bar = 0.9 I + N(0, 0.01^2); B_bar, C_out ~ N(0, (1/sqrt(D))^2).
-
-    Keeps the spectral radius of A_bar below 1 at initialization so long
-    scans stay stable.
-    """
-    a = 0.9 * np.eye(state_dim) + rng.normal(0.0, 0.01, (state_dim, state_dim))
-    b = rng.normal(0.0, 1.0 / np.sqrt(state_dim), (state_dim, embed_dim))
-    c = rng.normal(0.0, 1.0 / np.sqrt(state_dim), (embed_dim, state_dim))
-    return SsmParams(parameter(a, dtype=dtype), parameter(b, dtype=dtype), parameter(c, dtype=dtype))
-
-
-def spectral_radius_estimate(a_bar: Tensor | np.ndarray, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral radius (diagnostic only)."""
-    a = np.asarray(a_bar.data if isinstance(a_bar, Tensor) else a_bar, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=a.shape[0])
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iters):
-        av = a @ v
-        norm = np.linalg.norm(av)
-        if norm == 0.0:
-            return 0.0
-        rho = norm
-        v = av / norm
-    return float(rho)
+def _decay_slope(a_log: np.ndarray) -> np.ndarray:
+    """d lam / d a_log = -exp(a_log) lam, as one exponential: a huge a_log
+    gives 0, not 0 * inf."""
+    return -np.exp(a_log - np.exp(a_log))
 
 
 def _chunk_length(t_len: int) -> int:
@@ -176,26 +165,15 @@ def _chunk_length(t_len: int) -> int:
     return math.isqrt(t_len - 1) + 1
 
 
-def _powers(m: np.ndarray, count: int) -> np.ndarray:
-    """(count, D, D) stack of m^1 .. m^count, by doubling."""
-    p = np.empty((count,) + m.shape, dtype=m.dtype)
-    p[0] = m
-    have = 1
-    while have < count:
-        take = min(have, count - have)
-        np.matmul(p[:take], p[have - 1], out=p[have : have + take])
-        have += take
-    return p
-
-
-def _linear_scan(a: np.ndarray, u: np.ndarray) -> None:
-    """In place over time: u[t] <- a @ u[t-1] + u[t] for a (T, D) stack.
+def _linear_scan(lam: np.ndarray, u: np.ndarray) -> None:
+    """In place over time: u[t] <- lam * u[t-1] + u[t] for a (T, D) stack
+    and a (D,) decay, elementwise.
 
     Two-level chunked scan (in the style of Mamba-2's SSD chunking): with
     tokens as rows, step 1 runs the recurrence inside every chunk at once,
     step 2 carries the chunk-final states across chunk boundaries with
-    A^L, and step 3 adds the carried-in state to every position of each
-    chunk with the powers A^1..A^(L-1) in one batched product.
+    lam^L, and step 3 adds the carried-in state to every position of each
+    chunk with lam^1..lam^(L-1) in one broadcast product.
     """
     t_len, d = u.shape
     step = _chunk_length(t_len)
@@ -204,16 +182,15 @@ def _linear_scan(a: np.ndarray, u: np.ndarray) -> None:
     rows[:t_len] = u
     # w[j, c] is step j of chunk c; w[j] is one (K, D) block of rows
     w = np.ascontiguousarray(rows.reshape(k, step, d).transpose(1, 0, 2))
-    at = a.T
     tmp = np.empty((k, d), dtype=u.dtype)
     for j in range(1, step):
-        np.matmul(w[j - 1], at, out=tmp)
+        np.multiply(w[j - 1], lam, out=tmp)
         w[j] += tmp
-    powers = _powers(at, step)
+    powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[:, None]  # (L, D): lam^1 .. lam^L
     ends = w[step - 1]
     for c in range(1, k):
-        ends[c] += ends[c - 1] @ powers[-1]
-    w[: step - 1, 1:] += np.matmul(ends[:-1], powers[:-1])
+        ends[c] += ends[c - 1] * powers[-1]
+    w[: step - 1, 1:] += ends[:-1] * powers[:-1, None]
     u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
 
 
@@ -222,37 +199,39 @@ def ssm_recurrence(params: SsmParams, seq: Tensor) -> Tensor:
 
     Only the state recurrence runs through time, in ``_linear_scan``: the
     forward pass scans B_bar f into the states, and the backward pass scans
-    the reversed C_out^T g with A_bar^T into the adjoint dh.  Every other
-    term (B_bar f, C_out h + f, and the gradients of A_bar, B_bar, C_out and
-    the sequence) is one product over all steps.  This is the same maths as
-    the step-by-step loop; the chunked order of the sums rounds differently,
-    by about 1e-6 relative in float32.
+    the reversed C_out^T g into the adjoint dh with the same decay.  Every
+    other term (B_bar f, C_out h + f, and the gradients of a_log, B_bar,
+    C_out and the sequence) is one product over all steps.  This is the
+    same maths as the step-by-step loop; the chunked order of the sums
+    rounds differently, by about 1e-6 relative in float32.
     """
     if seq.ndim != 2:
         raise ShapeError(f"ssm_recurrence: sequence must be (T,E), got {seq.shape}")
     if seq.shape[1] != params.embed_dim:
         raise ShapeError(f"ssm_recurrence: token width {seq.shape[1]} != params embed dim {params.embed_dim}")
-    if seq.dtype != params.a_bar.dtype:
+    if seq.dtype != params.a_log.dtype:
         raise ShapeError("ssm_recurrence: sequence/parameter dtypes must match")
-    a, b, c = params.a_bar, params.b_bar, params.c_out
+    a_log, b, c = params.a_log, params.b_bar, params.c_out
+    lam = params.decay
     f = seq.data
     t_len, e = f.shape
     d = params.state_dim
 
     states = f @ b.data.T
-    _linear_scan(a.data, states)
+    _linear_scan(lam, states)
     out = states @ c.data.T
     out += f
 
     def bwd(g):
         dh = g @ c.data
-        _linear_scan(a.data.T, dh[::-1])
+        _linear_scan(lam, dh[::-1])
         df = dh @ b.data
         df += g
-        return dh[1:].T @ states[:-1], dh.T @ f, g.T @ states, df
+        d_lam = (dh[1:] * states[:-1]).sum(axis=0)
+        return d_lam * _decay_slope(a_log.data), dh.T @ f, g.T @ states, df
 
-    n_flops = t_len * (2 * d * d + d + 4 * d * e + e)
-    return custom_op("ssm_recurrence", (a, b, c, seq), out, bwd, flops=n_flops)
+    n_flops = t_len * (2 * d + 4 * d * e + e)
+    return custom_op("ssm_recurrence", (a_log, b, c, seq), out, bwd, flops=n_flops)
 
 
 def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
@@ -270,15 +249,17 @@ def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:
     Tokens are per-pixel scalars (E = 1), so parameter count is independent
     of the spatial extent; the forward scan visits bands first-to-last and
     the backward scan last-to-first.  With scalar tokens each scan is a
-    causal convolution along the bands with kernel k_j = C A^j B (the
-    convolution view of S4), and the backward scan is the forward one
-    conjugated by band reversal.  Both scans together are therefore one
-    (T, T) matrix, M = lower-Toeplitz(k_fwd) + upper-Toeplitz(k_bwd), and
-    out = (M + 2 I) f is one product over all pixels; nothing runs through
-    ``_linear_scan``.  The backward pass sums the diagonals of g f^T into
-    dk; with v_j = A^j B and w_j = (C A^j)^T, dC = sum_j dk_j v_j^T,
-    dB = sum_j dk_j w_j and dA = W^T H V with the Hankel matrix
-    H[i, m] = dk_{i+m+1}.  Both directions run as one stack of two.
+    causal convolution along the bands with kernel
+    k_j = sum_d c_d b_d lam_d^j (the convolution view of S4D), one product
+    of the (T, D) Vandermonde matrix V[j, d] = lam_d^j with c * b, and the
+    backward scan is the forward one conjugated by band reversal.  Both
+    scans together are therefore one (T, T) matrix,
+    M = lower-Toeplitz(k_fwd) + upper-Toeplitz(k_bwd), and out = (M + 2 I) f
+    is one product over all pixels; nothing runs through ``_linear_scan``.
+    The backward pass sums the diagonals of g f^T into dk; then
+    dc = b * (dk V), db = c * (dk V) and
+    dlam_d = c_d b_d sum_j j dk_j lam_d^(j-1).  Both directions run as one
+    stack of two.
     """
     if fwd.embed_dim != 1 or bwd.embed_dim != 1:
         raise ShapeError("spectral_bidirectional: spectral experts use scalar tokens (E = 1)")
@@ -286,25 +267,16 @@ def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:
         raise ShapeError(f"spectral_bidirectional: state dims {fwd.state_dim} and {bwd.state_dim} differ")
     if x.ndim != 3:
         raise ShapeError(f"spectral_bidirectional: expects (Cs,h,w), got {x.shape}")
-    if not x.dtype == fwd.a_bar.dtype == bwd.a_bar.dtype:
+    if not x.dtype == fwd.a_log.dtype == bwd.a_log.dtype:
         raise ShapeError("spectral_bidirectional: input/parameter dtypes must match")
     t_len, h, w = x.shape
     f = x.data.reshape(t_len, h * w)
-    # rows v_j = A^j B of both directions, then rows w_j = (C A^j)^T, by
-    # doubling: rows m..2m-1 are rows 0..m-1 times the m-th power
-    a = np.array([fwd.a_bar.data, bwd.a_bar.data])
-    power = np.concatenate([a.transpose(0, 2, 1), a])  # (4, D, D)
-    rows = np.empty((4, t_len, fwd.state_dim), dtype=x.dtype)
-    rows[:, 0] = [fwd.b_bar.data[:, 0], bwd.b_bar.data[:, 0], fwd.c_out.data[0], bwd.c_out.data[0]]
-    have = 1
-    while have < t_len:
-        take = min(have, t_len - have)
-        np.matmul(rows[:, :take], power, out=rows[:, have : have + take])
-        have += take
-        if have < t_len:
-            power = power @ power
-    v, wr = rows[:2], rows[2:]
-    k = np.matmul(v, wr[:, 0, :, None])[:, :, 0]  # (2, T): k_fwd, k_bwd
+    a_log = np.array([fwd.a_log.data, bwd.a_log.data])  # (2, D) for both directions
+    b = np.array([fwd.b_bar.data[:, 0], bwd.b_bar.data[:, 0]])
+    c = np.array([fwd.c_out.data[0], bwd.c_out.data[0]])
+    exponents = np.arange(t_len, dtype=x.dtype)
+    vander = np.array([fwd.decay, bwd.decay])[:, None, :] ** exponents[:, None]  # (2, T, D)
+    k = np.matmul(vander, (c * b)[:, :, None])[:, :, 0]  # (2, T): k_fwd, k_bwd
     # (M + 2 I)[t, s] = q[t - s + T - 1], q = (k_bwd[T-1], .., k_bwd[1], k_fwd[0] + k_bwd[0] + 2, k_fwd[1], ..)
     steps = np.arange(t_len)
     diagonal = np.subtract.outer(steps, steps) + (t_len - 1)
@@ -317,18 +289,18 @@ def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:
         g2 = g.reshape(t_len, h * w)
         dq = np.bincount(diagonal.ravel(), weights=(g2 @ f.T).ravel()).astype(x.dtype)
         dk = np.array([dq[t_len - 1 :], dq[t_len - 1 :: -1]])  # (2, T)
-        hankel = np.concatenate([dk[:, 1:], np.zeros_like(dk)], axis=1)[:, np.add.outer(steps, steps)]
-        da = wr.transpose(0, 2, 1) @ hankel @ v
-        db = np.matmul(dk[:, None, :], wr)  # (2, 1, D)
-        dc = np.matmul(dk[:, None, :], v)
+        dk_v = np.matmul(dk[:, None, :], vander)[:, 0]  # (2, D): sum_j dk_j lam_d^j
+        dk_dv = np.matmul((dk[:, 1:] * exponents[1:])[:, None, :], vander[:, :-1])[:, 0]  # sum_j j dk_j lam_d^(j-1)
+        da = c * b * dk_dv * _decay_slope(a_log)
+        db, dc = c * dk_v, b * dk_v
         dx = m.T @ g2
-        return da[0], db[0].T, dc[0], da[1], db[1].T, dc[1], dx.reshape(t_len, h, w)
+        return da[0], db[0, :, None], dc[0, None], da[1], db[1, :, None], dc[1, None], dx.reshape(t_len, h, w)
 
     d = fwd.state_dim
     return custom_op(
         "spectral_bidirectional",
-        (fwd.a_bar, fwd.b_bar, fwd.c_out, bwd.a_bar, bwd.b_bar, bwd.c_out, x),
+        (fwd.a_log, fwd.b_bar, fwd.c_out, bwd.a_log, bwd.b_bar, bwd.c_out, x),
         out.reshape(t_len, h, w),
         backward,
-        flops=2 * t_len * h * w * (2 * d * d + 5 * d + 1) + t_len * h * w,
+        flops=2 * t_len * h * w * (6 * d + 1) + t_len * h * w,
     )

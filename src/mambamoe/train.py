@@ -57,7 +57,6 @@ class TrainConfig:
     uarb_on: bool = True
     sre_on: bool = True
     sse_on: bool = True
-    repeats: int = 10
 
     def __post_init__(self):
         if not 1 <= self.topk_infer <= 4:
@@ -278,13 +277,13 @@ def summarize_metrics(runs: list[Metrics], seeds: list[int] | None = None) -> Re
     )
 
 
-def run_repeats(config: TrainConfig, scene: HsiScene) -> tuple[RepeatSummary, list[TrainResult]]:
+def run_repeats(config: TrainConfig, scene: HsiScene, repeats: int) -> tuple[RepeatSummary, list[TrainResult]]:
     """Repeat the protocol with seeds seed+0 .. seed+repeats-1; returns the
     summary of the held-out metrics and each run's trained result."""
-    if config.repeats < 1:
+    if repeats < 1:
         raise ValueError("repeats must be >= 1")
     runs, results = [], []
-    for i in range(config.repeats):
+    for i in range(repeats):
         result = train(replace(config, seed=config.seed + i), scene)
         runs.append(evaluate(result.params, scene, result.test_mask, topk=config.topk_infer))
         results.append(result)

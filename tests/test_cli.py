@@ -8,7 +8,7 @@ import pytest
 
 from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
 from mambamoe.data import default_synthetic_spec, generate_synthetic, save_hsc
-from mambamoe.network import CHECKPOINT_MAGIC
+from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint
 from mambamoe.train import TrainConfig
 
 
@@ -69,7 +69,6 @@ class TestConfigGrammar:
             "topk_infer": 3,
             "channels": 16,
             "state_dim": 8,
-            "repeats": 10,
             "momeb_on": True,
             "uarb_on": True,
             "sre_on": True,
@@ -89,8 +88,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "profile"])
     @pytest.mark.parametrize(
         "body",
-        [b"channels = 7\n", b"state_dim = 0\n", b"epochs = 0\n", b"seed = 1 # \xff\n"],
-        ids=["odd-channels", "zero-state-dim", "zero-epochs", "non-utf8"],
+        [b"channels = 7\n", b"state_dim = 0\n", b"epochs = 0\n", b"seed = 1 # \xff\n", b"repeats = 2\n"],
+        ids=["odd-channels", "zero-state-dim", "zero-epochs", "non-utf8", "repeats-is-no-key"],
     )
     def test_bad_config_exit_1_one_line(self, tmp_path, capsys, command, body):
         path = tmp_path / "bad.cfg"
@@ -230,6 +229,15 @@ class TestTrainEvalPredictPipeline:
         cfg = write_cfg(tmp_path, name="str.cfg", checkpoint=str(edited))
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "sre_on" in one_error_line(capsys, "data")
+
+    def test_version_1_checkpoint_exit_2_one_line(self, trained, capsys, write_v1_checkpoint):
+        tmp_path, _, out = trained
+        old = tmp_path / "dense.mmoe"
+        write_v1_checkpoint(old, load_checkpoint(out / "checkpoint.mmoe")[0])
+        cfg = write_cfg(tmp_path, name="v1.cfg", checkpoint=str(old))
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "v1")]) == 2
+        assert "do not convert" in one_error_line(capsys, "data")
+        assert not (tmp_path / "v1").exists()
 
     def test_inspect_prints_weight_rows_summing_to_one(self, trained, capsys):
         tmp_path, _, out = trained

@@ -19,7 +19,7 @@ from mambamoe.moe import (
     topk_select,
 )
 from mambamoe.network import NetSpec, init_network_params
-from mambamoe.scan import SPATIAL_DIRECTIONS, init_ssm_params
+from mambamoe.scan import SPATIAL_DIRECTIONS
 from mambamoe.tensor import Tensor, grad_check, parameter
 
 F64 = np.float64
@@ -103,15 +103,15 @@ class TestTopkSelect:
 class TestSreForward:
     def make(self, seed=3):
         rng = np.random.default_rng(seed)
-        experts = tuple(init_ssm_params(3, 2, rng, dtype=F64) for _ in range(4))
+        experts = make_block(channels=4, state=3, seed=rng).spatial
         router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 4, 4)))
         return experts, router, x
 
     def test_identical_experts_collapse_to_shared_output(self):
         rng = np.random.default_rng(4)
-        one = init_ssm_params(3, 2, rng, dtype=F64)
-        one.a_bar.data[...] = 0.0  # memoryless: every direction gives the same map
+        one = make_block(channels=4, state=3, seed=rng).spatial[0]
+        one.a_log.data[...] = 50.0  # lam = 0, memoryless: every direction gives the same map
         experts = (one, one, one, one)
         router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 3, 3)))
@@ -173,7 +173,7 @@ class TestSreForward:
         experts, router, x = self.make(seed=8)
         w = route(router, x).data
         (excluded,) = set(range(4)) - set(topk_select(w, 3))
-        experts[excluded].a_bar.data[...] = np.nan  # would raise if touched
+        experts[excluded].a_log.data[...] = np.nan  # would raise if touched
         sre_forward(experts, router, x, topk=3)
 
 
@@ -182,10 +182,10 @@ class TestDssem:
         block = make_block(channels=8, state=2, seed=10)
         # zero SSMs and identity fuse: spatial half passes through, spectral half doubles
         for expert in block.spatial:
-            for t in (expert.a_bar, expert.b_bar, expert.c_out):
+            for t in (expert.a_log, expert.b_bar, expert.c_out):
                 t.data[...] = 0.0
         for expert in (block.spectral_fwd, block.spectral_bwd):
-            for t in (expert.a_bar, expert.b_bar, expert.c_out):
+            for t in (expert.a_log, expert.b_bar, expert.c_out):
                 t.data[...] = 0.0
         block.fuse_w.data[...] = np.eye(8).reshape(8, 8, 1, 1)
         block.fuse_b.data[...] = 0.0

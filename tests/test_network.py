@@ -380,22 +380,6 @@ class TestTotalLoss:
         expected += tt.masked_cross_entropy(Tensor(final.data.copy()), labels, train_mask).item()
         np.testing.assert_allclose(total_loss(stages, labels, train_mask, final).item(), expected, rtol=1e-6)
 
-    def test_end_to_end_gradient_with_frozen_masks(self):
-        params = tiny_params(seed=35)
-        rng = np.random.default_rng(36)
-        x = Tensor(rng.normal(size=(2, 8, 8)))
-        labels = rng.integers(1, 3, size=(8, 8)).astype(np.int64)
-        train_mask = rng.random((8, 8)) < 0.5
-        y_trn = np.where(train_mask, labels, 0)
-        frozen = [(rng.random((8, 8)) < 0.5).astype(np.uint8) for _ in range(3)]
-
-        def fn():
-            res = forward_full(params, x, train=True, y_trn=y_trn, frozen_masks=frozen)
-            return total_loss(res.stages, labels, train_mask, res.final_logits)
-
-        rep = grad_check(fn, params.tensors(), threshold=1e-3)
-        assert rep.passed, {k: v for k, v in rep.per_param.items() if v > 1e-3}
-
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -411,6 +395,24 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.mmoe"
         save_checkpoint(path2, loaded, extra_meta={"seed": 7})
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_version_1_dense_decay_refused(self, tmp_path, write_v1_checkpoint):
+        params = init_network_params(tiny_spec(), np.random.default_rng(42), dtype=np.float32)
+        path = tmp_path / "dense.mmoe"
+        write_v1_checkpoint(path, params)
+        with pytest.raises(CheckpointError, match="version 1 is not 2.*a_bar.*do not convert"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [None, 3, "2"], ids=["missing", "3", "string-2"])
+    def test_other_versions_refused(self, tmp_path, version):
+        def set_version(meta):
+            if version is None:
+                del meta["version"]
+            else:
+                meta["version"] = version
+
+        with pytest.raises(CheckpointError, match="version"):
+            self.load_edited(tmp_path, 0, self.edit_meta(set_version))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mmoe"

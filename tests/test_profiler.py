@@ -36,10 +36,10 @@ class TestParams:
         assert by_module["stem"] == (4 * 2 * 9 + 4) + 2 * (4 * 4 * 9 + 4)
 
     def test_ssm_param_arithmetic(self):
-        # D=4, E=2: 4*4 + 4*2 + 2*4 = 32
+        # D=4, E=2: the decay vector 4, plus 4*2 + 2*4 = 20
         from mambamoe.profiler import _ssm_params
 
-        assert _ssm_params(4, 2) == 32
+        assert _ssm_params(4, 2) == 20
 
     def test_analytic_equals_constructed_for_20_random_configs(self):
         rng = np.random.default_rng(0)

@@ -252,8 +252,8 @@ class TestTrainingLoop:
 
     def test_run_repeats_aggregates(self):
         scene = small_scene()
-        cfg = TrainConfig(epochs=3, seed=5, samples_per_class=5, channels=8, state_dim=4, repeats=2)
-        summary, results = run_repeats(cfg, scene)
+        cfg = TrainConfig(epochs=3, seed=5, samples_per_class=5, channels=8, state_dim=4)
+        summary, results = run_repeats(cfg, scene, 2)
         assert len(summary.runs) == 2
         assert summary.seeds == [5, 6]
         assert 0.0 <= summary.mean["oa"] <= 1.0
@@ -262,6 +262,11 @@ class TestTrainingLoop:
             assert r.config.epochs == 3 and len(r.history) == 3
             # each summarized run is the held-out evaluation of its returned model
             np.testing.assert_array_equal(evaluate(r.params, scene, r.test_mask, topk=cfg.topk_infer).confusion, m.confusion)
+
+    def test_run_repeats_needs_one_run(self):
+        cfg = TrainConfig(epochs=1, samples_per_class=5, channels=8, state_dim=4)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            run_repeats(cfg, small_scene(), 0)
 
     def test_config_validation(self):
         for bad in ({"topk_infer": 5}, {"samples_per_class": 0}, {"seed": -1}, {"epochs": 0}, {"channels": 7}, {"channels": 0}, {"state_dim": 0}):
