@@ -117,11 +117,12 @@ def _ffb(rng: np.random.Generator) -> GradCheckReport:
 
 
 def _head(rng: np.random.Generator) -> GradCheckReport:
+    # the 1x1 head on a 3x3 stage map, its logits upsampled to 7x5
     head = HeadParams(parameter(rng.normal(size=(3, 4, 1, 1)), dtype=F64), parameter(rng.normal(size=3), dtype=F64))
     xh = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)
-    labels = rng.integers(1, 4, size=(3, 3))
-    mask = np.ones((3, 3), dtype=np.uint8)
-    return grad_check(lambda: tt.masked_cross_entropy(classify_head(head, xh)[0], labels, mask), [head.w, head.b, xh])
+    labels = rng.integers(1, 4, size=(7, 5))
+    loss = lambda: tt.masked_cross_entropy(classify_head(head, xh, (7, 5))[0], labels, np.ones((7, 5)))
+    return grad_check(loss, [head.w, head.b, xh])
 
 
 def _total_loss(rng: np.random.Generator) -> GradCheckReport:

@@ -75,11 +75,11 @@ def downsample_labels(labels: np.ndarray, factor: int = 2) -> np.ndarray:
     return counts.argmax(axis=-1).astype(labels.dtype)
 
 
-def stage1_expert_shares(params: NetworkParams, x: Tensor) -> np.ndarray:
-    """Per-pixel normalized expert response magnitudes at stage 1: (4, h1, w1)."""
-    feats = extract_features(params.stem, x)
+def stage1_expert_shares(params: NetworkParams, f1: Tensor) -> np.ndarray:
+    """Per-pixel normalized expert response magnitudes of the stage-1
+    features ``f1``: (4, h1, w1)."""
     block = params.momeb[0]
-    x_norm = layer_norm(feats[0], block.ln1_gamma, block.ln1_beta)
+    x_norm = layer_norm(f1, block.ln1_gamma, block.ln1_beta)
     x_spa, _ = split(x_norm, 2, axis=0)
     mags = []
     for j in range(N_SPATIAL_EXPERTS):
@@ -101,7 +101,7 @@ def inspect_expert_weights(params: NetworkParams, scene: HsiScene) -> InspectRep
         x_spa, _ = split(x_norm, 2, axis=0)
         stage_weights.append(route(block.router, x_spa).data.astype(np.float64))
 
-    shares = stage1_expert_shares(params, x)
+    shares = stage1_expert_shares(params, feats[0])
     labels_s1 = downsample_labels(scene.labels.astype(np.int64))
     rows = []
     for cls in range(1, scene.header.n_class + 1):

@@ -3,8 +3,10 @@ supervision, total loss, and checkpoint serialization.
 
 The encoder is three conv+ReLU+avgpool stages, each followed by a
 mixture-of-expert block; the decoder fuses stages coarse-to-fine through
-residual blocks and bilinear upsampling.  During training each decoder
-stage additionally feeds an uncertainty-sampled cross-entropy term; at
+residual blocks and bilinear upsampling; stage 1's head is the prediction.
+The 1x1 head runs before the upsample, which it commutes with because
+every interpolation row sums to 1.  During training each decoder stage
+additionally feeds an uncertainty-sampled cross-entropy term; at
 inference those blocks are skipped entirely and no randomness is consumed.
 """
 
@@ -269,11 +271,11 @@ def ffb(p: ResBlockParams, m_i: Tensor, l_next: Tensor | None = None) -> Tensor:
     return tt.add(m_i, residual_block(p, up))
 
 
-def classify_head(head: HeadParams, feats: Tensor) -> tuple[Tensor, Tensor]:
-    """1x1-conv logits and their per-pixel class softmax."""
-    logits = tt.conv2d(feats, head.w, head.b)
-    probs = tt.softmax(logits, axis=0)
-    return logits, probs
+def classify_head(head: HeadParams, feats: Tensor, target_hw: tuple[int, int]) -> tuple[Tensor, Tensor]:
+    """1x1-head logits of ``feats`` upsampled to ``target_hw``, and their
+    softmax: the head of the upsampled features, as interpolation rows sum to 1."""
+    logits = tt.bilinear_upsample(tt.conv2d(feats, head.w, head.b), target_hw)
+    return logits, tt.softmax(logits, axis=0)
 
 
 # --- uncertainty-guided stage supervision ------------------------------------
@@ -333,38 +335,35 @@ class StageOutput:
     """One decoder stage's supervision bundle."""
 
     logits: Tensor
-    probs: Tensor
     uncertainty: UncertaintyMap
     mask: SampleMask
     q: np.ndarray  # sampled label map: labels where mask=1, else 0
 
 
 def uarb(
-    l_i: Tensor,
-    head: HeadParams,
+    logits: Tensor,
+    probs: Tensor,
     y_trn: np.ndarray,
     rng: MaskRng | None,
-    target_hw: tuple[int, int],
     frozen_mask: np.ndarray | None = None,
 ) -> StageOutput:
     """Uncertainty-sampled stage supervision (training only).
 
-    Upsample stage features to scene resolution, classify, derive the
-    uncertainty of the detached probabilities, Bernoulli-sample a mask, and
-    keep training labels only where the mask fires.  ``frozen_mask``
-    replaces the sampling for deterministic gradient checks.
+    Takes one stage's ``classify_head`` output (the head commutes with the
+    upsample as interpolation rows sum to 1; stage 1's is the prediction),
+    Bernoulli-samples a mask from the uncertainty of the detached ``probs``,
+    and keeps training labels only where it fires; records no tape op.
+    ``frozen_mask`` replaces the sampling for deterministic gradient checks.
     """
     if rng is None and frozen_mask is None:
         raise RuntimeError("uarb: training rng required (block is omitted at inference)")
-    up = tt.bilinear_upsample(l_i, target_hw)
-    logits, probs = classify_head(head, up)
     u = uncertainty_map(probs.data)
     if frozen_mask is not None:
         mask = SampleMask(m=np.asarray(frozen_mask, dtype=np.uint8), seed=-1, draw_offset=0)
     else:
         mask = sample_mask(u, rng)
     q = np.where(mask.m != 0, y_trn, 0).astype(y_trn.dtype)
-    return StageOutput(logits=logits, probs=probs, uncertainty=u, mask=mask, q=q)
+    return StageOutput(logits=logits, uncertainty=u, mask=mask, q=q)
 
 
 # --- full forward and loss ----------------------------------------------------
@@ -410,18 +409,16 @@ def forward_full(
     l3 = ffb(params.ffb[2], m_stages[2])
     l2 = ffb(params.ffb[1], m_stages[1], l3)
     l1 = ffb(params.ffb[0], m_stages[0], l2)
-    fused = [l1, l2, l3]
 
-    final_up = tt.bilinear_upsample(l1, (h, w))
-    final_logits, final_probs = classify_head(params.head, final_up)
-
+    final_logits, final_probs = classify_head(params.head, l1, (h, w))
     stages: list[StageOutput] = []
     if train and uarb_on:
         if y_trn is None:
             raise RuntimeError("forward_full: training labels required when stage supervision is on")
-        for i in range(N_STAGES):
+        heads = [(final_logits, final_probs)] + [classify_head(params.head, l_i, (h, w)) for l_i in (l2, l3)]
+        for i, (logits, probs) in enumerate(heads):
             frozen = frozen_masks[i] if frozen_masks is not None else None
-            stages.append(uarb(fused[i], params.head, y_trn, mask_rng, (h, w), frozen_mask=frozen))
+            stages.append(uarb(logits, probs, y_trn, mask_rng, frozen_mask=frozen))
     return ForwardResult(
         final_logits=final_logits,
         final_probs=final_probs,
@@ -520,15 +517,15 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if offset != len(rest):
         raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")
 
-    try:  # a file without a switch predates the ablation switches: the part is on
+    try:
         spec = NetSpec(
             bands=int(meta["bands"]),
             channels=int(meta["channels"]),
             state_dim=int(meta["state_dim"]),
             n_class=int(meta["n_class"]),
-            momeb_on=meta.get("momeb_on", True),
-            sre_on=meta.get("sre_on", True),
-            sse_on=meta.get("sse_on", True),
+            momeb_on=meta["momeb_on"],
+            sre_on=meta["sre_on"],
+            sse_on=meta["sse_on"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad meta line ({exc!r})") from exc

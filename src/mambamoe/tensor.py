@@ -45,10 +45,6 @@ class FlopCounter:
         self.enabled = False
         self.total = 0
 
-    def add(self, n: int) -> None:
-        if self.enabled:
-            self.total += int(n)
-
     def reset(self) -> None:
         self.total = 0
 

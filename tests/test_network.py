@@ -137,13 +137,14 @@ class TestResidualAndFfb:
 class TestHeadAndUncertainty:
     def test_zero_head_uniform_probabilities(self):
         head = HeadParams(parameter(np.zeros((3, 4, 1, 1))), parameter(np.zeros(3)))
-        _, probs = classify_head(head, Tensor(np.random.default_rng(11).normal(size=(4, 5, 5))))
+        _, probs = classify_head(head, Tensor(np.random.default_rng(11).normal(size=(4, 5, 5))), (9, 10))
+        assert probs.shape == (3, 9, 10)
         np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-7)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(12)
         head = HeadParams(parameter(rng.normal(size=(5, 4, 1, 1))), parameter(rng.normal(size=5)))
-        _, probs = classify_head(head, Tensor(rng.normal(size=(4, 6, 6))))
+        _, probs = classify_head(head, Tensor(rng.normal(size=(4, 3, 3))), (6, 6))
         np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-6)
 
     def test_head_hand_oracle_two_class(self):
@@ -151,11 +152,35 @@ class TestHeadAndUncertainty:
             parameter(np.array([[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]])), parameter(np.array([0.5, -0.5]))
         )
         feats = np.random.default_rng(13).normal(size=(2, 2, 2))
-        logits, probs = classify_head(head, Tensor(feats))
+        logits, probs = classify_head(head, Tensor(feats), (2, 2))  # the upsample to the same size is the identity
         ref_logits = feats + np.array([0.5, -0.5])[:, None, None]
         np.testing.assert_allclose(logits.data, ref_logits, atol=1e-12)
         e = np.exp(ref_logits - ref_logits.max(axis=0))
         np.testing.assert_allclose(probs.data, e / e.sum(axis=0), atol=1e-7)
+
+    @pytest.mark.parametrize("dtype, tol", [(F64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("src, dst", [((4, 4), (8, 8)), ((3, 5), (7, 11)), ((1, 1), (3, 4))])
+    def test_head_commutes_with_upsample(self, dtype, tol, src, dst):
+        # oracle: upsample the features, then the head, with a non-zero bias
+        rng = np.random.default_rng(14)
+        head = HeadParams(parameter(rng.normal(size=(3, 6, 1, 1)), dtype), parameter(rng.normal(size=3), dtype))
+        feats = parameter(rng.normal(size=(6, *src)), dtype)
+        probe = Tensor(rng.normal(size=(3, *dst)), dtype=dtype)
+
+        def run(forward):
+            for t in (head.w, head.b, feats):
+                t.zero_grad()
+            with Tape() as tape:
+                logits, probs = forward()
+                tape.backward(tt.sum_all(tt.mul(logits, probe)))
+            return [logits.data, probs.data] + [t.grad.copy() for t in (head.w, head.b, feats)]
+
+        def upsample_first():
+            logits = tt.conv2d(tt.bilinear_upsample(feats, dst), head.w, head.b)
+            return logits, tt.softmax(logits, axis=0)
+
+        for got, ref in zip(run(lambda: classify_head(head, feats, dst)), run(upsample_first)):
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
 
     def test_uncertainty_confident_pixel_clamps_to_zero(self):
         probs = np.zeros((2, 1, 1))
@@ -229,15 +254,16 @@ class TestUarb:
     def test_requires_rng_in_training(self):
         params = tiny_params(seed=14)
         l1 = Tensor(np.random.default_rng(15).normal(size=(4, 4, 4)))
+        logits, probs = classify_head(params.head, l1, (8, 8))
         with pytest.raises(RuntimeError, match="omitted at inference"):
-            uarb(l1, params.head, np.zeros((8, 8), np.int64), None, (8, 8))
+            uarb(logits, probs, np.zeros((8, 8), np.int64), None)
 
     def test_mask_zero_contributes_empty_supervision(self):
         params = tiny_params(seed=16)
         rng = np.random.default_rng(17)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(l1, params.head, y_trn, None, (8, 8), frozen_mask=np.zeros((8, 8)))
+        st = uarb(*classify_head(params.head, l1, (8, 8)), y_trn, None, frozen_mask=np.zeros((8, 8)))
         assert st.q.sum() == 0
         loss = tt.masked_cross_entropy(st.logits, st.q, np.ones((8, 8)))
         assert loss.item() == 0.0
@@ -247,7 +273,7 @@ class TestUarb:
         rng = np.random.default_rng(19)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(l1, params.head, y_trn, None, (8, 8), frozen_mask=np.ones((8, 8)))
+        st = uarb(*classify_head(params.head, l1, (8, 8)), y_trn, None, frozen_mask=np.ones((8, 8)))
         np.testing.assert_array_equal(st.q, y_trn)
 
     def test_seeded_masks_reproducible_bitwise(self):
@@ -258,7 +284,7 @@ class TestUarb:
 
         def run():
             mask_rng = MaskRng(99)
-            st = uarb(Tensor(l1_data.copy()), params.head, y_trn, mask_rng, (8, 8))
+            st = uarb(*classify_head(params.head, Tensor(l1_data.copy()), (8, 8)), y_trn, mask_rng)
             return st.q.tobytes(), st.mask.m.tobytes()
 
         assert run() == run()
@@ -275,6 +301,7 @@ class TestForwardFull:
         assert len(res.stages) == 3
         for st in res.stages:
             assert st.logits.shape == (2, 16, 16)
+        assert res.stages[0].logits is res.final_logits
         np.testing.assert_allclose(res.final_probs.data.sum(axis=0), 1.0, atol=1e-6)
 
     def test_inference_consumes_no_randomness_and_is_deterministic(self):
@@ -330,8 +357,9 @@ class TestForwardFull:
         l3 = ffb(params.ffb[2], m[2])
         l2 = ffb(params.ffb[1], m[1], l3)
         l1 = ffb(params.ffb[0], m[0], l2)
-        _, probs = classify_head(params.head, tt.bilinear_upsample(l1, (16, 16)))
-        np.testing.assert_allclose(res.final_probs.data, probs.data, atol=1e-5)
+        logits = tt.conv2d(tt.bilinear_upsample(l1, (16, 16)), params.head.w, params.head.b)  # upsample, then head
+        np.testing.assert_allclose(res.final_logits.data, logits.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.final_probs.data, tt.softmax(logits, axis=0).data, rtol=1e-12, atol=1e-12)
 
 
 class TestTotalLoss:
@@ -340,7 +368,6 @@ class TestTotalLoss:
 
         return StageOutput(
             logits=logits,
-            probs=tt.softmax(logits, axis=0),
             uncertainty=UncertaintyMap(np.zeros(q.shape)),
             mask=SampleMask((q > 0).astype(np.uint8), seed=0, draw_offset=0),
             q=q,
@@ -456,15 +483,10 @@ class TestCheckpoint:
 
         return rewrite
 
-    def test_meta_without_switches_loads_full_model(self, tmp_path):
-        def drop_switches(meta):
-            for key in ("momeb_on", "sre_on", "sse_on"):
-                del meta[key]
-
-        params, meta = self.load_edited(tmp_path, 0, self.edit_meta(drop_switches))
-        assert "sre_on" not in meta
-        assert params.spec == tiny_spec()
-        assert params.spec.momeb_on and params.spec.sre_on and params.spec.sse_on
+    @pytest.mark.parametrize("key", ["momeb_on", "sre_on", "sse_on"])
+    def test_meta_without_a_switch_refused(self, tmp_path, key):
+        with pytest.raises(CheckpointError, match=f"bad meta line.*{key}"):
+            self.load_edited(tmp_path, 0, self.edit_meta(lambda meta: meta.pop(key)))
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_switch_that_is_not_a_json_bool(self, tmp_path, value):

@@ -6,7 +6,7 @@ import pytest
 
 from mambamoe import tensor as tt
 from mambamoe.data import HsiScene, SceneHeader, normalize_scene
-from mambamoe.network import NetSpec, forward_full, init_network_params
+from mambamoe.network import NetSpec, classify_head, forward_full, init_network_params, stage_sizes
 from mambamoe.profiler import (
     PAPER_SCALE,
     CostReport,
@@ -97,6 +97,15 @@ class TestFlops:
     def test_band_mismatch_rejected(self):
         with pytest.raises(ValueError):
             count_flops(PAPER_SCALE, (5, 13, 13))
+
+    def test_head_counts_its_analytic_term(self):
+        spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
+        head = init_network_params(spec, np.random.default_rng(4)).head
+        h1, w1 = stage_sizes(17, 14)[0]
+        l1 = Tensor(np.random.default_rng(5).normal(size=(8, h1, w1)).astype(np.float32))
+        with FLOPS:
+            classify_head(head, l1, (17, 14))
+        assert FLOPS.total == count_flops(spec, (3, 17, 14))[2]["head"]
 
     def test_instrumented_forward_within_5_percent(self):
         spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)

@@ -270,6 +270,14 @@ class TestUpsample:
             tape.backward(tt.sum_all(tt.mul(y, Tensor(g))))
         np.testing.assert_allclose(np.vdot(y.data, g), np.vdot(x.data, x.grad), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("n_src, n_dst", [(1, 1), (1, 7), (3, 7), (5, 5), (4, 9), (16, 128), (17, 128)])
+    def test_interpolation_rows_sum_to_one(self, n_src, n_dst, dtype):
+        # the condition under which a 1x1 conv and its bias commute with the upsample
+        r = tt._interpolation_matrix(n_src, n_dst, dtype)
+        assert r.shape == (n_dst, n_src) and r.dtype == dtype
+        assert np.abs(r.sum(axis=1) - 1).max() <= n_src * np.finfo(dtype).eps
+
     def test_values_are_convex_combinations(self):
         rng = np.random.default_rng(7)
         x = rand(rng, 2, 3, 4)
