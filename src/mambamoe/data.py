@@ -133,6 +133,10 @@ def load_hsc(path) -> HsiScene:
     if len(rest) > cube_bytes + label_bytes:
         raise HscError(f"{path}: {len(rest) - cube_bytes - label_bytes} trailing bytes after payload")
     cube = np.frombuffer(rest[:cube_bytes], dtype="<f4").reshape(bands, height, width).astype(np.float32, copy=True)
+    if not np.isfinite(cube).all():
+        band, row, col = (int(i) for i in np.argwhere(~np.isfinite(cube))[0])
+        value = cube[band, row, col]
+        raise HscError(f"{path}: non-finite value {value} in band {band} at pixel (row {row}, col {col})")
     labels = (
         np.frombuffer(rest[cube_bytes:], dtype="<u2").reshape(height, width).astype(np.uint16, copy=True)
     )
@@ -282,12 +286,20 @@ def nearest_signature_predict(spec: SyntheticSpec, cube: np.ndarray) -> np.ndarr
 
 
 def normalize_scene(scene: HsiScene) -> Tensor:
-    """Per-band z-score over the whole scene; constant bands map to zeros."""
-    cube = scene.cube.astype(np.float64)
-    mu = cube.mean(axis=(1, 2), keepdims=True)
-    sigma = cube.std(axis=(1, 2), keepdims=True)
-    sigma = np.maximum(sigma, 1e-8)
-    return Tensor(((cube - mu) / sigma).astype(np.float32))
+    """Per-band z-score over the whole scene; constant bands map to zeros.
+
+    Works one band at a time in float64, so the only cube-sized array is the
+    float32 result.  Per band it computes what the whole-cube formula
+    ``(cube - mu) / max(cube.std(), 1e-8)`` computes, in the same order, so
+    the bits are the same.
+    """
+    out = np.empty(scene.cube.shape, dtype=np.float32)
+    for band, dst in zip(scene.cube, out):
+        d = band.astype(np.float64)
+        d -= d.mean()
+        sigma = max(np.sqrt(np.mean(d * d)), 1e-8)
+        np.divide(d, sigma, out=dst)
+    return Tensor(out)
 
 
 # --- rendering ------------------------------------------------------------------

@@ -64,6 +64,19 @@ def _upsample(rng: np.random.Generator) -> GradCheckReport:
     return _probed(rng, lambda: tt.bilinear_upsample(x, (7, 5)), [x], (2, 7, 5))
 
 
+def _avg_pool2(rng: np.random.Generator) -> GradCheckReport:
+    # odd extents: the dropped trailing row and column must get zero gradient
+    x = parameter(rng.normal(size=(2, 5, 7)), dtype=F64)
+    return _probed(rng, lambda: tt.avg_pool2(x), [x], (2, 2, 3))
+
+
+def _relu(rng: np.random.Generator) -> GradCheckReport:
+    # inputs at least 0.1 from the kink, far beyond the difference step
+    z = rng.normal(size=(3, 4, 4))
+    x = parameter(np.copysign(0.1 + np.abs(z), z), dtype=F64)
+    return _probed(rng, lambda: tt.relu(x), [x], (3, 4, 4))
+
+
 def _ssm_scan(rng: np.random.Generator) -> GradCheckReport:
     # the full flatten -> recurrence -> unflatten path
     p = _block(rng, channels=4, state_dim=3).spatial[0]
@@ -156,6 +169,8 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "ffb": _ffb,
     "head": _head,
     "total_loss": _total_loss,
+    "avg_pool2": _avg_pool2,
+    "relu": _relu,
 }
 """Entry name -> check on its own random draws; ``total_loss`` runs at
 TOTAL_LOSS_THRESHOLD, every other entry at THRESHOLD."""

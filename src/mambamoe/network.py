@@ -513,6 +513,8 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated payload at {name}")
         arrays[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).astype(np.dtype(dtype_code), copy=True)
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
         offset += nbytes
     if offset != len(rest):
         raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")

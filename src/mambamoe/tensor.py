@@ -305,8 +305,8 @@ def matmul(x: Tensor, y: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _wrap("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), lambda g: (g * mask,), flops=x.size)
+    out = np.maximum(x.data, x.data.dtype.type(0))  # -0.0 maps to +0.0
+    return _wrap("relu", (x,), out, lambda g: (g * (out > 0),), flops=x.size)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -471,22 +471,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 mean pooling; a trailing odd row/column is dropped."""
+    """Non-overlapping 2x2 mean pooling; a trailing odd row/column is dropped.
+
+    Each window sums as (x00 + x01) + (x10 + x11) and then scales by 0.25:
+    two strided adds over the map instead of a 5-D ``mean`` reduction.  The
+    add order is fixed because it is the order in which ``mean(axis=(2, 4))``
+    of the (c, h2, 2, w2, 2) view adds, so the result keeps the bits of the
+    mean (scaling by 0.25 and dividing by 4 round alike).  Only at a pooled
+    width of 1 does ``mean`` add a window in a row instead, and the last bit
+    can differ there.
+    """
     if x.ndim != 3:
         raise ShapeError(f"avg_pool2: expects (C,h,w), got {x.shape}")
     c, h, w = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"avg_pool2: spatial extent must be >= 2, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    view = x.data[:, : 2 * h2, : 2 * w2].reshape(c, h2, 2, w2, 2)
-    out = view.mean(axis=(2, 4))
+    rows = x.data[:, : 2 * h2]
+    cols = rows[:, :, 0 : 2 * w2 : 2] + rows[:, :, 1 : 2 * w2 : 2]
+    out = cols[:, 0::2] + cols[:, 1::2]
+    out *= out.dtype.type(0.25)
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
         quarter = g * g.dtype.type(0.25)
-        dx[:, : 2 * h2, : 2 * w2] = np.broadcast_to(
-            quarter[:, :, None, :, None], (c, h2, 2, w2, 2)
-        ).reshape(c, 2 * h2, 2 * w2)
+        dx = np.empty_like(x.data)
+        dx[:, 2 * h2 :] = 0
+        dx[:, :, 2 * w2 :] = 0
+        for i in (0, 1):
+            for j in (0, 1):
+                dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2] = quarter
         return (dx,)
 
     return _wrap("avg_pool2", (x,), out, bwd, flops=4 * c * h2 * w2)

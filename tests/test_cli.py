@@ -8,7 +8,7 @@ import pytest
 
 from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
 from mambamoe.data import default_synthetic_spec, generate_synthetic, save_hsc
-from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint
+from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from mambamoe.train import TrainConfig
 
 
@@ -115,6 +115,21 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, dataset=str(scene_path))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "class name 1" in one_error_line(capsys, "data")
+
+    def test_nan_pixel_exit_2_names_band_and_pixel(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.hsc"
+        scene = generate_synthetic(default_synthetic_spec())
+        save_hsc(scene, scene_path)
+        blob = bytearray(scene_path.read_bytes())
+        bands, h, w = scene.cube.shape
+        at = len(blob) - 2 * h * w - 4 * bands * h * w + 4 * ((2 * h + 3) * w + 4)  # band 2, row 3, col 4
+        blob[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        scene_path.write_bytes(bytes(blob))
+        cfg = write_cfg(tmp_path, dataset=str(scene_path))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "band 2 at pixel (row 3, col 4)" in one_error_line(capsys, "data")
+        assert not out.exists()
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -238,6 +253,17 @@ class TestTrainEvalPredictPipeline:
         assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "v1")]) == 2
         assert "do not convert" in one_error_line(capsys, "data")
         assert not (tmp_path / "v1").exists()
+
+    def test_non_finite_parameter_exit_2_names_it(self, trained, capsys):
+        tmp_path, _, out = trained
+        params, _ = load_checkpoint(out / "checkpoint.mmoe")
+        params.head.b.data[1] = np.inf
+        edited = tmp_path / "inf_bias.mmoe"
+        save_checkpoint(edited, params)
+        cfg = write_cfg(tmp_path, name="inf.cfg", checkpoint=str(edited))
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "inf")]) == 2
+        assert "parameter head.b holds non-finite values" in one_error_line(capsys, "data")
+        assert not (tmp_path / "inf").exists()
 
     def test_inspect_prints_weight_rows_summing_to_one(self, trained, capsys):
         tmp_path, _, out = trained

@@ -1,5 +1,7 @@
 """Scene container round-trips, synthetic generation, normalization, PPM."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,31 @@ class TestNormalize:
         out = normalize_scene(scene).data.astype(np.float64)
         assert np.abs(out.mean(axis=(1, 2))).max() < 1e-5
         assert np.abs(out.std(axis=(1, 2)) - 1.0).max() < 1e-3
+
+    def test_bit_equal_to_whole_cube_formula(self):
+        rng = np.random.default_rng(10)
+        scene = random_scene(rng, bands=6, h=13, w=17, k=1)
+        scene.cube *= rng.uniform(0.01, 100.0, size=(6, 1, 1)).astype(np.float32)
+        scene.cube += rng.normal(0.0, 50.0, size=(6, 1, 1)).astype(np.float32)
+        scene.cube[2] = -7.5  # constant band
+        cube = scene.cube.astype(np.float64)
+        mu = cube.mean(axis=(1, 2), keepdims=True)
+        sigma = np.maximum(cube.std(axis=(1, 2), keepdims=True), 1e-8)
+        ref = ((cube - mu) / sigma).astype(np.float32)
+        out = normalize_scene(scene).data
+        assert out.dtype == np.float32
+        assert out.tobytes() == ref.tobytes()
+
+    def test_peak_memory_below_twice_the_output(self):
+        rng = np.random.default_rng(11)
+        scene = random_scene(rng, bands=32, h=128, w=128, k=1)
+        tracemalloc.start()
+        try:
+            out = normalize_scene(scene).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, (peak, out.nbytes)
 
     def test_idempotent_to_tolerance(self):
         rng = np.random.default_rng(9)

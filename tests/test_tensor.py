@@ -29,6 +29,15 @@ class TestElementwise:
         out = tt.relu(Tensor([-1.0, 0.0, 2.0]))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_relu_bits_and_gradient(self, dtype):
+        x = parameter(np.array([-2.0, -0.0, 0.0, 1e-30, 3.0], dtype=dtype))
+        with Tape() as tape:
+            out = tt.relu(x)
+            tape.backward(tt.sum_all(tt.mul(out, Tensor(np.arange(1.0, 6.0, dtype=dtype)))))
+        assert out.data.tobytes() == np.array([0.0, 0.0, 0.0, 1e-30, 3.0], dtype=dtype).tobytes()  # -0.0 -> +0.0
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 4.0, 5.0]
+
     def test_add_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
             tt.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
@@ -185,6 +194,43 @@ class TestPool:
     def test_too_small(self):
         with pytest.raises(ShapeError):
             tt.avg_pool2(Tensor(np.ones((1, 1, 4))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("shape", [(48, 128, 128), (2, 6, 4), (3, 5, 7), (2, 6, 5), (1, 3, 4)])
+    def test_forward_bit_equals_5d_mean(self, shape, dtype):
+        x = rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype)
+        out = tt.avg_pool2(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == self.mean_5d(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 7, 3)])
+    def test_pooled_width_one_within_rounding_of_mean(self, shape, dtype):
+        # numpy's mean sums a window in a row here, ((x00 + x01) + x10) + x11
+        x = rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype)
+        out = tt.avg_pool2(Tensor(x)).data
+        np.testing.assert_allclose(out, self.mean_5d(x), rtol=0, atol=4 * np.finfo(dtype).eps * np.abs(x).max())
+
+    @staticmethod
+    def mean_5d(x):
+        c, h, w = x.shape
+        return x[:, : h - h % 2, : w - w % 2].reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (1, 3, 3), (2, 6, 5), (1, 5, 4)])
+    def test_backward_odd_extents_matches_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        c, h, w = shape
+        x = parameter(rand(rng, *shape))
+        probe = rand(rng, c, h // 2, w // 2)
+        with Tape() as tape:
+            loss = tt.sum_all(tt.mul(tt.avg_pool2(x), Tensor(probe)))
+            tape.backward(loss)
+        ref = np.zeros(shape)
+        for i in range(h // 2):
+            for j in range(w // 2):
+                ref[:, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = probe[:, i, j, None, None] * 0.25
+        assert x.grad.tobytes() == ref.tobytes()
+        assert not x.grad[:, h - h % 2 :].any() and not x.grad[:, :, w - w % 2 :].any()
 
 
 class TestLayerNorm:
