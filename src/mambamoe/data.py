@@ -80,19 +80,30 @@ class HsiScene:
                 raise ExtentError(f"declared class {cls} has no labeled pixel")
 
 
+def _check_finite(cube: np.ndarray, path) -> None:
+    """Refuse a (bands, H, W) cube holding NaN or Inf, naming the first one."""
+    if not np.isfinite(cube).all():
+        band, row, col = (int(i) for i in np.argwhere(~np.isfinite(cube))[0])
+        value = cube[band, row, col]
+        raise HscError(f"{path}: non-finite value {value} in band {band} at pixel (row {row}, col {col})")
+
+
 def save_hsc(scene: HsiScene, path) -> None:
     scene.validate()
     h = scene.header
     for name in h.class_names:
         if "\n" in name:
             raise HscError(f"class name {name!r} must not contain newlines")
+    with np.errstate(over="ignore"):  # a finite float64 beyond the float32 range becomes inf, refused below
+        cube = scene.cube.astype("<f4", copy=False)
+    _check_finite(cube, path)
     with open(path, "wb") as fh:
         fh.write(HSC_MAGIC)
         fh.write(f"{h.bands} {h.height} {h.width} {h.n_class}\n".encode("ascii"))
         for name in h.class_names:
             fh.write((name + "\n").encode("utf-8"))
         fh.write((h.provenance.replace("\n", " ") + "\n").encode("utf-8"))
-        fh.write(scene.cube.astype("<f4", copy=False).tobytes())
+        fh.write(cube.tobytes())
         fh.write(scene.labels.astype("<u2", copy=False).tobytes())
 
 
@@ -133,10 +144,7 @@ def load_hsc(path) -> HsiScene:
     if len(rest) > cube_bytes + label_bytes:
         raise HscError(f"{path}: {len(rest) - cube_bytes - label_bytes} trailing bytes after payload")
     cube = np.frombuffer(rest[:cube_bytes], dtype="<f4").reshape(bands, height, width).astype(np.float32, copy=True)
-    if not np.isfinite(cube).all():
-        band, row, col = (int(i) for i in np.argwhere(~np.isfinite(cube))[0])
-        value = cube[band, row, col]
-        raise HscError(f"{path}: non-finite value {value} in band {band} at pixel (row {row}, col {col})")
+    _check_finite(cube, path)
     labels = (
         np.frombuffer(rest[cube_bytes:], dtype="<u2").reshape(height, width).astype(np.uint16, copy=True)
     )

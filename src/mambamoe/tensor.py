@@ -7,10 +7,23 @@ and raises ``NumericalError`` rather than letting bad values propagate.
 
 Training runs in float32; gradient checking requires float64 (central
 finite differences are unreliable in single precision).
+
+The tape keeps what the backward pass reads, and no more.  Each recorded
+op holds its backward closure and one route per input: the parameter
+tensor itself, the node key of the op that made the input, or None for a
+constant.  A node key is the tape's serial number and the op's index, so
+the tape holds no activation tensor: an activation lives only while a
+closure reads it (``relu`` keeps its output, ``matmul`` its operands,
+``conv2d`` its input) or while the caller keeps it.  Closures that need
+only a shape keep the shape.  During the replay each op drops its closure
+and routes once it has run, so the arrays it read are freed as soon as
+nothing else holds them.  A tensor made on another tape enters as a
+constant.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -20,6 +33,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 CE_POSITION_FLOPS = 2  # bookkeeping per supervised pixel beyond the 4K softmax terms
+CONV_BLOCK_PIXELS = 2048  # outputs per block of a 3x3 conv: its accumulator stays in cache
 
 
 class ShapeError(ValueError):
@@ -68,7 +82,7 @@ class Tensor:
     tapes (an optimizer step invalidates any tape built before it).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_on_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -77,7 +91,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._on_tape = False
+        self._node: tuple[int, int] | None = None  # (tape serial, op index) of the op that made it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,20 +129,23 @@ def parameter(data, dtype=None) -> Tensor:
 # --- tape ------------------------------------------------------------------
 
 _TAPES: list["Tape"] = []  # the innermost open tape is last
+_TAPE_SERIALS = itertools.count()
 
 
 @dataclass
 class TapeOp:
-    """One recorded operation: inputs, output, and its backward rule.
+    """One recorded operation: input routes, output node key, backward rule.
 
-    ``backward`` maps the output gradient to one gradient array (or None)
-    per input, in input order.
+    ``routes`` holds, per input, the parameter tensor, the node key of the
+    op that made the input, or None for a constant.  ``backward`` maps the
+    output gradient to one gradient array (or None) per input, in input
+    order.  The replay empties both once the op has run.
     """
 
     name: str
-    inputs: tuple
-    output: Tensor
-    backward: Callable[[np.ndarray], Sequence]
+    routes: tuple
+    out: tuple[int, int]
+    backward: Callable[[np.ndarray], Sequence] | None
 
 
 class Tape:
@@ -137,6 +154,7 @@ class Tape:
 
     def __init__(self):
         self.ops: list[TapeOp] = []
+        self.serial = next(_TAPE_SERIALS)
         self._replayed = False
 
     def __enter__(self) -> "Tape":
@@ -154,6 +172,16 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
+def _route(t: Tensor, tape: Tape):
+    """Where the replay of ``tape`` sends t's gradient: t itself for a
+    parameter, the key of the op that made t on this tape, or None."""
+    if t.requires_grad:
+        return t
+    if t._node is not None and t._node[0] == tape.serial:
+        return t._node
+    return None
+
+
 def _wrap(name: str, inputs: tuple, out_data: np.ndarray, backward_fn, flops: int = 0) -> Tensor:
     """Finite-check, count, wrap and (if needed) record an op result."""
     if not np.all(np.isfinite(out_data)):
@@ -162,9 +190,11 @@ def _wrap(name: str, inputs: tuple, out_data: np.ndarray, backward_fn, flops: in
         FLOPS.total += int(flops)
     out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(t.requires_grad or t._on_tape for t in inputs):
-        out._on_tape = True
-        tape.ops.append(TapeOp(name, inputs, out, backward_fn))
+    if tape is not None:
+        routes = tuple(_route(t, tape) for t in inputs)
+        if any(r is not None for r in routes):
+            out._node = (tape.serial, len(tape.ops))
+            tape.ops.append(TapeOp(name, routes, out._node, backward_fn))
     return out
 
 
@@ -172,7 +202,9 @@ def custom_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray, backwar
     """Record a fused operation with a hand-written backward rule.
 
     Exposed so other modules can add primitives (e.g. the state-space scan)
-    without touching the tape internals.
+    without touching the tape internals.  ``backward_fn`` must not write to
+    the gradient it is given: the replay may hand the same array to several
+    inputs.
     """
     return _wrap(name, tuple(inputs), out_data, backward_fn, flops)
 
@@ -180,36 +212,45 @@ def custom_op(name: str, inputs: Sequence[Tensor], out_data: np.ndarray, backwar
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every reachable parameter's grad.
 
-    Visits each recorded op exactly once, in reverse order.  Parameters not
-    reachable from the loss keep whatever is in their grad buffer (zeros
-    after ``zero_grad``/creation).  A tape can be replayed only once; an
-    optimizer step mutates parameter data, which would silently invalidate
-    a second replay.
+    Visits each recorded op exactly once, in reverse order, and empties it
+    after it has run.  Gradients of intermediate nodes are never written in
+    place: a node's first gradient is stored as given, and later ones are
+    summed into a new array.  Parameters not reachable from the loss keep
+    whatever is in their grad buffer (zeros after ``zero_grad``/creation).
+    A tape can be replayed only once; an optimizer step mutates parameter
+    data, which would silently invalidate a second replay.
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if tape._replayed:
         raise TapeError("tape already replayed; build a fresh tape for the next step")
     tape._replayed = True
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss.requires_grad:
-        loss.grad += grads[id(loss)]
+    grads: dict[tuple[int, int], np.ndarray] = {}
+    root = _route(loss, tape)
+    if isinstance(root, Tensor):
+        root.grad += np.ones_like(loss.data)
+    elif root is not None:
+        grads[root] = np.ones_like(loss.data)
     for op in reversed(tape.ops):
-        g = grads.pop(id(op.output), None)
-        if g is None:
+        g = grads.pop(op.out, None)
+        rule, routes = op.backward, op.routes
+        op.backward, op.routes = None, ()
+        if g is not None:
+            _deliver(grads, routes, rule(g))
+
+
+def _deliver(grads: dict, routes: tuple, in_grads: Sequence) -> None:
+    """Add each input gradient to its parameter or to its node's entry.
+    A function of its own, so that no local outlives the op that ran."""
+    for route, ig in zip(routes, in_grads):
+        if ig is None or route is None:
             continue
-        in_grads = op.backward(g)
-        for t, ig in zip(op.inputs, in_grads):
-            if ig is None:
-                continue
-            if t.requires_grad:
-                t.grad += ig
-            elif t._on_tape:
-                acc = grads.get(id(t))
-                if acc is None:
-                    grads[id(t)] = np.array(ig, copy=True)
-                else:
-                    acc += ig
+        if isinstance(route, Tensor):
+            route.grad += ig
+        elif route in grads:
+            grads[route] = grads[route] + ig
+        else:
+            grads[route] = ig
 
 
 # --- shape/dtype checks ----------------------------------------------------
@@ -273,9 +314,10 @@ def element(x: Tensor, index: int) -> Tensor:
     if x.ndim != 1:
         raise ShapeError(f"element: expects a 1-D tensor, got shape {x.shape}")
     idx = int(index)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape, dtype)
         z[idx] = g.reshape(())
         return (z,)
 
@@ -310,7 +352,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _wrap("sum_all", (x,), x.data.sum().reshape(()), lambda g: (np.full_like(x.data, g.reshape(())),), flops=x.size)
+    shape, dtype = x.shape, x.dtype
+    return _wrap("sum_all", (x,), x.data.sum().reshape(()), lambda g: (np.full(shape, g.reshape(()), dtype),), flops=x.size)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -328,7 +371,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(g):
         out = []
-        for i in range(len(parts)):
+        for i in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             out.append(np.ascontiguousarray(g[tuple(sl)]))
@@ -342,9 +385,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape, dtype)
         z[sl] = g
         return (z,)
 
@@ -367,7 +411,7 @@ def spatial_mean(x: Tensor) -> Tensor:
     inv = x.data.dtype.type(1.0 / (h * w))
 
     def bwd(g):
-        return (np.broadcast_to(g[:, None, None] * inv, x.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None] * inv, (c, h, w)).copy(),)
 
     return _wrap("spatial_mean", (x,), x.data.mean(axis=(1, 2)), bwd, flops=x.size)
 
@@ -385,23 +429,44 @@ def _pad_flat(x: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _shifted_gemm(taps: np.ndarray, flat: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Sum over the nine taps of taps[di, dj] @ flat[:, di(w+2)+dj :][: h(w+2)].
+def _row_blocks(h: int, w: int):
+    """(first row, row count) of each block of a 3x3 conv over an h x w map:
+    about CONV_BLOCK_PIXELS padded-row outputs per block."""
+    rows = max(1, CONV_BLOCK_PIXELS // (w + 2))
+    for r0 in range(0, h, rows):
+        yield r0, min(rows, h - r0)
 
-    Output position i(w+2)+j holds pixel (i, j); the two columns j = w, w+1
-    of each row are junk.  Returns the (C_out, h, w+2) map, junk included.
+
+def _shifted_gemm(taps: np.ndarray, flat: np.ndarray, out: np.ndarray, bias: np.ndarray | None = None) -> None:
+    """out[:, i, j] = sum over the nine taps of taps[di, dj] @ flat at padded
+    pixel (i + di, j + dj), plus bias if given.
+
+    Runs over blocks of rows: the nine products of a block accumulate into
+    one cache-sized buffer at row stride w+2, in which position r(w+2)+j
+    holds pixel (r, j) and the columns j = w, w+1 are junk; the block is
+    cropped as it is written into out.
     """
+    c_out, h, w = out.shape
     row = w + 2
-    span = h * row
-    acc = np.matmul(taps[0, 0], flat[:, :span])
-    tmp = np.empty_like(acc)
-    for di in range(3):
-        for dj in range(3):
-            if di or dj:
-                off = di * row + dj
-                np.matmul(taps[di, dj], flat[:, off : off + span], out=tmp)
-                acc += tmp
-    return acc.reshape(-1, h, row)
+    blocks = list(_row_blocks(h, w))
+    buf = np.empty(2 * c_out * blocks[0][1] * row, dtype=out.dtype)  # the first block is the largest
+    for r0, n in blocks:
+        span = n * row
+        acc = buf[: c_out * span].reshape(c_out, span)
+        tmp = buf[c_out * span : 2 * c_out * span].reshape(c_out, span)
+        for di in range(3):
+            for dj in range(3):
+                off = (r0 + di) * row + dj
+                if di or dj:
+                    np.matmul(taps[di, dj], flat[:, off : off + span], out=tmp)
+                    acc += tmp
+                else:
+                    np.matmul(taps[0, 0], flat[:, off : off + span], out=acc)
+        block = acc.reshape(c_out, n, row)[:, :, :w]
+        if bias is None:
+            out[:, r0 : r0 + n] = block
+        else:
+            np.add(block, bias[:, None, None], out=out[:, r0 : r0 + n])
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> Tensor:
@@ -412,12 +477,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
 
     A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
     is nine shifted products (the implicit-GEMM lowering): the input is
-    padded once into a flat buffer with row stride w+2, so each tap reads
-    the contiguous window starting at di(w+2)+dj, and two junk columns per
-    row are cropped.  The backward pass pads g the same way: dW for a tap
-    is g times that tap's input window transposed, and dx is the shifted
-    sum with the flipped, transposed taps.  dx is computed only for an
-    input that requires a gradient or is on the tape; otherwise it is None.
+    padded into a flat buffer with row stride w+2, so each tap reads the
+    contiguous window starting at di(w+2)+dj, and ``_shifted_gemm`` sums
+    the taps block by block into the output.  The closure keeps x, not the
+    padded copy.  The backward pass pads x and g again: for each block, dW
+    for a tap gains g times that tap's input window transposed, and dx is
+    the shifted sum with the flipped, transposed taps.  dx is computed only
+    for an input that requires a gradient or is a node of the open tape;
+    otherwise it is None.
     """
     if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
         raise ShapeError(f"conv2d: bad ranks x{x.shape} w{weight.shape} b{bias.shape}")
@@ -434,11 +501,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
     if pad is not None and pad != p:
         raise ShapeError(f"conv2d: pad must be (k-1)//2 = {p} to preserve size, got {pad}")
     _, h, w = x.shape
-    need_dx = x.requires_grad or x._on_tape
+    tape = active_tape()
+    need_dx = tape is not None and _route(x, tape) is not None
     if k == 1:
         w2 = weight.data.reshape(c_out, c_in)
         x2 = x.data.reshape(c_in, h * w)
-        product = (w2 @ x2).reshape(c_out, h, w)
+        out = (w2 @ x2).reshape(c_out, h, w)
+        out += bias.data[:, None, None]
 
         def bwd(g):
             g2 = g.reshape(c_out, h * w)
@@ -447,25 +516,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
 
     else:
         taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
-        xp = _pad_flat(x.data)
-        product = _shifted_gemm(taps, xp, h, w)[:, :, :w]
-        span = h * (w + 2)
+        out = np.empty((c_out, h, w), dtype=x.dtype)
+        _shifted_gemm(taps, _pad_flat(x.data), out, bias.data)
+        row = w + 2
 
         def bwd(g):
-            gp = _pad_flat(g)
-            g_rows = gp[:, w + 3 : w + 3 + span]  # g at row stride w+2, junk columns zero
-            dw = np.empty((c_out, c_in, 3, 3), dtype=g.dtype)
-            for di in range(3):
-                for dj in range(3):
-                    off = di * (w + 2) + dj
-                    dw[:, :, di, dj] = g_rows @ xp[:, off : off + span].T
+            xp, gp = _pad_flat(x.data), _pad_flat(g)
+            dtaps = np.empty((3, 3, c_out, c_in), dtype=g.dtype)
+            part = np.empty((c_out, c_in), dtype=g.dtype)
+            for r0, n in _row_blocks(h, w):
+                start = (r0 + 1) * row + 1
+                g_rows = gp[:, start : start + n * row]  # g at row stride w+2, junk columns zero
+                for di in range(3):
+                    for dj in range(3):
+                        off = (r0 + di) * row + dj
+                        window = xp[:, off : off + n * row].T
+                        if r0:
+                            np.matmul(g_rows, window, out=part)
+                            dtaps[di, dj] += part
+                        else:
+                            np.matmul(g_rows, window, out=dtaps[di, dj])
             dx = None
             if need_dx:
-                flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
-                dx = _shifted_gemm(flipped, gp, h, w)[:, :, :w]  # the tape copies what it keeps
-            return dx, dw, g.sum(axis=(1, 2))
+                dx = np.empty((c_in, h, w), dtype=g.dtype)
+                _shifted_gemm(np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2)), gp, dx)
+            return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
 
-    out = product + bias.data[:, None, None]
     n_flops = h * w * c_out * (2 * c_in * k * k) + h * w * c_out
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=n_flops)
 
@@ -491,10 +567,11 @@ def avg_pool2(x: Tensor) -> Tensor:
     cols = rows[:, :, 0 : 2 * w2 : 2] + rows[:, :, 1 : 2 * w2 : 2]
     out = cols[:, 0::2] + cols[:, 1::2]
     out *= out.dtype.type(0.25)
+    dtype = x.dtype
 
     def bwd(g):
         quarter = g * g.dtype.type(0.25)
-        dx = np.empty_like(x.data)
+        dx = np.empty((c, h, w), dtype)
         dx[:, 2 * h2 :] = 0
         dx[:, :, 2 * w2 :] = 0
         for i in (0, 1):
@@ -619,11 +696,12 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -
     true = labels[pos].astype(np.int64) - 1
     picked = ll[true, np.arange(n)]
     out = ((lse - picked).sum() / logits.data.dtype.type(n)).reshape(())
+    shape, dtype = logits.shape, logits.dtype
 
     def bwd(g):
         p = np.exp(ll - lse)
         p[true, np.arange(n)] -= 1
-        dl = np.zeros_like(logits.data)
+        dl = np.zeros(shape, dtype)
         dl[:, pos] = p * (g.reshape(()) / n)
         return (dl,)
 

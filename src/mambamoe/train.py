@@ -8,6 +8,7 @@ independent child streams of one seed sequence.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -59,6 +60,8 @@ class TrainConfig:
     sse_on: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 1 <= self.topk_infer <= 4:
             raise ValueError(f"topk_infer must be in [1, 4], got {self.topk_infer}")
         if self.samples_per_class < 1:

@@ -88,8 +88,28 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "profile"])
     @pytest.mark.parametrize(
         "body",
-        [b"channels = 7\n", b"state_dim = 0\n", b"epochs = 0\n", b"seed = 1 # \xff\n", b"repeats = 2\n"],
-        ids=["odd-channels", "zero-state-dim", "zero-epochs", "non-utf8", "repeats-is-no-key"],
+        [
+            b"channels = 7\n",
+            b"state_dim = 0\n",
+            b"epochs = 0\n",
+            b"seed = 1 # \xff\n",
+            b"repeats = 2\n",
+            b"lr = nan\n",
+            b"lr = inf\n",
+            b"lr = -1\n",
+            b"lr = 0\n",
+        ],
+        ids=[
+            "odd-channels",
+            "zero-state-dim",
+            "zero-epochs",
+            "non-utf8",
+            "repeats-is-no-key",
+            "nan-lr",
+            "inf-lr",
+            "negative-lr",
+            "zero-lr",
+        ],
     )
     def test_bad_config_exit_1_one_line(self, tmp_path, capsys, command, body):
         path = tmp_path / "bad.cfg"

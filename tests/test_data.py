@@ -122,6 +122,19 @@ class TestHscRoundTrip:
         with pytest.raises(HscError, match=f"{what} is not UTF-8"):
             load_hsc(path)
 
+    @pytest.mark.parametrize(
+        "value, shown", [(np.nan, "nan"), (-np.inf, "-inf"), (1e39, "inf")], ids=["nan", "-inf", "1e39"]
+    )
+    def test_non_finite_cube_refused_before_writing(self, tmp_path, value, shown):
+        # 1e39 is finite in float64 but overflows the float32 the file holds
+        scene = random_scene(np.random.default_rng(6), bands=3, h=4, w=5, k=2)
+        scene.cube = scene.cube.astype(np.float64)
+        scene.cube[2, 1, 3] = value
+        path = tmp_path / "nf.hsc"
+        with pytest.raises(HscError, match=f"non-finite value {shown} in band 2 at pixel \\(row 1, col 3\\)"):
+            save_hsc(scene, path)
+        assert not path.exists()
+
     def test_label_above_declared_classes_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         scene = random_scene(rng, bands=1, h=2, w=2, k=2)

@@ -1,5 +1,8 @@
 """Tensor engine: forward oracles, gradient checks, tape semantics."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -133,7 +136,8 @@ class TestConv2d:
                     out[o, i, j] = acc
         return out, dxp[:, p : p + h, p : p + wd], dw, g.sum(axis=(1, 2))
 
-    @pytest.mark.parametrize("h, w", [(4, 4), (3, 5), (1, 4)])
+    # the last map is three rows taller than one block of a 3x3 conv
+    @pytest.mark.parametrize("h, w", [(4, 4), (3, 5), (1, 4), (tt.CONV_BLOCK_PIXELS // 4 + 3, 2)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_nested_loop_oracle(self, k, h, w):
         rng = np.random.default_rng(4)
@@ -160,6 +164,23 @@ class TestConv2d:
             tt.conv2d(tt.scale(parameter(x), 1.0), parameter(wt), parameter(b))
             dx, _, _ = tape.ops[-1].backward(g)
         np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
+
+    def test_forward_holds_no_full_size_accumulator(self):
+        # (32, 128, 128) -> 48 channels in float32: the output is 3.1 MB and
+        # the padded input 2.2 MB; a full-size accumulator and its product
+        # buffer would add 3.2 MB each
+        rng = np.random.default_rng(6)
+        x = Tensor(rand(rng, 32, 128, 128, dtype=np.float32))
+        wt = Tensor(rand(rng, 48, 32, 3, 3, dtype=np.float32))
+        b = Tensor(rand(rng, 48, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = tt.conv2d(x, wt, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = 32 * (130 * 130 + 2) * 4
+        assert peak < out.data.nbytes + padded + 2**20
 
     def test_kernel_size_and_pad_contract(self):
         x = Tensor(np.ones((1, 4, 4)))
@@ -466,6 +487,110 @@ class TestBackward:
 
         rep = grad_check(fn, [x, w, b, gamma, beta], names=["x", "w", "b", "gamma", "beta"])
         assert rep.passed, rep.per_param
+
+
+def _recording(rule, seen):
+    """Wrap a backward rule so that each gradient it is given, and a copy
+    taken on entry, land in ``seen``."""
+
+    def run(g):
+        seen.append((g, g.copy()))
+        return rule(g)
+
+    return run
+
+
+class TestTapeMemory:
+    """The tape holds what the backward pass reads, and drops it once read."""
+
+    LABELS = np.array([[1, 2, 0, 3], [2, 2, 1, 0], [3, 1, 1, 2]])
+
+    # backward rules that read only their input's shape, each on an input of its rank
+    SHAPE_ONLY = {
+        "element": ((5,), lambda y: tt.element(y, 2)),
+        "sum_all": ((2, 3, 4), tt.sum_all),
+        "narrow": ((2, 3, 4), lambda y: tt.sum_all(tt.narrow(y, 1, 1, 2))),
+        "concat": ((2, 3, 4), lambda y: tt.sum_all(tt.concat([Tensor(np.ones((1, 3, 4))), y], axis=0))),
+        "spatial_mean": ((2, 3, 4), lambda y: tt.sum_all(tt.spatial_mean(y))),
+        "avg_pool2": ((2, 3, 4), lambda y: tt.sum_all(tt.avg_pool2(y))),
+        "masked_cross_entropy": (
+            (3, 3, 4),
+            lambda y: tt.masked_cross_entropy(y, TestTapeMemory.LABELS, np.ones((3, 4))),
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(SHAPE_ONLY))
+    def test_an_activation_no_closure_reads_dies_while_the_tape_lives(self, rule):
+        shape, fn = self.SHAPE_ONLY[rule]
+        rng = np.random.default_rng(18)
+        x = parameter(rand(rng, *shape))
+        with Tape() as tape:
+            y = tt.scale(x, 1.5)  # scale's own rule keeps only the factor
+            alive = weakref.ref(y.data)
+            loss = fn(y)
+            del y
+            assert alive() is None
+            tape.backward(loss)
+        analytic = x.grad.copy()
+        x.zero_grad()
+        rep = grad_check(lambda: fn(tt.scale(x, 1.5)), [x])
+        assert rep.max_rel_err < 1e-7
+        np.testing.assert_array_equal(x.grad, analytic)
+
+    def test_a_closure_held_array_is_freed_by_the_replay(self):
+        rng = np.random.default_rng(19)
+        x, q = parameter(rand(rng, 3, 4)), parameter(rand(rng, 3, 4))
+        with Tape() as tape:
+            y = tt.scale(x, 2.0)
+            alive = weakref.ref(y.data)
+            loss = tt.sum_all(tt.mul(y, q))
+            del y
+            assert alive() is not None  # mul's rule reads it
+            tape.backward(loss)
+            assert alive() is None
+        assert len(tape.ops) == 3
+        assert all(op.backward is None and op.routes == () for op in tape.ops)
+        np.testing.assert_array_equal(q.grad, 2.0 * x.data)
+
+    @pytest.mark.parametrize("graph", ["add-self", "diamond"])
+    def test_shared_gradients_match_finite_differences_and_stay_unwritten(self, graph):
+        rng = np.random.default_rng(20)
+        x = parameter(rand(rng, 3, 4))
+        probe = Tensor(rand(rng, 3, 4))
+
+        def fn():
+            y = tt.scale(x, 0.7)  # a node: its gradients meet in the replay, not in x.grad
+            if graph == "add-self":
+                z = tt.add(y, y)
+            else:
+                z = tt.add(tt.scale(y, 2.0), tt.mul(y, y))
+            return tt.sum_all(tt.mul(z, probe))
+
+        assert grad_check(fn, [x]).max_rel_err < 1e-8
+        seen: list = []
+        with Tape() as tape:
+            loss = fn()
+            for op in tape.ops:
+                op.backward = _recording(op.backward, seen)
+            tape.backward(loss)
+        assert len(seen) == len(tape.ops)
+        for g, on_entry in seen:
+            assert g.tobytes() == on_entry.tobytes()
+
+    def test_a_tensor_from_an_earlier_tape_enters_as_a_constant(self):
+        rng = np.random.default_rng(21)
+        x = parameter(rand(rng, 2, 3, 3))
+        with Tape():
+            y = tt.scale(x, 2.0)  # op 0 of that tape
+        wt, b = parameter(rand(rng, 3, 2, 3, 3)), parameter(rand(rng, 3))
+        with Tape() as tape:
+            out = tt.conv2d(y, wt, b)  # op 0 of this tape
+            assert tape.ops[0].routes[0] is None
+            dx, _, _ = tape.ops[0].backward(np.ones(out.shape))
+            assert dx is None
+            tape.backward(tt.sum_all(out))
+        assert not x.grad.any()
+        assert b.grad.tolist() == [9.0, 9.0, 9.0]
 
 
 class TestGradCheckContract:
