@@ -145,11 +145,14 @@ def _palette_for(cfg: RunConfig, scene: dataio.HsiScene):
 
 
 def _parse_topk(raw: str) -> list[int]:
-    if ".." in raw:
-        lo, _, hi = raw.partition("..")
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(raw)]
+    """``k`` or a sweep ``lo..hi``, each k in [1, 4]."""
+    lo, sweep, hi = raw.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1)) if sweep else [int(raw)]
+    except ValueError as exc:
+        raise ConfigError(f"topk must be k or lo..hi, got {raw!r}") from exc
+    if not ks:
+        raise ConfigError(f"topk sweep {raw!r} is empty")
     for k in ks:
         if not 1 <= k <= 4:
             raise ConfigError(f"topk must be in [1, 4], got {k}")
@@ -183,26 +186,30 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
+def cmd_eval(cfg: RunConfig, out_dir: Path, topks: list[int]) -> int:
     scene = _load_scene(cfg)
     params, meta = _load_model(cfg, scene)
     seed = meta.get("seed", cfg.train.seed)
     n = meta.get("samples_per_class", cfg.train.samples_per_class)
+    # the split is re-derived from these; bools are ints to Python, not to the split
+    if type(seed) is not int or seed < 0:
+        raise CheckpointError(f"{cfg.checkpoint}: meta seed {seed!r} is not a non-negative int")
+    if type(n) is not int or n < 1:
+        raise CheckpointError(f"{cfg.checkpoint}: meta samples_per_class {n!r} is not an int of at least 1")
     ss_split = np.random.SeedSequence(seed).spawn(3)[1]
     _, test_mask = training.split_per_class(scene.labels.astype(np.int64), n, ss_split)
     spec = params.spec
     print(f"split: seed={seed} samples_per_class={n}; momeb_on={spec.momeb_on} sre_on={spec.sre_on} sse_on={spec.sse_on}")
-    for k in _parse_topk(topk_raw):
+    for k in topks:
         m = training.evaluate(params, scene, test_mask, topk=k)
         print(f"topk={k}  OA {100 * m.oa:6.2f}  AA {100 * m.aa:6.2f}  kappa {100 * m.kappa:6.2f}")
     return 0
 
 
-def cmd_predict(cfg: RunConfig, out_dir: Path, topk_raw: str) -> int:
+def cmd_predict(cfg: RunConfig, out_dir: Path, k: int) -> int:
     scene = _load_scene(cfg)
     params, _ = _load_model(cfg, scene)
     palette = _palette_for(cfg, scene)
-    k = _parse_topk(topk_raw)[0]
     pred = training.predict_labels(params, scene, topk=k)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "prediction.ppm"
@@ -280,21 +287,23 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         overrides = {}
+        topks = _parse_topk(args.topk) if args.topk is not None else None
         if args.seed is not None:
             overrides["seed"] = args.seed
             if args.command == "synth":
                 overrides["synth_seed"] = args.seed
-        if args.topk is not None and args.command not in ("eval", "predict"):
-            overrides["topk_infer"] = _parse_topk(args.topk)[0]
+        if topks is not None and args.command not in ("eval", "predict"):
+            overrides["topk_infer"] = topks[0]
         cfg = parse_config(args.config, **overrides)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        topks = topks or [cfg.train.topk_infer]
 
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         if args.command == "eval":
-            return cmd_eval(cfg, out_dir, args.topk or str(cfg.train.topk_infer))
+            return cmd_eval(cfg, out_dir, topks)
         if args.command == "predict":
-            return cmd_predict(cfg, out_dir, args.topk or str(cfg.train.topk_infer))
+            return cmd_predict(cfg, out_dir, topks[0])
         if args.command == "inspect":
             return cmd_inspect(cfg)
         if args.command == "gradcheck":

@@ -17,6 +17,7 @@ from .moe import MoMebParams, dssem_forward, momeb_forward, route
 from .network import (
     HeadParams,
     NetSpec,
+    NetworkParams,
     ResBlockParams,
     classify_head,
     ffb,
@@ -24,7 +25,7 @@ from .network import (
     init_network_params,
     total_loss,
 )
-from .scan import SPATIAL_DIRECTIONS, spatial_expert_forward, spectral_bidirectional, ssm_recurrence
+from .scan import SPATIAL_DIRECTIONS, ScanDirection, spatial_expert_forward, spectral_bidirectional
 from .tensor import GradCheckReport, Tensor, grad_check, parameter
 
 F64 = np.float64
@@ -32,10 +33,15 @@ THRESHOLD = 1e-4
 TOTAL_LOSS_THRESHOLD = 1e-3
 
 
+def _network(rng: np.random.Generator, channels: int, state_dim: int) -> NetworkParams:
+    """A float64 network of one band: spatial experts of width channels / 2,
+    spectral experts of width 1."""
+    return init_network_params(NetSpec(bands=1, channels=channels, state_dim=state_dim, n_class=1), rng, F64)
+
+
 def _block(rng: np.random.Generator, channels: int, state_dim: int) -> MoMebParams:
-    """The first expert block of a float64 network: spatial experts of
-    width channels / 2, spectral experts of width 1."""
-    return init_network_params(NetSpec(bands=1, channels=channels, state_dim=state_dim, n_class=1), rng, F64).momeb[0]
+    """The first expert block of ``_network``."""
+    return _network(rng, channels, state_dim).momeb[0]
 
 
 def _probed(rng: np.random.Generator, fn: Callable[[], Tensor], params: list[Tensor], shape) -> GradCheckReport:
@@ -78,7 +84,7 @@ def _relu(rng: np.random.Generator) -> GradCheckReport:
 
 
 def _ssm_scan(rng: np.random.Generator) -> GradCheckReport:
-    # the full flatten -> recurrence -> unflatten path
+    # a column-major layout: the map read as tokens, scanned, put back
     p = _block(rng, channels=4, state_dim=3).spatial[0]
     xs = parameter(rng.normal(size=(2, 4, 4)), dtype=F64)
     fn = lambda: spatial_expert_forward(p, xs, SPATIAL_DIRECTIONS[2])
@@ -87,9 +93,12 @@ def _ssm_scan(rng: np.random.Generator) -> GradCheckReport:
 
 def _ssm_scan_long(rng: np.random.Generator) -> GradCheckReport:
     # long enough for the chunked kernel: T = 67 is 8 chunks of 9, the last padded
+    # on a one-row map, which TL_BR reads as it lies
     p = _block(rng, channels=4, state_dim=3).spatial[0]
-    seq = parameter(rng.normal(size=(67, 2)), dtype=F64)
-    return _probed(rng, lambda: ssm_recurrence(p, seq), [p.a_log, p.b_bar, p.c_out, seq], (67, 2))
+    row = parameter(rng.normal(size=(67, 2)).T[:, None], dtype=F64)
+    probe = Tensor(rng.normal(size=(67, 2)).T[:, None], dtype=F64)
+    fn = lambda: tt.sum_all(tt.mul(spatial_expert_forward(p, row, ScanDirection.TL_BR), probe))
+    return grad_check(fn, [p.a_log, p.b_bar, p.c_out, row])
 
 
 def _spectral(rng: np.random.Generator) -> GradCheckReport:
@@ -109,9 +118,10 @@ def _router(rng: np.random.Generator) -> GradCheckReport:
 
 def _block_check(rng: np.random.Generator, forward) -> GradCheckReport:
     # every block tensor: those ``forward`` does not use must get zero gradients
-    block = _block(rng, channels=4, state_dim=3)
+    net = _network(rng, channels=4, state_dim=3)
+    block = net.momeb[0]
     xb = parameter(rng.normal(size=(4, 4, 4)), dtype=F64)
-    params = [t for _, t in block.named("blk")] + [xb]
+    params = [t for name, t in net.named_params() if name.startswith("momeb1.")] + [xb]
     return _probed(rng, lambda: forward(block, xb), params, (4, 4, 4))
 
 
@@ -125,8 +135,8 @@ def _ffb(rng: np.random.Generator) -> GradCheckReport:
     )
     m_i = parameter(rng.normal(size=(3, 4, 4)), dtype=F64)
     l_next = parameter(rng.normal(size=(3, 2, 2)), dtype=F64)
-    res_params = [t for _, t in res.named("res")]
-    return _probed(rng, lambda: ffb(res, m_i, l_next), res_params + [m_i, l_next], (3, 4, 4))
+    params = [res.conv1_w, res.conv1_b, res.conv2_w, res.conv2_b, m_i, l_next]
+    return _probed(rng, lambda: ffb(res, m_i, l_next), params, (3, 4, 4))
 
 
 def _head(rng: np.random.Generator) -> GradCheckReport:

@@ -47,14 +47,6 @@ class RouterParams:
     def in_dim(self) -> int:
         return self.w1.shape[1]
 
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.b2", self.b2),
-        ]
-
 
 @dataclass
 class MoMebParams:
@@ -78,30 +70,6 @@ class MoMebParams:
     @property
     def channels(self) -> int:
         return self.ln1_gamma.shape[0]
-
-    def named(self, prefix: str):
-        items = [
-            (f"{prefix}.ln1.gamma", self.ln1_gamma),
-            (f"{prefix}.ln1.beta", self.ln1_beta),
-            (f"{prefix}.ln2.gamma", self.ln2_gamma),
-            (f"{prefix}.ln2.beta", self.ln2_beta),
-        ]
-        for j, expert in enumerate(self.spatial):
-            items.extend(expert.named(f"{prefix}.spatial{j}"))
-        items.extend(self.spectral_fwd.named(f"{prefix}.spectral_fwd"))
-        items.extend(self.spectral_bwd.named(f"{prefix}.spectral_bwd"))
-        items.extend(self.router.named(f"{prefix}.router"))
-        items.extend(
-            [
-                (f"{prefix}.fuse.w", self.fuse_w),
-                (f"{prefix}.fuse.b", self.fuse_b),
-                (f"{prefix}.mlp1.w", self.mlp_w1),
-                (f"{prefix}.mlp1.b", self.mlp_b1),
-                (f"{prefix}.mlp2.w", self.mlp_w2),
-                (f"{prefix}.mlp2.b", self.mlp_b2),
-            ]
-        )
-        return items
 
 
 def route(router: RouterParams, x_spa: Tensor) -> Tensor:

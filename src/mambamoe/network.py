@@ -69,16 +69,6 @@ class StemParams:
     conv3_w: Tensor
     conv3_b: Tensor
 
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.conv1.w", self.conv1_w),
-            (f"{prefix}.conv1.b", self.conv1_b),
-            (f"{prefix}.conv2.w", self.conv2_w),
-            (f"{prefix}.conv2.b", self.conv2_b),
-            (f"{prefix}.conv3.w", self.conv3_w),
-            (f"{prefix}.conv3.b", self.conv3_b),
-        ]
-
 
 @dataclass
 class ResBlockParams:
@@ -87,22 +77,11 @@ class ResBlockParams:
     conv2_w: Tensor
     conv2_b: Tensor
 
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.conv1.w", self.conv1_w),
-            (f"{prefix}.conv1.b", self.conv1_b),
-            (f"{prefix}.conv2.w", self.conv2_w),
-            (f"{prefix}.conv2.b", self.conv2_b),
-        ]
-
 
 @dataclass
 class HeadParams:
     w: Tensor  # (K, C, 1, 1)
     b: Tensor  # (K,)
-
-    def named(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 @dataclass
@@ -112,15 +91,10 @@ class NetworkParams:
     momeb: tuple[MoMebParams, MoMebParams, MoMebParams]
     ffb: tuple[ResBlockParams, ResBlockParams, ResBlockParams]
     head: HeadParams
+    named: list[tuple[str, Tensor]] = field(repr=False)  # every parameter as built, checkpoint order
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        items = self.stem.named("stem")
-        for i, block in enumerate(self.momeb, start=1):
-            items.extend(block.named(f"momeb{i}"))
-        for i, res in enumerate(self.ffb, start=1):
-            items.extend(res.named(f"ffb{i}.res"))
-        items.extend(self.head.named("head"))
-        return items
+        return list(self.named)
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
@@ -133,14 +107,18 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
     """Construct the parameter tree, pulling every array from ``alloc``.
 
     The same builder serves random initialization and checkpoint loading,
-    so the parameter layout cannot drift between the two.
+    so the parameter layout cannot drift between the two.  Each tensor is
+    recorded under its name as it is allocated.
     """
+    named: list[tuple[str, Tensor]] = []
 
     def p(name, shape):
         arr = alloc(name, shape)
         if arr.shape != shape:
             raise CheckpointError(f"{name}: expected shape {shape}, got {arr.shape}")
-        return parameter(arr, dtype=dtype)
+        t = parameter(arr, dtype=dtype)
+        named.append((name, t))
+        return t
 
     c, d, k_cls, bands = spec.channels, spec.state_dim, spec.n_class, spec.bands
     half = c // 2
@@ -199,6 +177,7 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
         momeb=tuple(momeb(f"momeb{i}") for i in (1, 2, 3)),
         ffb=tuple(res(f"ffb{i}.res") for i in (1, 2, 3)),
         head=HeadParams(p("head.w", (k_cls, c, 1, 1)), p("head.b", (k_cls,))),
+        named=named,
     )
 
 

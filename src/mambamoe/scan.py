@@ -1,15 +1,18 @@
 """Directional sequence construction and the shared linear state-space scan.
 
-Spatial feature maps are flattened along one of four frozen scan orders,
-pushed through the recurrence
+A spatial expert reads its (E, h, w) feature map as h*w tokens in one of
+four frozen visit orders, pushes them through the recurrence
 
     h_t = lam ⊙ h_{t-1} + B_bar f_t,    y_t = C_out h_t + f_t,    h_0 = 0,
 
-and folded back onto the grid.  The state transition is diagonal, as in
-S4D and Mamba: state d decays by lam_d = exp(-exp(a_log_d)), which lies in
-[0, 1] for every a_log, so a scan of bounded inputs stays bounded however
-long it runs.  A scan over T tokens of width E with D states costs
-T (2D + 4DE + E) FLOPs.
+and puts the outputs back on the grid, all in one tape op
+(``spatial_expert_forward``).  The four orders are two strided layouts of
+the map, each read forwards or backwards: row-major is a reshape, and
+column-major with the columns taken right to left is a column flip plus a
+transpose.  The state transition is diagonal, as in S4D and Mamba: state
+d decays by lam_d = exp(-exp(a_log_d)), which lies in [0, 1] for every
+a_log, so a scan of bounded inputs stays bounded however long it runs.  A
+scan over T tokens of width E with D states costs T (2D + 4DE + E) FLOPs.
 
 Spectral experts apply the same map along the band axis with scalar
 tokens (E = 1), sharing one parameter set across the scene.  With scalar
@@ -18,12 +21,12 @@ k_j = sum_d c_d b_d lam_d^j, one Vandermonde product, so the two spectral
 directions together are one (T, T) Toeplitz matrix applied to all pixels
 in one product; they never run the recurrence step by step.
 
-One in-place kernel, ``_linear_scan``, carries every pass of the spatial
-``ssm_recurrence`` through time: the states in the forward pass and the
-adjoint (the same scan over the reversed stack) in the backward pass.  It
-cuts the h*w tokens into chunks of about sqrt(T) steps, so a scan takes
-about 2 sqrt(T) Python-level steps.  Everything outside the recurrence is
-one product over all steps.
+One in-place kernel, ``_linear_scan``, carries every pass of a spatial
+expert through time: the states in the forward pass and the adjoint (the
+same scan over the reversed stack) in the backward pass.  It cuts the h*w
+tokens into chunks of about sqrt(T) steps, so a scan takes about
+2 sqrt(T) Python-level steps.  Everything outside the recurrence is one
+product over all steps.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,48 +66,26 @@ class ScanDirection(Enum):
 SPATIAL_DIRECTIONS = tuple(ScanDirection)
 
 
-@lru_cache(maxsize=None)
-def scan_order(direction: ScanDirection, h: int, w: int) -> np.ndarray:
-    """Flat row-major grid indices in visit order; a bijection on h*w."""
-    if direction is ScanDirection.TL_BR:
-        return np.arange(h * w, dtype=np.int64)
-    if direction is ScanDirection.BR_TL:
-        return np.arange(h * w, dtype=np.int64)[::-1].copy()
-    if direction is ScanDirection.TR_BL:
-        cols = np.arange(w - 1, -1, -1, dtype=np.int64)
-        return (np.arange(h, dtype=np.int64)[None, :] * w + cols[:, None]).reshape(-1)
-    return scan_order(ScanDirection.TR_BL, h, w)[::-1].copy()
+def _visit(x: np.ndarray, direction: ScanDirection) -> np.ndarray:
+    """View of an (E, h, w) map as (rows, cols, E) in ``direction``'s visit
+    order: row-major for TL_BR, columns right to left for TR_BL, and both
+    read backwards for BR_TL and BL_TR."""
+    v = x.transpose(1, 2, 0) if direction.orientation == "horizontal" else x[:, :, ::-1].transpose(2, 1, 0)
+    return v[::-1, ::-1] if direction in (ScanDirection.BR_TL, ScanDirection.BL_TR) else v
 
 
-def flatten_spatial(x: Tensor, direction: ScanDirection) -> Tensor:
-    """Reorder a (E,h,w) map into a (h*w, E) token sequence."""
-    if x.ndim != 3:
-        raise ShapeError(f"flatten_spatial: expects (E,h,w), got {x.shape}")
+def _tokens(x: np.ndarray, direction: ScanDirection) -> np.ndarray:
+    """The (E, h, w) map as contiguous (h*w, E) tokens in visit order."""
     e, h, w = x.shape
-    order = scan_order(direction, h, w)
-    out = np.ascontiguousarray(x.data.reshape(e, h * w)[:, order].T)
-
-    def bwd(g):
-        dflat = np.empty((e, h * w), dtype=g.dtype)
-        dflat[:, order] = g.T
-        return (dflat.reshape(e, h, w),)
-
-    return custom_op("flatten_spatial", (x,), out, bwd)
+    return np.ascontiguousarray(_visit(x, direction)).reshape(h * w, e)
 
 
-def unflatten_spatial(seq: Tensor, direction: ScanDirection, h: int, w: int) -> Tensor:
-    """Exact inverse of flatten_spatial."""
-    if seq.ndim != 2 or seq.shape[0] != h * w:
-        raise ShapeError(f"unflatten_spatial: sequence {seq.shape} does not cover a {h}x{w} grid")
-    t, e = seq.shape
-    order = scan_order(direction, h, w)
-    flat = np.empty((e, h * w), dtype=seq.data.dtype)
-    flat[:, order] = seq.data.T
-
-    def bwd(g):
-        return (np.ascontiguousarray(g.reshape(e, h * w)[:, order].T),)
-
-    return custom_op("unflatten_spatial", (seq,), flat.reshape(e, h, w), bwd)
+def _grid(seq: np.ndarray, direction: ScanDirection, h: int, w: int) -> np.ndarray:
+    """Inverse of ``_tokens``: (h*w, E) tokens back onto an (E, h, w) grid."""
+    out = np.empty((seq.shape[1], h, w), dtype=seq.dtype)
+    view = _visit(out, direction)
+    view[...] = seq.reshape(view.shape)
+    return out
 
 
 @dataclass
@@ -149,9 +129,6 @@ class SsmParams:
         """Per-state decay lam = exp(-exp(a_log)), in [0, 1]."""
         return np.exp(-np.exp(self.a_log.data))
 
-    def named(self, prefix: str):
-        return [(f"{prefix}.a_log", self.a_log), (f"{prefix}.b_bar", self.b_bar), (f"{prefix}.c_out", self.c_out)]
-
 
 def _decay_slope(a_log: np.ndarray) -> np.ndarray:
     """d lam / d a_log = -exp(a_log) lam, as one exponential: a huge a_log
@@ -194,53 +171,46 @@ def _linear_scan(lam: np.ndarray, u: np.ndarray) -> None:
     u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
 
 
-def ssm_recurrence(params: SsmParams, seq: Tensor) -> Tensor:
-    """Run the linear recurrence over a (T, E) token sequence.
+def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
+    """Run the recurrence over an (E, h, w) map read in ``direction``'s
+    visit order, and put the outputs back on the grid; one tape op.
 
     Only the state recurrence runs through time, in ``_linear_scan``: the
     forward pass scans B_bar f into the states, and the backward pass scans
     the reversed C_out^T g into the adjoint dh with the same decay.  Every
     other term (B_bar f, C_out h + f, and the gradients of a_log, B_bar,
-    C_out and the sequence) is one product over all steps.  This is the
-    same maths as the step-by-step loop; the chunked order of the sums
-    rounds differently, by about 1e-6 relative in float32.
+    C_out and the map) is one product over all steps.  This is the same
+    maths as the step-by-step loop; the chunked order of the sums rounds
+    differently, by about 1e-6 relative in float32.
     """
-    if seq.ndim != 2:
-        raise ShapeError(f"ssm_recurrence: sequence must be (T,E), got {seq.shape}")
-    if seq.shape[1] != params.embed_dim:
-        raise ShapeError(f"ssm_recurrence: token width {seq.shape[1]} != params embed dim {params.embed_dim}")
-    if seq.dtype != params.a_log.dtype:
-        raise ShapeError("ssm_recurrence: sequence/parameter dtypes must match")
+    if x.ndim != 3:
+        raise ShapeError(f"spatial_expert_forward: map must be (E,h,w), got {x.shape}")
+    if x.shape[0] != params.embed_dim:
+        raise ShapeError(f"spatial_expert_forward: token width {x.shape[0]} != params embed dim {params.embed_dim}")
+    if x.dtype != params.a_log.dtype:
+        raise ShapeError("spatial_expert_forward: map/parameter dtypes must match")
     a_log, b, c = params.a_log, params.b_bar, params.c_out
     lam = params.decay
-    f = seq.data
-    t_len, e = f.shape
+    e, h, w = x.shape
     d = params.state_dim
 
+    f = _tokens(x.data, direction)
     states = f @ b.data.T
     _linear_scan(lam, states)
     out = states @ c.data.T
     out += f
 
-    def bwd(g):
+    def bwd(g_grid):
+        g = _tokens(g_grid, direction)
         dh = g @ c.data
         _linear_scan(lam, dh[::-1])
         df = dh @ b.data
         df += g
         d_lam = (dh[1:] * states[:-1]).sum(axis=0)
-        return d_lam * _decay_slope(a_log.data), dh.T @ f, g.T @ states, df
+        return d_lam * _decay_slope(a_log.data), dh.T @ f, g.T @ states, _grid(df, direction, h, w)
 
-    n_flops = t_len * (2 * d + 4 * d * e + e)
-    return custom_op("ssm_recurrence", (a_log, b, c, seq), out, bwd, flops=n_flops)
-
-
-def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
-    """Flatten along the expert's scan order, run the SSM, fold back."""
-    if x.ndim != 3 or x.shape[0] != params.embed_dim:
-        raise ShapeError(f"spatial_expert_forward: input {x.shape} incompatible with token width {params.embed_dim}")
-    _, h, w = x.shape
-    seq = flatten_spatial(x, direction)
-    return unflatten_spatial(ssm_recurrence(params, seq), direction, h, w)
+    n_flops = h * w * (2 * d + 4 * d * e + e)
+    return custom_op("spatial_expert_forward", (a_log, b, c, x), _grid(out, direction, h, w), bwd, flops=n_flops)
 
 
 def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:

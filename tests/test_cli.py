@@ -119,12 +119,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["profile", "--classes", "0"], ["profile", "--input", "0x13x13"], ["train", "--seed", "-1"]],
-        ids=["zero-classes", "zero-bands", "negative-seed"],
+        [
+            ["profile", "--classes", "0"],
+            ["profile", "--input", "0x13x13"],
+            ["train", "--seed", "-1"],
+            ["train", "--topk", "x"],
+            ["train", "--topk", "3.."],
+            ["predict", "--topk", "4..1"],
+            ["eval", "--topk", "4..1"],
+        ],
+        ids=[
+            "zero-classes",
+            "zero-bands",
+            "negative-seed",
+            "topk-not-int",
+            "topk-open-sweep",
+            "predict-empty-sweep",
+            "eval-empty-sweep",
+        ],
     )
     def test_bad_flag_exit_1_one_line(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-        one_error_line(capsys, "config")
+        line = one_error_line(capsys, "config")
+        assert "--topk" not in argv or "topk" in line
 
     def test_non_utf8_class_name_exit_2_one_line(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.hsc"
@@ -264,6 +281,23 @@ class TestTrainEvalPredictPipeline:
         cfg = write_cfg(tmp_path, name="str.cfg", checkpoint=str(edited))
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "sre_on" in one_error_line(capsys, "data")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "x"), ("seed", 1.5), ("seed", -3), ("seed", True)]
+        + [("samples_per_class", "7"), ("samples_per_class", 0), ("samples_per_class", True)],
+    )
+    def test_bad_split_meta_exit_2_one_line(self, trained, capsys, key, value):
+        tmp_path, _, out = trained
+        blob = (out / "checkpoint.mmoe").read_bytes()
+        meta_line, rest = blob[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
+        meta = json.loads(meta_line)
+        meta[key] = value
+        edited = tmp_path / "split_meta.mmoe"
+        edited.write_bytes(CHECKPOINT_MAGIC + json.dumps(meta).encode() + b"\n" + rest)
+        cfg = write_cfg(tmp_path, name="split.cfg", checkpoint=str(edited))
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert key in one_error_line(capsys, "data")
 
     def test_version_1_checkpoint_exit_2_one_line(self, trained, capsys, write_v1_checkpoint):
         tmp_path, _, out = trained

@@ -25,10 +25,15 @@ from mambamoe.tensor import Tensor, grad_check, parameter
 F64 = np.float64
 
 
-def make_block(channels=4, state=3, seed=0, dtype=F64):
-    """The first expert block of a network; ``seed`` may be a Generator."""
+def make_network(channels=4, state=3, seed=0, dtype=F64):
+    """A one-band network; ``seed`` may be a Generator."""
     spec = NetSpec(bands=1, channels=channels, state_dim=state, n_class=1)
-    return init_network_params(spec, np.random.default_rng(seed), dtype=dtype).momeb[0]
+    return init_network_params(spec, np.random.default_rng(seed), dtype=dtype)
+
+
+def make_block(channels=4, state=3, seed=0, dtype=F64):
+    """The first expert block of ``make_network``."""
+    return make_network(channels, state, seed, dtype).momeb[0]
 
 
 def make_router(channels_half, rng):
@@ -248,7 +253,8 @@ class TestMomebForward:
         assert out.shape == (c, h, w)
 
     def test_matches_composed_oracle_and_gradient(self):
-        block = make_block(channels=4, state=3, seed=18)
+        net = make_network(channels=4, state=3, seed=18)
+        block = net.momeb[0]
         rng = np.random.default_rng(19)
         x = parameter(rng.normal(size=(4, 4, 4)))
         out = momeb_forward(block, x).data
@@ -262,6 +268,6 @@ class TestMomebForward:
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
         probe = Tensor(rng.normal(size=(4, 4, 4)))
-        tensors = [t for _, t in block.named("b")]
+        tensors = [t for name, t in net.named_params() if name.startswith("momeb1.")]
         rep = grad_check(lambda: tt.sum_all(tt.mul(momeb_forward(block, x), probe)), tensors + [x])
         assert rep.max_rel_err < 1e-4, rep.per_param

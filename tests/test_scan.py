@@ -10,15 +10,13 @@ from mambamoe.network import NetSpec, init_network_params
 from mambamoe.scan import (
     SPATIAL_DIRECTIONS,
     _chunk_length,
+    _grid,
     _linear_scan,
+    _tokens,
     ScanDirection,
     SsmParams,
-    flatten_spatial,
-    scan_order,
     spatial_expert_forward,
     spectral_bidirectional,
-    ssm_recurrence,
-    unflatten_spatial,
 )
 from mambamoe.tensor import ShapeError, Tensor, grad_check, parameter
 
@@ -29,6 +27,28 @@ def make_expert(state_dim, embed_dim, rng, dtype=F64):
     """A first-block spatial expert of a network whose spatial half is embed_dim wide."""
     spec = NetSpec(bands=1, channels=2 * embed_dim, state_dim=state_dim, n_class=1)
     return init_network_params(spec, rng, dtype).momeb[0].spatial[0]
+
+
+def gather_order(direction, h, w):
+    """Flat row-major grid indices in visit order, built as an index
+    permutation: the oracle for the strided layouts of ``_tokens``."""
+    if direction is ScanDirection.TL_BR:
+        return np.arange(h * w)
+    if direction is ScanDirection.BR_TL:
+        return np.arange(h * w)[::-1]
+    if direction is ScanDirection.TR_BL:
+        return (np.arange(h)[None, :] * w + np.arange(w - 1, -1, -1)[:, None]).reshape(-1)
+    return gather_order(ScanDirection.TR_BL, h, w)[::-1]
+
+
+def row_map(seq):
+    """A (T, E) sequence as the (E, 1, T) one-row map that TL_BR reads as it lies."""
+    return np.ascontiguousarray(seq.T[:, None])
+
+
+def recurrence(p, seq):
+    """The expert's (T, E) output sequence for a (T, E) input sequence."""
+    return spatial_expert_forward(p, Tensor(row_map(seq), dtype=seq.dtype), ScanDirection.TL_BR).data[:, 0].T
 
 
 def dense(p):
@@ -81,14 +101,15 @@ def loop_reference_grads(a, b, c, f, g):
 
 
 def scan_with_grads(p, seq, probe):
-    """Output of ssm_recurrence and the gradients of sum(probe * output)."""
-    x = parameter(seq)
+    """``recurrence`` and the gradients of sum(probe * output), the
+    sequence's as (T, E)."""
+    x = parameter(row_map(seq))
     for t in (p.a_log, p.b_bar, p.c_out):
         t.zero_grad()
     with tt.Tape() as tape:
-        y = ssm_recurrence(p, x)
-        tape.backward(tt.sum_all(tt.mul(y, Tensor(probe))))
-    return y.data, (p.a_log.grad, p.b_bar.grad, p.c_out.grad, x.grad)
+        y = spatial_expert_forward(p, x, ScanDirection.TL_BR)
+        tape.backward(tt.sum_all(tt.mul(y, Tensor(row_map(probe)))))
+    return y.data[:, 0].T, (p.a_log.grad, p.b_bar.grad, p.c_out.grad, x.grad[:, 0].T)
 
 
 def rel_err(x, ref):
@@ -98,9 +119,9 @@ def rel_err(x, ref):
 
 class TestScanOrders:
     def test_2x2_orders(self):
-        # grid [[a,b],[c,d]] flattened per direction; the column-major pair
+        # grid [[a,b],[c,d]] read per direction; the column-major pair
         # (TR_BL/BL_TR) is what makes those experts sweep vertically
-        grid = Tensor(np.arange(4.0).reshape(1, 2, 2))
+        grid = np.arange(4.0).reshape(1, 2, 2)
         expect = {
             ScanDirection.TL_BR: [0, 1, 2, 3],  # a b c d
             ScanDirection.BR_TL: [3, 2, 1, 0],  # d c b a
@@ -108,7 +129,7 @@ class TestScanOrders:
             ScanDirection.BL_TR: [2, 0, 3, 1],  # c a d b
         }
         for direction, order in expect.items():
-            assert flatten_spatial(grid, direction).data[:, 0].tolist() == order
+            assert _tokens(grid, direction)[:, 0].tolist() == order
 
     def test_corner_semantics(self):
         h, w = 5, 7
@@ -118,43 +139,47 @@ class TestScanOrders:
             ScanDirection.TR_BL: (w - 1, (h - 1) * w),
             ScanDirection.BL_TR: ((h - 1) * w, w - 1),
         }
+        cells = np.arange(float(h * w)).reshape(1, h, w)
         for direction, (first, last) in corners.items():
-            order = scan_order(direction, h, w)
+            order = _tokens(cells, direction)[:, 0]
             assert (order[0], order[-1]) == (first, last)
 
     def test_reversal_pairs(self):
         for h, w in [(3, 4), (5, 5), (1, 6)]:
-            np.testing.assert_array_equal(
-                scan_order(ScanDirection.BR_TL, h, w), scan_order(ScanDirection.TL_BR, h, w)[::-1]
-            )
-            np.testing.assert_array_equal(
-                scan_order(ScanDirection.BL_TR, h, w), scan_order(ScanDirection.TR_BL, h, w)[::-1]
-            )
+            x = np.random.default_rng(h * w).normal(size=(2, h, w))
+            np.testing.assert_array_equal(_tokens(x, ScanDirection.BR_TL), _tokens(x, ScanDirection.TL_BR)[::-1])
+            np.testing.assert_array_equal(_tokens(x, ScanDirection.BL_TR), _tokens(x, ScanDirection.TR_BL)[::-1])
 
     def test_orders_are_bijections(self):
+        cells = np.arange(30.0).reshape(1, 6, 5)
         for direction in SPATIAL_DIRECTIONS:
-            order = scan_order(direction, 6, 5)
-            assert sorted(order.tolist()) == list(range(30))
+            assert sorted(_tokens(cells, direction)[:, 0].tolist()) == list(range(30))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_layouts_match_the_gather_oracle(self, seed, h, w):
+        x = np.random.default_rng(seed).normal(size=(3, h, w))
+        for direction in SPATIAL_DIRECTIONS:
+            seq = _tokens(x, direction)
+            assert seq.flags.c_contiguous and seq.shape == (h * w, 3)
+            assert seq.tobytes() == x.reshape(3, h * w)[:, gather_order(direction, h, w)].T.copy().tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_bit_exact(self, seed, h, w):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(3, h, w)))
+        x = np.random.default_rng(seed).normal(size=(3, h, w))
         for direction in SPATIAL_DIRECTIONS:
-            seq = flatten_spatial(x, direction)
-            back = unflatten_spatial(seq, direction, h, w)
-            assert back.data.tobytes() == x.data.tobytes()
+            assert _grid(_tokens(x, direction), direction, h, w).tobytes() == x.tobytes()
 
     def test_unflatten_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            unflatten_spatial(Tensor(np.ones((5, 2))), ScanDirection.TL_BR, 2, 3)
+        # five tokens do not cover a 2x3 grid: refused, not laid out in part
+        with pytest.raises(ValueError):
+            _grid(np.ones((5, 2)), ScanDirection.TL_BR, 2, 3)
 
     def test_constant_sequence_gives_constant_grid(self):
-        seq = Tensor(np.full((12, 2), 3.25))
+        seq = np.full((12, 2), 3.25)
         for direction in SPATIAL_DIRECTIONS:
-            out = unflatten_spatial(seq, direction, 3, 4)
-            np.testing.assert_array_equal(out.data, np.full((2, 3, 4), 3.25))
+            np.testing.assert_array_equal(_grid(seq, direction, 3, 4), np.full((2, 3, 4), 3.25))
 
 
 class TestRecurrence:
@@ -163,7 +188,7 @@ class TestRecurrence:
         p = make_expert(3, 2, rng)
         p.a_log.data[...] = 50.0  # lam = exp(-exp(50)) = 0
         seq = rng.normal(size=(5, 2))
-        out = ssm_recurrence(p, Tensor(seq)).data
+        out = recurrence(p, seq)
         for t in range(5):
             expected = p.c_out.data @ (p.b_bar.data @ seq[t]) + seq[t]
             np.testing.assert_allclose(out[t], expected, atol=1e-12)
@@ -173,17 +198,18 @@ class TestRecurrence:
         p = make_expert(4, 3, rng)
         p.b_bar.data[...] = 0.0
         seq = rng.normal(size=(6, 3))
-        out = ssm_recurrence(p, Tensor(seq)).data
+        out = recurrence(p, seq)
         np.testing.assert_array_equal(out, seq)
 
     def test_matches_unrolled_oracle_and_gradient(self):
         rng = np.random.default_rng(2)
         p = make_expert(3, 2, rng)
-        seq = parameter(rng.normal(size=(4, 2)))
-        out = ssm_recurrence(p, seq).data
-        ref = unrolled_reference(*dense(p), seq.data)
-        np.testing.assert_allclose(out, ref, atol=1e-6)
-        rep = grad_check(lambda: tt.sum_all(ssm_recurrence(p, seq)), [p.a_log, p.b_bar, p.c_out, seq])
+        seq = rng.normal(size=(4, 2))
+        ref = unrolled_reference(*dense(p), seq)
+        np.testing.assert_allclose(recurrence(p, seq), ref, atol=1e-6)
+        x = parameter(row_map(seq))
+        fn = lambda: tt.sum_all(spatial_expert_forward(p, x, ScanDirection.TL_BR))
+        rep = grad_check(fn, [p.a_log, p.b_bar, p.c_out, x])
         assert rep.passed, rep.per_param
 
     def test_200_random_cases_against_unrolled_oracle(self):
@@ -194,15 +220,16 @@ class TestRecurrence:
             t = int(rng.integers(1, 65))
             p = make_expert(d, e, rng)
             seq = rng.normal(size=(t, e))
-            out = ssm_recurrence(p, Tensor(seq)).data
+            out = recurrence(p, seq)
             ref = unrolled_reference(*dense(p), seq)
             np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_width_mismatch(self):
         p = make_expert(2, 3, np.random.default_rng(0), dtype=np.float32)
-        for bad in (np.ones((4, 2)), np.ones((4, 3, 1))):  # wrong width; a per-pixel batch axis
+        # wrong width; a (T, E) sequence, not a map; a float64 map for float32 parameters
+        for bad in (np.ones((2, 1, 4), np.float32), np.ones((4, 3), np.float32), np.ones((3, 1, 4))):
             with pytest.raises(ShapeError):
-                ssm_recurrence(p, Tensor(bad, dtype=np.float32))
+                spatial_expert_forward(p, Tensor(bad), ScanDirection.TL_BR)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
     @settings(max_examples=25, deadline=None)
@@ -213,8 +240,8 @@ class TestRecurrence:
         p = make_expert(3, 2, rng)
         seq = rng.normal(size=(6, 2))
         scale = float(2**pow2)
-        base = ssm_recurrence(p, Tensor(seq)).data
-        scaled = ssm_recurrence(p, Tensor(seq * scale)).data
+        base = recurrence(p, seq)
+        scaled = recurrence(p, seq * scale)
         assert (scale * base).tobytes() == scaled.tobytes()
 
     def test_linearity_general_scalar(self):
@@ -222,8 +249,8 @@ class TestRecurrence:
         p = make_expert(3, 2, rng)
         seq = rng.normal(size=(6, 2))
         for a in rng.normal(size=5):
-            base = ssm_recurrence(p, Tensor(seq)).data
-            scaled = ssm_recurrence(p, Tensor(seq * a)).data
+            base = recurrence(p, seq)
+            scaled = recurrence(p, seq * a)
             np.testing.assert_allclose(scaled, a * base, rtol=1e-9, atol=1e-12)
 
 
@@ -276,9 +303,10 @@ class TestChunkedScan:
     def test_gradient_chunked_with_padding(self):
         rng = np.random.default_rng(42)
         p = make_expert(3, 2, rng)
-        seq = parameter(rng.normal(size=(67, 2)))
-        probe = Tensor(rng.normal(size=(67, 2)))
-        rep = grad_check(lambda: tt.sum_all(tt.mul(ssm_recurrence(p, seq), probe)), [p.a_log, p.b_bar, p.c_out, seq])
+        x = parameter(row_map(rng.normal(size=(67, 2))))
+        probe = Tensor(row_map(rng.normal(size=(67, 2))))
+        fn = lambda: tt.sum_all(tt.mul(spatial_expert_forward(p, x, ScanDirection.TL_BR), probe))
+        rep = grad_check(fn, [p.a_log, p.b_bar, p.c_out, x])
         assert rep.passed, rep.per_param
 
     def test_float32_long_scan_near_unit_radius(self):
@@ -301,6 +329,15 @@ class TestChunkedScan:
 
 
 class TestSpatialExpert:
+    def test_one_call_records_one_tape_op(self):
+        rng = np.random.default_rng(22)
+        p = make_expert(3, 2, rng)
+        x = parameter(rng.normal(size=(2, 3, 4)))
+        for direction in SPATIAL_DIRECTIONS:
+            with tt.Tape() as tape:
+                spatial_expert_forward(p, x, direction)
+            assert [op.name for op in tape.ops] == ["spatial_expert_forward"]
+
     def test_zero_params_identity_every_direction(self):
         rng = np.random.default_rng(5)
         zero = SsmParams(parameter(np.zeros(3)), parameter(np.zeros((3, 2))), parameter(np.zeros((2, 3))))
@@ -315,7 +352,7 @@ class TestSpatialExpert:
         x = rng.normal(size=(2, 3, 4))
         outs = {}
         for direction in SPATIAL_DIRECTIONS:
-            order = scan_order(direction, 3, 4)
+            order = gather_order(direction, 3, 4)
             seq = x.reshape(2, 12)[:, order].T
             ref_seq = unrolled_reference(*dense(p), seq)
             ref = np.empty((2, 12))
@@ -326,21 +363,21 @@ class TestSpatialExpert:
         assert not np.allclose(outs[ScanDirection.TL_BR], outs[ScanDirection.BR_TL])
 
     def test_constant_input_directions_see_identical_sequences(self):
-        # A constant map flattens to the same sequence under every direction,
-        # so the recurrence output sequences coincide bitwise.  The grids are
-        # that shared sequence laid out along each scan path (the state
-        # accumulates over steps, so the grid itself is not constant).
+        # A constant map reads as the same token sequence in every direction,
+        # so the output sequences, each read in its own visit order, coincide
+        # bitwise.  The grids are that shared sequence laid out along each
+        # scan path (the state accumulates over steps, so the grid itself is
+        # not constant).
         rng = np.random.default_rng(7)
         p = make_expert(3, 2, rng)
         x = Tensor(np.tile(rng.normal(size=(2, 1, 1)), (1, 4, 4)))
-        seqs = [
-            ssm_recurrence(p, flatten_spatial(x, d)).data for d in SPATIAL_DIRECTIONS
-        ]
+        grids = {d: spatial_expert_forward(p, x, d).data for d in SPATIAL_DIRECTIONS}
+        seqs = [_tokens(grid, d) for d, grid in grids.items()]
         for other in seqs[1:]:
             assert seqs[0].tobytes() == other.tobytes()
-        for direction in SPATIAL_DIRECTIONS:
-            grid = spatial_expert_forward(p, x, direction).data
-            order = scan_order(direction, 4, 4)
+        np.testing.assert_array_equal(seqs[0], recurrence(p, _tokens(x.data, ScanDirection.TL_BR)))
+        for direction, grid in grids.items():
+            order = gather_order(direction, 4, 4)
             np.testing.assert_array_equal(grid.reshape(2, 16)[:, order].T, seqs[0])
 
     def test_direction_reversal_invariant(self):

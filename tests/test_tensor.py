@@ -552,6 +552,31 @@ class TestTapeMemory:
         assert all(op.backward is None and op.routes == () for op in tape.ops)
         np.testing.assert_array_equal(q.grad, 2.0 * x.data)
 
+    def test_relu_keeps_a_mask_not_its_output(self):
+        rng = np.random.default_rng(23)
+        x = parameter(rand(rng, 2, 3, 4))
+        with Tape() as tape:
+            y = tt.relu(x)
+            alive = weakref.ref(y.data)
+            held = [cell.cell_contents for cell in tape.ops[-1].backward.__closure__]
+            loss = tt.sum_all(tt.scale(y, 1.5))
+            del y
+            assert alive() is None
+            assert not any(isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.size == x.size for a in held)
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, 1.5, 0.0))
+
+    def test_relu_without_a_tape_makes_no_mask(self):
+        x = Tensor(rand(np.random.default_rng(24), 64, 64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            y = tt.relu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and the finite check's bool temporary; a mask would add a quarter more
+        assert peak < 1.4 * y.data.nbytes
+
     @pytest.mark.parametrize("graph", ["add-self", "diamond"])
     def test_shared_gradients_match_finite_differences_and_stay_unwritten(self, graph):
         rng = np.random.default_rng(20)
