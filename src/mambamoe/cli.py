@@ -196,8 +196,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, topks: list[int]) -> int:
         raise CheckpointError(f"{cfg.checkpoint}: meta seed {seed!r} is not a non-negative int")
     if type(n) is not int or n < 1:
         raise CheckpointError(f"{cfg.checkpoint}: meta samples_per_class {n!r} is not an int of at least 1")
-    ss_split = np.random.SeedSequence(seed).spawn(3)[1]
-    _, test_mask = training.split_per_class(scene.labels.astype(np.int64), n, ss_split)
+    _, test_mask = training.split_for_seed(scene.labels.astype(np.int64), n, seed)
     spec = params.spec
     print(f"split: seed={seed} samples_per_class={n}; momeb_on={spec.momeb_on} sre_on={spec.sre_on} sse_on={spec.sse_on}")
     for k in topks:
@@ -206,11 +205,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, topks: list[int]) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, out_dir: Path, k: int) -> int:
+def cmd_predict(cfg: RunConfig, out_dir: Path) -> int:
     scene = _load_scene(cfg)
     params, _ = _load_model(cfg, scene)
     palette = _palette_for(cfg, scene)
-    pred = training.predict_labels(params, scene, topk=k)
+    pred = training.predict_labels(params, scene, topk=cfg.train.topk_infer)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "prediction.ppm"
     dataio.render_map(pred, palette, out_path)
@@ -276,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, epilog=config_help_text(), formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--topk", default=None, help="expert count k, or a sweep like 1..4")
+        p.add_argument("--topk", default=None, help="expert count k, or for eval a sweep like 1..4")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
         if name == "synth":
             p.add_argument("--spec", default="default", help="bundled synthetic spec name")
@@ -292,18 +291,19 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed"] = args.seed
             if args.command == "synth":
                 overrides["synth_seed"] = args.seed
-        if topks is not None and args.command not in ("eval", "predict"):
+        if topks is not None and args.command != "eval":
+            if len(topks) > 1:
+                raise ConfigError(f"topk sweep {args.topk!r} is for eval only; {args.command} takes one k")
             overrides["topk_infer"] = topks[0]
         cfg = parse_config(args.config, **overrides)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
-        topks = topks or [cfg.train.topk_infer]
 
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         if args.command == "eval":
-            return cmd_eval(cfg, out_dir, topks)
+            return cmd_eval(cfg, out_dir, topks or [cfg.train.topk_infer])
         if args.command == "predict":
-            return cmd_predict(cfg, out_dir, topks[0])
+            return cmd_predict(cfg, out_dir)
         if args.command == "inspect":
             return cmd_inspect(cfg)
         if args.command == "gradcheck":

@@ -144,7 +144,7 @@ def _head(rng: np.random.Generator) -> GradCheckReport:
     head = HeadParams(parameter(rng.normal(size=(3, 4, 1, 1)), dtype=F64), parameter(rng.normal(size=3), dtype=F64))
     xh = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)
     labels = rng.integers(1, 4, size=(7, 5))
-    loss = lambda: tt.masked_cross_entropy(classify_head(head, xh, (7, 5))[0], labels, np.ones((7, 5)))
+    loss = lambda: tt.masked_cross_entropy(classify_head(head, xh, (7, 5)), labels, np.ones((7, 5)))
     return grad_check(loss, [head.w, head.b, xh])
 
 
@@ -159,8 +159,8 @@ def _total_loss(rng: np.random.Generator) -> GradCheckReport:
     frozen = [(rng.random((8, 8)) < 0.5).astype(np.uint8) for _ in range(3)]
 
     def full_loss():
-        result = forward_full(params, x_scene, train=True, y_trn=y_trn, mask_rng=None, frozen_masks=frozen)
-        return total_loss(result.stages, scene_labels, train_mask, result.final_logits)
+        result = forward_full(params, x_scene, train=True, frozen_masks=frozen)
+        return total_loss(result.stages, y_trn, result.final_logits)
 
     return grad_check(full_loss, params.tensors(), threshold=TOTAL_LOSS_THRESHOLD)
 

@@ -67,10 +67,6 @@ class MoMebParams:
     mlp_w2: Tensor  # (C, 2C, 1, 1)
     mlp_b2: Tensor
 
-    @property
-    def channels(self) -> int:
-        return self.ln1_gamma.shape[0]
-
 
 def route(router: RouterParams, x_spa: Tensor) -> Tensor:
     """Router weights for one feature map: pool -> MLP -> softmax over 4.
@@ -84,20 +80,6 @@ def route(router: RouterParams, x_spa: Tensor) -> Tensor:
     hidden = tt.relu(tt.add(tt.matmul(router.w1, pooled), router.b1))
     logits = tt.add(tt.matmul(router.w2, hidden), router.b2)
     return tt.softmax(logits, axis=0)
-
-
-def expert_weight_records(weights: Tensor | np.ndarray) -> list[dict]:
-    """Weights as (expert id, direction, orientation, weight) records."""
-    w = np.asarray(weights.data if isinstance(weights, Tensor) else weights, dtype=np.float64)
-    return [
-        {
-            "expert": j,
-            "direction": SPATIAL_DIRECTIONS[j].name,
-            "orientation": SPATIAL_DIRECTIONS[j].orientation,
-            "weight": float(w[j]),
-        }
-        for j in range(N_SPATIAL_EXPERTS)
-    ]
 
 
 def topk_select(weights: np.ndarray, k: int) -> list[int]:

@@ -4,10 +4,12 @@ supervision, total loss, and checkpoint serialization.
 The encoder is three conv+ReLU+avgpool stages, each followed by a
 mixture-of-expert block; the decoder fuses stages coarse-to-fine through
 residual blocks and bilinear upsampling; stage 1's head is the prediction.
-The 1x1 head runs before the upsample, which it commutes with because
-every interpolation row sums to 1.  During training each decoder stage
-additionally feeds an uncertainty-sampled cross-entropy term; at
-inference those blocks are skipped entirely and no randomness is consumed.
+The head is a 1x1 conv and the upsample of its logits, which it commutes
+with because every interpolation row sums to 1; no softmax is taken.
+During training each decoder stage additionally feeds a cross-entropy term
+over the training labels at pixels sampled by the uncertainty of its
+logits; at inference those blocks are skipped entirely and no randomness
+is consumed.
 """
 
 from __future__ import annotations
@@ -250,99 +252,51 @@ def ffb(p: ResBlockParams, m_i: Tensor, l_next: Tensor | None = None) -> Tensor:
     return tt.add(m_i, residual_block(p, up))
 
 
-def classify_head(head: HeadParams, feats: Tensor, target_hw: tuple[int, int]) -> tuple[Tensor, Tensor]:
-    """1x1-head logits of ``feats`` upsampled to ``target_hw``, and their
-    softmax: the head of the upsampled features, as interpolation rows sum to 1."""
-    logits = tt.bilinear_upsample(tt.conv2d(feats, head.w, head.b), target_hw)
-    return logits, tt.softmax(logits, axis=0)
+def classify_head(head: HeadParams, feats: Tensor, target_hw: tuple[int, int]) -> Tensor:
+    """1x1-head logits of ``feats`` upsampled to ``target_hw``: the head of the
+    upsampled features, as interpolation rows sum to 1."""
+    return tt.bilinear_upsample(tt.conv2d(feats, head.w, head.b), target_hw)
 
 
 # --- uncertainty-guided stage supervision ------------------------------------
 
 
-@dataclass
-class UncertaintyMap:
-    """Per-pixel uncertainty in [0, 1]: -log(P + eps) * P of the max class
-    probability P, clamped (the raw value dips just below 0 at P = 1)."""
-
-    u: np.ndarray
-
-
-@dataclass
-class SampleMask:
-    """Binary supervision mask with RNG provenance (seed, draw offset)."""
-
-    m: np.ndarray
-    seed: int
-    draw_offset: int
-
-
-class MaskRng:
-    """Seeded uniform generator; draws are consumed in row-major pixel order
-    and counted, so any mask can be re-derived from (seed, offset)."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        self._gen = np.random.default_rng(seed)
-        self.draws = 0
-
-    def uniform(self, shape: tuple[int, int]) -> np.ndarray:
-        self.draws += int(np.prod(shape))
-        return self._gen.random(shape)
-
-
-def uncertainty_map(probs: Tensor | np.ndarray) -> UncertaintyMap:
-    a = np.asarray(probs.data if isinstance(probs, Tensor) else probs)
+def uncertainty_map(logits: np.ndarray) -> np.ndarray:
+    """Per-pixel uncertainty in [0, 1] of (K, h, w) logits: -log(P + eps) * P
+    of the max class probability P, clamped (the raw value dips just below 0
+    at P = 1).  P = 1 / sum(exp(l - max l)) is the softmax's max bit for bit:
+    the max entry's exp is exactly 1, and division is monotone."""
+    a = np.asarray(logits)
     if a.ndim != 3:
-        raise ShapeError(f"uncertainty_map: expects (K,h,w) probabilities, got {a.shape}")
-    if a.min() < -1e-6 or a.max() > 1 + 1e-6:
-        raise ValueError("uncertainty_map: input is not a probability tensor")
-    p = a.max(axis=0)
-    raw = -np.log(p + UNCERTAINTY_EPS) * p
-    return UncertaintyMap(u=np.clip(raw, 0.0, 1.0))
-
-
-def sample_mask(u: UncertaintyMap, rng: MaskRng) -> SampleMask:
-    """Independent per-pixel Bernoulli(U): selected iff draw < U."""
-    offset = rng.draws
-    r = rng.uniform(u.u.shape)
-    return SampleMask(m=(r < u.u).astype(np.uint8), seed=rng.seed, draw_offset=offset)
+        raise ShapeError(f"uncertainty_map: expects (K,h,w) logits, got {a.shape}")
+    p = 1 / np.exp(a - a.max(axis=0)).sum(axis=0)
+    return np.clip(-np.log(p + UNCERTAINTY_EPS) * p, 0.0, 1.0)
 
 
 @dataclass
 class StageOutput:
-    """One decoder stage's supervision bundle."""
+    """One decoder stage's supervision: its logits, uncertainty and the
+    Bernoulli mask of pixels whose training labels it is fitted to."""
 
     logits: Tensor
-    uncertainty: UncertaintyMap
-    mask: SampleMask
-    q: np.ndarray  # sampled label map: labels where mask=1, else 0
+    uncertainty: np.ndarray  # (h, w) in [0, 1]
+    mask: np.ndarray  # (h, w) bool
 
 
-def uarb(
-    logits: Tensor,
-    probs: Tensor,
-    y_trn: np.ndarray,
-    rng: MaskRng | None,
-    frozen_mask: np.ndarray | None = None,
-) -> StageOutput:
+def uarb(logits: Tensor, rng: np.random.Generator | None, frozen_mask: np.ndarray | None = None) -> StageOutput:
     """Uncertainty-sampled stage supervision (training only).
 
-    Takes one stage's ``classify_head`` output (the head commutes with the
-    upsample as interpolation rows sum to 1; stage 1's is the prediction),
-    Bernoulli-samples a mask from the uncertainty of the detached ``probs``,
-    and keeps training labels only where it fires; records no tape op.
+    Takes one stage's ``classify_head`` logits (stage 1's are the
+    prediction) and selects each pixel independently with probability equal
+    to its uncertainty: selected iff ``rng.random() < U``, drawn in row-major
+    pixel order.  Reads only ``logits.data`` and records no tape op.
     ``frozen_mask`` replaces the sampling for deterministic gradient checks.
     """
     if rng is None and frozen_mask is None:
         raise RuntimeError("uarb: training rng required (block is omitted at inference)")
-    u = uncertainty_map(probs.data)
-    if frozen_mask is not None:
-        mask = SampleMask(m=np.asarray(frozen_mask, dtype=np.uint8), seed=-1, draw_offset=0)
-    else:
-        mask = sample_mask(u, rng)
-    q = np.where(mask.m != 0, y_trn, 0).astype(y_trn.dtype)
-    return StageOutput(logits=logits, uncertainty=u, mask=mask, q=q)
+    u = uncertainty_map(logits.data)
+    mask = rng.random(u.shape) < u if frozen_mask is None else np.asarray(frozen_mask, dtype=bool)
+    return StageOutput(logits=logits, uncertainty=u, mask=mask)
 
 
 # --- full forward and loss ----------------------------------------------------
@@ -351,9 +305,7 @@ def uarb(
 @dataclass
 class ForwardResult:
     final_logits: Tensor
-    final_probs: Tensor
     stages: list[StageOutput] = field(default_factory=list)
-    encoder_feats: list[Tensor] = field(default_factory=list)
 
 
 def forward_full(
@@ -362,8 +314,7 @@ def forward_full(
     *,
     train: bool,
     topk: int | None = None,
-    y_trn: np.ndarray | None = None,
-    mask_rng: MaskRng | None = None,
+    mask_rng: np.random.Generator | None = None,
     uarb_on: bool = True,
     frozen_masks: Sequence[np.ndarray] | None = None,
 ) -> ForwardResult:
@@ -389,37 +340,26 @@ def forward_full(
     l2 = ffb(params.ffb[1], m_stages[1], l3)
     l1 = ffb(params.ffb[0], m_stages[0], l2)
 
-    final_logits, final_probs = classify_head(params.head, l1, (h, w))
+    final_logits = classify_head(params.head, l1, (h, w))
     stages: list[StageOutput] = []
     if train and uarb_on:
-        if y_trn is None:
-            raise RuntimeError("forward_full: training labels required when stage supervision is on")
-        heads = [(final_logits, final_probs)] + [classify_head(params.head, l_i, (h, w)) for l_i in (l2, l3)]
-        for i, (logits, probs) in enumerate(heads):
+        heads = [final_logits] + [classify_head(params.head, l_i, (h, w)) for l_i in (l2, l3)]
+        for i, logits in enumerate(heads):
             frozen = frozen_masks[i] if frozen_masks is not None else None
-            stages.append(uarb(logits, probs, y_trn, mask_rng, frozen_mask=frozen))
-    return ForwardResult(
-        final_logits=final_logits,
-        final_probs=final_probs,
-        stages=stages,
-        encoder_feats=m_stages,
-    )
+            stages.append(uarb(logits, mask_rng, frozen_mask=frozen))
+    return ForwardResult(final_logits=final_logits, stages=stages)
 
 
-def total_loss(
-    stages: Sequence[StageOutput],
-    gt_labels: np.ndarray,
-    train_mask: np.ndarray,
-    final_logits: Tensor,
-) -> Tensor:
-    """Sum of per-stage sampled-label terms plus the final-prediction term,
-    all equally weighted; stages with empty masks contribute exactly 0."""
+def total_loss(stages: Sequence[StageOutput], y_trn: np.ndarray, final_logits: Tensor) -> Tensor:
+    """Sum of each stage's cross-entropy over the training labels its mask
+    selects, plus the final prediction's over every training label, all
+    equally weighted; stages with empty masks contribute exactly 0.
+    ``y_trn`` holds the training labels, 0 elsewhere."""
     loss = None
-    ones = np.ones(gt_labels.shape, dtype=np.uint8)
     for st in stages:
-        term = tt.masked_cross_entropy(st.logits, st.q, ones)
+        term = tt.masked_cross_entropy(st.logits, y_trn, st.mask)
         loss = term if loss is None else tt.add(loss, term)
-    final_term = tt.masked_cross_entropy(final_logits, gt_labels, train_mask)
+    final_term = tt.masked_cross_entropy(final_logits, y_trn, np.ones(y_trn.shape, dtype=bool))
     return final_term if loss is None else tt.add(loss, final_term)
 
 

@@ -7,7 +7,7 @@ tokens of width E with D states costs T * (2D + 4DE + E): the elementwise
 decay and state update, the input and output projections, and the skip
 add.  An expert holds D + 2DE parameters (the decay vector a_log and the
 two projections).  The head is a 1x1 conv at stage 1, then the upsample
-of its K logits and the softmax.  FLOPs are counted for the inference
+of its K logits; no softmax is taken.  FLOPs are counted for the inference
 forward pass (stage supervision is a training-only construct).
 
 The parameter formulas are written independently of the network builder
@@ -119,7 +119,7 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     comp["ffb"] = ffb_total
 
     k_cls = spec.n_class
-    comp["head"] = _conv_flops(k_cls, c, 1, *sizes[0]) + 7 * k_cls * height * width + 4 * k_cls * height * width
+    comp["head"] = _conv_flops(k_cls, c, 1, *sizes[0]) + 7 * k_cls * height * width
 
     dense = sum(comp.values())
     per_k = {k: dense - (N_EXPERTS - k) * (spatial_scans // N_EXPERTS) for k in range(1, N_EXPERTS + 1)}

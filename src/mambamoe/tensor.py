@@ -679,7 +679,7 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -
     never influence the value or the gradient.
     """
     labels = np.asarray(labels)
-    mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
+    mask = np.asarray(mask)
     if logits.ndim != 3:
         raise ShapeError(f"masked_cross_entropy: logits must be (K,h,w), got {logits.shape}")
     k = logits.shape[0]
@@ -687,8 +687,9 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -
         raise ShapeError(
             f"masked_cross_entropy: labels {labels.shape} / mask {mask.shape} must match spatial {logits.shape[1:]}"
         )
-    if labels.min() < 0 or labels.max() > k:
-        raise ValueError(f"masked_cross_entropy: label id {int(labels.max())} outside [0, {k}]")
+    low, high = labels.min(), labels.max()
+    if low < 0 or high > k:
+        raise ValueError(f"masked_cross_entropy: label id {int(low if low < 0 else high)} outside [0, {k}]")
     pos = (mask != 0) & (labels > 0)
     n = int(pos.sum())
     if n == 0:

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import tensor as tt
 from .data import HsiScene, normalize_scene
-from .network import (
-    MaskRng,
-    NetSpec,
-    NetworkParams,
-    forward_full,
-    init_network_params,
-    total_loss,
-)
+from .network import NetSpec, NetworkParams, forward_full, init_network_params, total_loss
 from .tensor import NumericalError, Tape, Tensor
 
 
@@ -95,6 +88,16 @@ def split_per_class(labels: np.ndarray, n: int, seed) -> tuple[np.ndarray, np.nd
     return train, test
 
 
+def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The run seed's independent child streams: (init, split, mask)."""
+    return np.random.SeedSequence(seed).spawn(3)
+
+
+def split_for_seed(labels: np.ndarray, samples_per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, test) split that ``train`` draws for this config seed."""
+    return split_per_class(labels, samples_per_class, _seed_streams(seed)[1])
+
+
 # --- Adam ----------------------------------------------------------------------
 
 
@@ -148,12 +151,11 @@ class TrainResult:
 def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> TrainResult:
     """Full-scene training per the experimental protocol: dense experts,
     stage supervision when enabled, one Adam step per epoch."""
-    ss = np.random.SeedSequence(config.seed)
-    ss_init, ss_split, ss_mask = ss.spawn(3)
+    ss_init, _, ss_mask = _seed_streams(config.seed)
 
     x = normalize_scene(scene)
     labels = scene.labels.astype(np.int64)
-    train_mask, test_mask = split_per_class(labels, config.samples_per_class, ss_split)
+    train_mask, test_mask = split_for_seed(labels, config.samples_per_class, config.seed)
     y_trn = np.where(train_mask, labels, 0)
 
     spec = NetSpec(
@@ -168,7 +170,7 @@ def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> Train
     params = init_network_params(spec, np.random.default_rng(ss_init))
     tensors = params.tensors()
     state = adam_init(tensors)
-    mask_rng = MaskRng(ss_mask)
+    mask_rng = np.random.default_rng(ss_mask)
 
     history: list[tuple[int, float, float]] = []
     started = time.perf_counter()
@@ -177,8 +179,8 @@ def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> Train
             p.zero_grad()
         try:
             with Tape() as tape:
-                result = forward_full(params, x, train=True, y_trn=y_trn, mask_rng=mask_rng, uarb_on=config.uarb_on)
-                loss = total_loss(result.stages, labels, train_mask, result.final_logits)
+                result = forward_full(params, x, train=True, mask_rng=mask_rng, uarb_on=config.uarb_on)
+                loss = total_loss(result.stages, y_trn, result.final_logits)
                 tape.backward(loss)
         except NumericalError as exc:
             raise TrainingAbort(epoch, str(exc)) from exc

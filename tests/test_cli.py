@@ -127,6 +127,9 @@ class TestExitCodes:
             ["train", "--topk", "3.."],
             ["predict", "--topk", "4..1"],
             ["eval", "--topk", "4..1"],
+            ["train", "--topk", "1..4"],
+            ["predict", "--topk", "1..4"],
+            ["inspect", "--topk", "2..3"],
         ],
         ids=[
             "zero-classes",
@@ -136,6 +139,9 @@ class TestExitCodes:
             "topk-open-sweep",
             "predict-empty-sweep",
             "eval-empty-sweep",
+            "train-sweep",
+            "predict-sweep",
+            "inspect-sweep",
         ],
     )
     def test_bad_flag_exit_1_one_line(self, tmp_path, capsys, argv):

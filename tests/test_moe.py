@@ -12,7 +12,6 @@ from mambamoe.moe import (
     VERTICAL_EXPERTS,
     MoMebParams,
     dssem_forward,
-    expert_weight_records,
     momeb_forward,
     route,
     sre_forward,
@@ -74,10 +73,9 @@ class TestRoute:
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(w, e / e.sum(), atol=1e-6)
 
-    def test_weight_records_carry_directions(self):
-        recs = expert_weight_records(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert [r["direction"] for r in recs] == ["TL_BR", "BR_TL", "TR_BL", "BL_TR"]
-        assert [r["orientation"] for r in recs] == ["horizontal", "horizontal", "vertical", "vertical"]
+    def test_expert_ids_carry_directions(self):
+        assert [d.name for d in SPATIAL_DIRECTIONS] == ["TL_BR", "BR_TL", "TR_BL", "BL_TR"]
+        assert [d.orientation for d in SPATIAL_DIRECTIONS] == ["horizontal", "horizontal", "vertical", "vertical"]
         assert VERTICAL_EXPERTS == (2, 3) and HORIZONTAL_EXPERTS == (0, 1)
 
 

@@ -11,10 +11,10 @@ from mambamoe.network import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     HeadParams,
-    MaskRng,
     NetSpec,
     NetworkParams,
     ResBlockParams,
+    StageOutput,
     classify_head,
     extract_features,
     ffb,
@@ -22,7 +22,6 @@ from mambamoe.network import (
     init_network_params,
     load_checkpoint,
     residual_block,
-    sample_mask,
     save_checkpoint,
     stage_sizes,
     total_loss,
@@ -134,29 +133,35 @@ class TestResidualAndFfb:
         np.testing.assert_allclose(ffb(p, m2, l3).data, ref, atol=1e-12)
 
 
+def log_probs(probs):
+    """Logits whose softmax is ``probs``; a zero probability is a -inf logit."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+def decode(params, m, hw):
+    """The decoder and stage 1's head over given stage maps ``m``."""
+    l3 = ffb(params.ffb[2], m[2])
+    l2 = ffb(params.ffb[1], m[1], l3)
+    l1 = ffb(params.ffb[0], m[0], l2)
+    return classify_head(params.head, l1, hw)
+
+
 class TestHeadAndUncertainty:
     def test_zero_head_uniform_probabilities(self):
         head = HeadParams(parameter(np.zeros((3, 4, 1, 1))), parameter(np.zeros(3)))
-        _, probs = classify_head(head, Tensor(np.random.default_rng(11).normal(size=(4, 5, 5))), (9, 10))
-        assert probs.shape == (3, 9, 10)
-        np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-7)
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(12)
-        head = HeadParams(parameter(rng.normal(size=(5, 4, 1, 1))), parameter(rng.normal(size=5)))
-        _, probs = classify_head(head, Tensor(rng.normal(size=(4, 3, 3))), (6, 6))
-        np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-6)
+        logits = classify_head(head, Tensor(np.random.default_rng(11).normal(size=(4, 5, 5))), (9, 10))
+        assert logits.shape == (3, 9, 10)
+        np.testing.assert_array_equal(logits.data, 0.0)
+        np.testing.assert_allclose(uncertainty_map(logits.data), np.log(3.0) / 3.0, atol=1e-6)
 
     def test_head_hand_oracle_two_class(self):
         head = HeadParams(
             parameter(np.array([[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]])), parameter(np.array([0.5, -0.5]))
         )
         feats = np.random.default_rng(13).normal(size=(2, 2, 2))
-        logits, probs = classify_head(head, Tensor(feats), (2, 2))  # the upsample to the same size is the identity
-        ref_logits = feats + np.array([0.5, -0.5])[:, None, None]
-        np.testing.assert_allclose(logits.data, ref_logits, atol=1e-12)
-        e = np.exp(ref_logits - ref_logits.max(axis=0))
-        np.testing.assert_allclose(probs.data, e / e.sum(axis=0), atol=1e-7)
+        logits = classify_head(head, Tensor(feats), (2, 2))  # the upsample to the same size is the identity
+        np.testing.assert_allclose(logits.data, feats + np.array([0.5, -0.5])[:, None, None], atol=1e-12)
 
     @pytest.mark.parametrize("dtype, tol", [(F64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("src, dst", [((4, 4), (8, 8)), ((3, 5), (7, 11)), ((1, 1), (3, 4))])
@@ -171,32 +176,36 @@ class TestHeadAndUncertainty:
             for t in (head.w, head.b, feats):
                 t.zero_grad()
             with Tape() as tape:
-                logits, probs = forward()
+                logits = forward()
                 tape.backward(tt.sum_all(tt.mul(logits, probe)))
-            return [logits.data, probs.data] + [t.grad.copy() for t in (head.w, head.b, feats)]
+            return [logits.data] + [t.grad.copy() for t in (head.w, head.b, feats)]
 
-        def upsample_first():
-            logits = tt.conv2d(tt.bilinear_upsample(feats, dst), head.w, head.b)
-            return logits, tt.softmax(logits, axis=0)
-
+        upsample_first = lambda: tt.conv2d(tt.bilinear_upsample(feats, dst), head.w, head.b)
         for got, ref in zip(run(lambda: classify_head(head, feats, dst)), run(upsample_first)):
             np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_max_probability_is_the_softmax_max_bitwise(self, dtype):
+        # P = 1 / sum(exp(l - max l)) against the max of the softmax itself
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            logits = (rng.normal(size=(5, 9, 7)) * rng.uniform(0.1, 20.0)).astype(dtype)
+            p = tt.softmax(Tensor(logits), axis=0).data.max(axis=0)
+            expected = np.clip(-np.log(p + 1e-6) * p, 0.0, 1.0)
+            assert uncertainty_map(logits).tobytes() == expected.tobytes()
+
     def test_uncertainty_confident_pixel_clamps_to_zero(self):
-        probs = np.zeros((2, 1, 1))
-        probs[0] = 1.0
-        u = uncertainty_map(probs)
-        assert u.u[0, 0] == 0.0
+        assert uncertainty_map(log_probs(np.array([1.0, 0.0]).reshape(2, 1, 1)))[0, 0] == 0.0
 
     def test_uncertainty_binary_uniform(self):
-        probs = np.full((2, 1, 1), 0.5)
-        np.testing.assert_allclose(uncertainty_map(probs).u[0, 0], 0.5 * np.log(2.0), atol=1e-6)
+        logits = log_probs(np.full((2, 1, 1), 0.5))
+        np.testing.assert_allclose(uncertainty_map(logits)[0, 0], 0.5 * np.log(2.0), atol=1e-6)
 
     def test_uncertainty_maximum_at_inverse_e(self):
         probs = np.zeros((10, 1, 1))
         probs[0] = 1.0 / np.e
         probs[1:] = (1.0 - 1.0 / np.e) / 9.0
-        np.testing.assert_allclose(uncertainty_map(probs).u[0, 0], 1.0 / np.e, atol=1e-5)
+        np.testing.assert_allclose(uncertainty_map(log_probs(probs))[0, 0], 1.0 / np.e, atol=1e-5)
 
     def test_uncertainty_formula_grid_and_raw_bound(self):
         # 10^4-point analytic oracle over the reachable max-probability range
@@ -204,88 +213,67 @@ class TestHeadAndUncertainty:
         probs = np.zeros((10, 100, 100))
         probs[0] = p_grid.reshape(100, 100)
         probs[1:] = (1.0 - probs[0]) / 9.0
-        u = uncertainty_map(probs).u
+        u = uncertainty_map(log_probs(probs))
         raw = -np.log(p_grid + 1e-6) * p_grid
         np.testing.assert_allclose(u.reshape(-1), np.clip(raw, 0.0, 1.0), atol=1e-12)
         assert raw.max() <= 1.0 / np.e + 1e-6
 
-    def test_rejects_non_probabilities(self):
-        with pytest.raises(ValueError):
-            uncertainty_map(np.full((2, 2, 2), 1.7))
-
 
 class TestSampleMask:
     def test_zero_uncertainty_never_selects(self):
-        from mambamoe.network import UncertaintyMap
-
-        rng = MaskRng(0)
-        mask = sample_mask(UncertaintyMap(np.zeros((50, 50))), rng)
-        assert mask.m.sum() == 0
-
-    def test_full_uncertainty_always_selects(self):
-        from mambamoe.network import UncertaintyMap
-
-        rng = MaskRng(1)
-        total = 0
-        for _ in range(40):  # 10^5 draws in total
-            total += int(sample_mask(UncertaintyMap(np.ones((50, 50))), rng).m.sum())
-        assert total == 40 * 2500
+        logits = np.zeros((2, 50, 50))
+        logits[1] = -1e4  # exp underflows to 0: P = 1 at every pixel
+        assert not uarb(Tensor(logits), np.random.default_rng(0)).mask.any()
 
     def test_bernoulli_rate_within_three_sigma(self):
-        from mambamoe.network import UncertaintyMap
-
-        rng = MaskRng(2)
-        mask = sample_mask(UncertaintyMap(np.full((100, 100), 0.3)), rng)
-        rate = mask.m.mean()
-        bound = 3.0 * np.sqrt(0.3 * 0.7 / 10_000)
-        assert abs(rate - 0.3) < bound
+        st = uarb(Tensor(np.zeros((2, 100, 100))), np.random.default_rng(2))  # U = P log(1/P) at P = 1/2
+        u = float(st.uncertainty[0, 0])
+        bound = 3.0 * np.sqrt(u * (1.0 - u) / 10_000)
+        assert abs(st.mask.mean() - u) < bound
 
     def test_draw_provenance(self):
-        from mambamoe.network import UncertaintyMap
-
-        rng = MaskRng(3)
-        first = sample_mask(UncertaintyMap(np.full((4, 4), 0.5)), rng)
-        second = sample_mask(UncertaintyMap(np.full((4, 4), 0.5)), rng)
-        assert (first.draw_offset, second.draw_offset) == (0, 16)
-        assert rng.draws == 32
+        # each call takes the next h*w uniforms of the generator, in row-major pixel order
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for logits in np.random.default_rng(4).normal(size=(3, 3, 4, 5)):
+            st = uarb(Tensor(logits), rng)
+            assert st.mask.dtype == bool
+            assert st.mask.tobytes() == (twin.random((4, 5)) < uncertainty_map(logits)).tobytes()
+        assert rng.random() == twin.random()
 
 
 class TestUarb:
     def test_requires_rng_in_training(self):
         params = tiny_params(seed=14)
         l1 = Tensor(np.random.default_rng(15).normal(size=(4, 4, 4)))
-        logits, probs = classify_head(params.head, l1, (8, 8))
         with pytest.raises(RuntimeError, match="omitted at inference"):
-            uarb(logits, probs, np.zeros((8, 8), np.int64), None)
+            uarb(classify_head(params.head, l1, (8, 8)), None)
 
     def test_mask_zero_contributes_empty_supervision(self):
         params = tiny_params(seed=16)
         rng = np.random.default_rng(17)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(*classify_head(params.head, l1, (8, 8)), y_trn, None, frozen_mask=np.zeros((8, 8)))
-        assert st.q.sum() == 0
-        loss = tt.masked_cross_entropy(st.logits, st.q, np.ones((8, 8)))
-        assert loss.item() == 0.0
+        st = uarb(classify_head(params.head, l1, (8, 8)), None, frozen_mask=np.zeros((8, 8)))
+        assert not st.mask.any()
+        assert tt.masked_cross_entropy(st.logits, y_trn, st.mask).item() == 0.0
 
     def test_mask_one_reproduces_training_labels(self):
         params = tiny_params(seed=18)
         rng = np.random.default_rng(19)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(*classify_head(params.head, l1, (8, 8)), y_trn, None, frozen_mask=np.ones((8, 8)))
-        np.testing.assert_array_equal(st.q, y_trn)
+        st = uarb(classify_head(params.head, l1, (8, 8)), None, frozen_mask=np.ones((8, 8)))
+        assert st.mask.all()
+        term = tt.masked_cross_entropy(st.logits, y_trn, st.mask).item()
+        assert term == tt.masked_cross_entropy(st.logits, y_trn, y_trn > 0).item()
 
     def test_seeded_masks_reproducible_bitwise(self):
         params = tiny_params(seed=20)
-        rng = np.random.default_rng(21)
-        l1_data = rng.normal(size=(4, 4, 4))
-        y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
+        l1_data = np.random.default_rng(21).normal(size=(4, 4, 4))
 
         def run():
-            mask_rng = MaskRng(99)
-            st = uarb(*classify_head(params.head, Tensor(l1_data.copy()), (8, 8)), y_trn, mask_rng)
-            return st.q.tobytes(), st.mask.m.tobytes()
+            st = uarb(classify_head(params.head, Tensor(l1_data.copy()), (8, 8)), np.random.default_rng(99))
+            return st.mask.tobytes(), st.uncertainty.tobytes()
 
         assert run() == run()
 
@@ -293,23 +281,29 @@ class TestUarb:
 class TestForwardFull:
     def test_shape_contract_and_stage_outputs(self):
         params = tiny_params(seed=22)
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(2, 16, 16)))
-        y_trn = rng.integers(0, 3, size=(16, 16)).astype(np.int64)
-        res = forward_full(params, x, train=True, y_trn=y_trn, mask_rng=MaskRng(0))
-        assert res.final_probs.shape == (2, 16, 16)
+        x = Tensor(np.random.default_rng(23).normal(size=(2, 16, 16)))
+        res = forward_full(params, x, train=True, mask_rng=np.random.default_rng(0))
+        assert res.final_logits.shape == (2, 16, 16)
         assert len(res.stages) == 3
         for st in res.stages:
             assert st.logits.shape == (2, 16, 16)
+            assert st.uncertainty.shape == st.mask.shape == (16, 16)
+            assert st.mask.dtype == bool
         assert res.stages[0].logits is res.final_logits
-        np.testing.assert_allclose(res.final_probs.data.sum(axis=0), 1.0, atol=1e-6)
+
+    def test_training_forward_records_only_the_router_softmaxes(self):
+        params = tiny_params(seed=22)
+        x = Tensor(np.random.default_rng(23).normal(size=(2, 16, 16)))
+        with Tape() as tape:
+            forward_full(params, x, train=True, mask_rng=np.random.default_rng(0))
+        assert [op.name for op in tape.ops].count("softmax") == 3  # one router per expert block
 
     def test_inference_consumes_no_randomness_and_is_deterministic(self):
         params = tiny_params(seed=24)
         x_data = np.random.default_rng(25).normal(size=(2, 16, 16))
         a = forward_full(params, Tensor(x_data.copy()), train=False, topk=3)
         b = forward_full(params, Tensor(x_data.copy()), train=False, topk=3)
-        assert a.final_probs.data.tobytes() == b.final_probs.data.tobytes()
+        assert a.final_logits.data.tobytes() == b.final_logits.data.tobytes()
         assert a.stages == [] and b.stages == []
 
     def test_uniform_router_topk4_equals_dense(self):
@@ -320,15 +314,15 @@ class TestForwardFull:
         x_data = np.random.default_rng(27).normal(size=(2, 16, 16))
         dense = forward_full(params, Tensor(x_data.copy()), train=False, topk=None)
         top4 = forward_full(params, Tensor(x_data.copy()), train=False, topk=4)
-        assert dense.final_probs.data.tobytes() == top4.final_probs.data.tobytes()
+        assert dense.final_logits.data.tobytes() == top4.final_logits.data.tobytes()
 
     def test_momeb_off_bypasses_blocks(self):
         spec = replace(tiny_spec(), momeb_on=False)
         params = init_network_params(spec, np.random.default_rng(28), dtype=F64)
         x = Tensor(np.random.default_rng(29).normal(size=(2, 16, 16)))
         res = forward_full(params, x, train=False, topk=3)
-        feats = extract_features(params.stem, x)
-        assert res.encoder_feats[0].data.tobytes() == feats[0].data.tobytes()
+        ref = decode(params, extract_features(params.stem, x), (16, 16))
+        assert res.final_logits.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("switch", ["sre_on", "sse_on"])
     def test_expert_switches_come_from_the_spec(self, switch):
@@ -338,11 +332,11 @@ class TestForwardFull:
         x = Tensor(np.random.default_rng(31).normal(size=(2, 16, 16)))
         res = forward_full(params, x, train=False, topk=2)
         feats = extract_features(params.stem, x)
-        for i in range(3):
-            ablated = momeb_forward(params.momeb[i], feats[i], topk=2, **{switch: False})
-            full = momeb_forward(params.momeb[i], feats[i], topk=2)
-            assert res.encoder_feats[i].data.tobytes() == ablated.data.tobytes()
-            assert not np.allclose(ablated.data, full.data)
+        blocks = lambda **on: [momeb_forward(params.momeb[i], feats[i], topk=2, **on) for i in range(3)]
+        ablated = decode(params, blocks(**{switch: False}), (16, 16))
+        full = decode(params, blocks(), (16, 16))
+        assert res.final_logits.data.tobytes() == ablated.data.tobytes()
+        assert not np.allclose(ablated.data, full.data)
 
     def test_tiny_network_matches_hand_composed_pipeline(self):
         from mambamoe.moe import momeb_forward
@@ -359,53 +353,57 @@ class TestForwardFull:
         l1 = ffb(params.ffb[0], m[0], l2)
         logits = tt.conv2d(tt.bilinear_upsample(l1, (16, 16)), params.head.w, params.head.b)  # upsample, then head
         np.testing.assert_allclose(res.final_logits.data, logits.data, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(res.final_probs.data, tt.softmax(logits, axis=0).data, rtol=1e-12, atol=1e-12)
 
 
 class TestTotalLoss:
-    def make_stage(self, logits, q):
-        from mambamoe.network import SampleMask, StageOutput, UncertaintyMap
-
-        return StageOutput(
-            logits=logits,
-            uncertainty=UncertaintyMap(np.zeros(q.shape)),
-            mask=SampleMask((q > 0).astype(np.uint8), seed=0, draw_offset=0),
-            q=q,
-        )
+    def make_stage(self, logits, mask):
+        return StageOutput(logits=logits, uncertainty=np.zeros(mask.shape), mask=np.asarray(mask, dtype=bool))
 
     def test_empty_stages_collapse_to_final_term(self):
         rng = np.random.default_rng(32)
         final = Tensor(rng.normal(size=(3, 4, 4)))
-        labels = rng.integers(1, 4, size=(4, 4))
-        mask = np.ones((4, 4))
-        stages = [self.make_stage(Tensor(rng.normal(size=(3, 4, 4))), np.zeros((4, 4), np.int64)) for _ in range(3)]
-        loss = total_loss(stages, labels, mask, final)
-        ref = tt.masked_cross_entropy(final, labels, mask)
-        assert loss.item() == ref.item()
+        y_trn = rng.integers(1, 4, size=(4, 4))
+        stages = [self.make_stage(Tensor(rng.normal(size=(3, 4, 4))), np.zeros((4, 4))) for _ in range(3)]
+        loss = total_loss(stages, y_trn, final)
+        assert loss.item() == tt.masked_cross_entropy(final, y_trn, np.ones((4, 4))).item()
 
     def test_identical_stages_quadruple_final_term(self):
         rng = np.random.default_rng(33)
         logits_data = rng.normal(size=(3, 4, 4))
-        labels = rng.integers(1, 4, size=(4, 4))
-        stages = [self.make_stage(Tensor(logits_data.copy()), labels.copy()) for _ in range(3)]
-        loss = total_loss(stages, labels, np.ones((4, 4)), Tensor(logits_data.copy()))
-        single = tt.masked_cross_entropy(Tensor(logits_data.copy()), labels, np.ones((4, 4))).item()
+        y_trn = rng.integers(1, 4, size=(4, 4))
+        stages = [self.make_stage(Tensor(logits_data.copy()), np.ones((4, 4))) for _ in range(3)]
+        loss = total_loss(stages, y_trn, Tensor(logits_data.copy()))
+        single = tt.masked_cross_entropy(Tensor(logits_data.copy()), y_trn, np.ones((4, 4))).item()
         np.testing.assert_allclose(loss.item(), 4.0 * single, rtol=1e-6)
 
     def test_term_by_term_summation_oracle(self):
+        # oracle: each stage's term over its sampled label map q (training labels
+        # where the mask fires, else 0), the final term over labels and train mask;
+        # the same pixels in the same order, so value and gradients agree bitwise
         rng = np.random.default_rng(34)
-        labels = rng.integers(0, 3, size=(5, 5))
-        train_mask = rng.integers(0, 2, size=(5, 5))
-        final = Tensor(rng.normal(size=(2, 5, 5)))
-        stages = []
-        expected = 0.0
-        for _ in range(3):
-            logits = Tensor(rng.normal(size=(2, 5, 5)))
-            q = np.where(rng.random((5, 5)) < 0.5, labels, 0)
-            stages.append(self.make_stage(logits, q))
-            expected += tt.masked_cross_entropy(Tensor(logits.data.copy()), q, np.ones((5, 5))).item()
-        expected += tt.masked_cross_entropy(Tensor(final.data.copy()), labels, train_mask).item()
-        np.testing.assert_allclose(total_loss(stages, labels, train_mask, final).item(), expected, rtol=1e-6)
+        labels = rng.integers(0, 4, size=(6, 5))
+        train_mask = rng.random((6, 5)) < 0.5
+        y_trn = np.where(train_mask, labels, 0)
+        masks = [rng.random((6, 5)) < 0.5 for _ in range(3)]
+        for dtype in (np.float32, F64):
+            logits = [parameter(rng.normal(size=(3, 6, 5)), dtype) for _ in range(4)]
+
+            def run(loss_fn):
+                for t in logits:
+                    t.zero_grad()
+                with Tape() as tape:
+                    loss = loss_fn()
+                    tape.backward(loss)
+                return [loss.data.tobytes()] + [t.grad.tobytes() for t in logits]
+
+            def q_form():
+                ones = np.ones((6, 5))
+                terms = [tt.masked_cross_entropy(l, np.where(m, y_trn, 0), ones) for l, m in zip(logits, masks)]
+                terms.append(tt.masked_cross_entropy(logits[3], labels, train_mask))
+                return tt.add(tt.add(tt.add(terms[0], terms[1]), terms[2]), terms[3])
+
+            stages = [self.make_stage(l, m) for l, m in zip(logits, masks)]
+            assert run(lambda: total_loss(stages, y_trn, logits[3])) == run(q_form)
 
 
 class TestCheckpoint:

@@ -409,8 +409,11 @@ class TestMaskedCrossEntropy:
         assert loss.item() == 0.0
 
     def test_label_above_k_rejected(self):
-        with pytest.raises(ValueError, match="label id"):
-            tt.masked_cross_entropy(Tensor(np.zeros((2, 1, 1))), np.array([[3]]), np.ones((1, 1)))
+        # the message names the offending id: the minimum when one is negative
+        for labels, bad in (([[3]], 3), ([[-1, 1]], -1), ([[-2, 3]], -2)):
+            labels = np.array(labels)
+            with pytest.raises(ValueError, match=rf"label id {bad} outside \[0, 2\]"):
+                tt.masked_cross_entropy(Tensor(np.zeros((2, *labels.shape))), labels, np.ones(labels.shape))
 
     def test_invariant_to_logits_outside_positions(self):
         rng = np.random.default_rng(10)
