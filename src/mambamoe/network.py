@@ -329,16 +329,16 @@ def forward_full(
     effective_topk = None if train else topk
     spec = params.spec
     feats = extract_features(params.stem, x)
+    del x  # at inference nothing else holds the scene, so it is freed here
     if spec.momeb_on:
-        m_stages = [
-            momeb_forward(params.momeb[i], feats[i], topk=effective_topk, sre_on=spec.sre_on, sse_on=spec.sse_on)
-            for i in range(N_STAGES)
-        ]
-    else:
-        m_stages = feats
-    l3 = ffb(params.ffb[2], m_stages[2])
-    l2 = ffb(params.ffb[1], m_stages[1], l3)
-    l1 = ffb(params.ffb[0], m_stages[0], l2)
+        # each stage's map gives way to its MoMEB output
+        for i in range(N_STAGES):
+            feats[i] = momeb_forward(
+                params.momeb[i], feats[i], topk=effective_topk, sre_on=spec.sre_on, sse_on=spec.sse_on
+            )
+    l3 = ffb(params.ffb[2], feats[2])
+    l2 = ffb(params.ffb[1], feats[1], l3)
+    l1 = ffb(params.ffb[0], feats[0], l2)
 
     final_logits = classify_head(params.head, l1, (h, w))
     stages: list[StageOutput] = []

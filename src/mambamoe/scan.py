@@ -25,8 +25,11 @@ One in-place kernel, ``_linear_scan``, carries every pass of a spatial
 expert through time: the states in the forward pass and the adjoint (the
 same scan over the reversed stack) in the backward pass.  It cuts the h*w
 tokens into chunks of about sqrt(T) steps, so a scan takes about
-2 sqrt(T) Python-level steps.  Everything outside the recurrence is one
-product over all steps.
+2 sqrt(T) Python-level steps, and on a square map it scans the stack
+itself, with no copy.  Everything outside the recurrence is one product
+over all steps.  For its backward pass a spatial expert keeps its input
+map, which the tape keeps anyway, and the (h*w, D) states; the tokens
+are copied from the map again.
 """
 
 from __future__ import annotations
@@ -146,29 +149,38 @@ def _linear_scan(lam: np.ndarray, u: np.ndarray) -> None:
     """In place over time: u[t] <- lam * u[t-1] + u[t] for a (T, D) stack
     and a (D,) decay, elementwise.
 
-    Two-level chunked scan (in the style of Mamba-2's SSD chunking): with
-    tokens as rows, step 1 runs the recurrence inside every chunk at once,
-    step 2 carries the chunk-final states across chunk boundaries with
-    lam^L, and step 3 adds the carried-in state to every position of each
-    chunk with lam^1..lam^(L-1) in one broadcast product.
+    Two-level chunked scan (in the style of Mamba-2's SSD chunking) over a
+    (K, L, D) view of the stack, chunk c holding steps cL .. cL+L-1: step 1
+    runs the recurrence inside every chunk at once, and step 2 carries each
+    chunk's final state into the next chunk, adding it to every position
+    with lam^1..lam^L.  When L divides T, as on every square map, the view
+    is of u itself (splitting the time axis needs no copy, so a reversed
+    view of a stack works too) and the scan makes no (T, D) scratch;
+    otherwise u is copied into a zero-padded stack and back.
     """
     t_len, d = u.shape
     step = _chunk_length(t_len)
     k = -(-t_len // step)
-    rows = np.zeros((k * step, d), dtype=u.dtype)
-    rows[:t_len] = u
-    # w[j, c] is step j of chunk c; w[j] is one (K, D) block of rows
-    w = np.ascontiguousarray(rows.reshape(k, step, d).transpose(1, 0, 2))
+    if k * step == t_len:
+        rows = u
+    else:
+        rows = np.zeros((k * step, d), dtype=u.dtype)
+        rows[:t_len] = u
+    chunks = rows.reshape(k, step, d)
     tmp = np.empty((k, d), dtype=u.dtype)
     for j in range(1, step):
-        np.multiply(w[j - 1], lam, out=tmp)
-        w[j] += tmp
-    powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[:, None]  # (L, D): lam^1 .. lam^L
-    ends = w[step - 1]
+        np.multiply(chunks[:, j - 1], lam, out=tmp)
+        chunks[:, j] += tmp
+    # lam^1 .. lam^L, and each chunk, in memory order: numpy then runs over
+    # a chunk of a reversed view as one contiguous block
+    order = slice(None, None, -1) if chunks.strides[1] < 0 else slice(None)
+    powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[order, None]
+    carry = np.empty((step, d), dtype=u.dtype)
     for c in range(1, k):
-        ends[c] += ends[c - 1] * powers[-1]
-    w[: step - 1, 1:] += ends[:-1] * powers[:-1, None]
-    u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
+        np.multiply(chunks[c - 1, -1], powers, out=carry)
+        chunks[c, order] += carry
+    if rows is not u:
+        u[...] = rows[:t_len]
 
 
 def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
@@ -182,6 +194,11 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     C_out and the map) is one product over all steps.  This is the same
     maths as the step-by-step loop; the chunked order of the sums rounds
     differently, by about 1e-6 relative in float32.
+
+    The op keeps the input map and the states, not the (h*w, E) tokens f:
+    the map is a view of the layer norm's output, which the spectral
+    expert keeps as well, and the backward pass copies f from it again
+    (the same bits) for the gradient of B_bar.
     """
     if x.ndim != 3:
         raise ShapeError(f"spatial_expert_forward: map must be (E,h,w), got {x.shape}")
@@ -194,7 +211,8 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     e, h, w = x.shape
     d = params.state_dim
 
-    f = _tokens(x.data, direction)
+    x_map = x.data
+    f = _tokens(x_map, direction)
     states = f @ b.data.T
     _linear_scan(lam, states)
     out = states @ c.data.T
@@ -207,7 +225,8 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
         df = dh @ b.data
         df += g
         d_lam = (dh[1:] * states[:-1]).sum(axis=0)
-        return d_lam * _decay_slope(a_log.data), dh.T @ f, g.T @ states, _grid(df, direction, h, w)
+        d_b = dh.T @ _tokens(x_map, direction)
+        return d_lam * _decay_slope(a_log.data), d_b, g.T @ states, _grid(df, direction, h, w)
 
     n_flops = h * w * (2 * d + 4 * d * e + e)
     return custom_op("spatial_expert_forward", (a_log, b, c, x), _grid(out, direction, h, w), bwd, flops=n_flops)

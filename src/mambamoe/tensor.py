@@ -13,12 +13,12 @@ op holds its backward closure and one route per input: the parameter
 tensor itself, the node key of the op that made the input, or None for a
 constant.  A node key is the tape's serial number and the op's index, so
 the tape holds no activation tensor: an activation lives only while a
-closure reads it (``relu`` keeps its output, ``matmul`` its operands,
-``conv2d`` its input) or while the caller keeps it.  Closures that need
-only a shape keep the shape.  During the replay each op drops its closure
-and routes once it has run, so the arrays it read are freed as soon as
-nothing else holds them.  A tensor made on another tape enters as a
-constant.
+closure reads it (``relu`` keeps a bool mask, ``matmul`` its operands,
+``conv2d`` and ``layer_norm`` their input) or while the caller keeps it.
+Closures that need only a shape keep the shape.  During the replay each
+op drops its closure and routes once it has run, so the arrays it read
+are freed as soon as nothing else holds them.  A tensor made on another
+tape enters as a constant.
 """
 
 from __future__ import annotations
@@ -422,54 +422,66 @@ def spatial_mean(x: Tensor) -> Tensor:
 # --- spatial primitives ------------------------------------------------------
 
 
-def _pad_flat(x: np.ndarray) -> np.ndarray:
-    """(C, h, w) -> (C, (h+2)(w+2) + 2): a zero border of one pixel, rows of
-    stride w+2, and two trailing zeros so that every 3x3 tap window fits."""
-    c, h, w = x.shape
-    row = w + 2
-    flat = np.zeros((c, (h + 2) * row + 2), dtype=x.dtype)
-    flat[:, : (h + 2) * row].reshape(c, h + 2, row)[:, 1 : h + 1, 1 : w + 1] = x
-    return flat
+def _block_rows(h: int, w: int) -> int:
+    """Rows per block of a 3x3 conv over an h x w map: about
+    CONV_BLOCK_PIXELS padded-row outputs.  The first block is the largest."""
+    return min(h, max(1, CONV_BLOCK_PIXELS // (w + 2)))
 
 
 def _row_blocks(h: int, w: int):
-    """(first row, row count) of each block of a 3x3 conv over an h x w map:
-    about CONV_BLOCK_PIXELS padded-row outputs per block."""
-    rows = max(1, CONV_BLOCK_PIXELS // (w + 2))
+    """(first row, row count) of each block of a 3x3 conv over an h x w map."""
+    rows = _block_rows(h, w)
     for r0 in range(0, h, rows):
         yield r0, min(rows, h - r0)
 
 
-def _shifted_gemm(taps: np.ndarray, flat: np.ndarray, out: np.ndarray, bias: np.ndarray | None = None) -> None:
-    """out[:, i, j] = sum over the nine taps of taps[di, dj] @ flat at padded
-    pixel (i + di, j + dj), plus bias if given.
+def _window(c: int, h: int, w: int, dtype) -> np.ndarray:
+    """A zeroed (C, (n+2)(w+2) + 2) window for the largest block of an h x w
+    map: n+2 padded rows at row stride w+2, and two trailing elements so
+    that every tap's span fits."""
+    return np.zeros((c, (_block_rows(h, w) + 2) * (w + 2) + 2), dtype=dtype)
 
-    Runs over blocks of rows: the nine products of a block accumulate into
-    one cache-sized buffer at row stride w+2, in which position r(w+2)+j
-    holds pixel (r, j) and the columns j = w, w+1 are junk; the block is
-    cropped as it is written into out.
+
+def _fill_window(win: np.ndarray, src: np.ndarray, r0: int, n: int) -> None:
+    """Copy rows r0-1 .. r0+n of the (C, h, w) map src into the window, with
+    zero rows where they fall outside the map.  The border columns stay zero
+    from the window's allocation."""
+    c, h, w = src.shape
+    rows = win[:, : (n + 2) * (w + 2)].reshape(c, n + 2, w + 2)
+    top = r0 - 1
+    lo, hi = max(top, 0), min(r0 + n + 1, h)
+    rows[:, : lo - top] = 0
+    rows[:, lo - top : hi - top, 1 : w + 1] = src[:, lo:hi]
+    rows[:, hi - top :] = 0
+
+
+def _shifted_block(taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.ndarray) -> np.ndarray:
+    """Sum of the nine products taps[di, dj] @ the window's span from
+    di(w+2)+dj, over a block of n rows; returns the block's (C_out, n, w)
+    outputs, a view of ``buf``.
+
+    The products accumulate in ``buf`` at row stride w+2, in which position
+    r(w+2)+j holds pixel (r, j) and the columns j = w, w+1 are junk; the
+    returned view crops them.
     """
-    c_out, h, w = out.shape
-    row = w + 2
-    blocks = list(_row_blocks(h, w))
-    buf = np.empty(2 * c_out * blocks[0][1] * row, dtype=out.dtype)  # the first block is the largest
-    for r0, n in blocks:
-        span = n * row
-        acc = buf[: c_out * span].reshape(c_out, span)
-        tmp = buf[c_out * span : 2 * c_out * span].reshape(c_out, span)
-        for di in range(3):
-            for dj in range(3):
-                off = (r0 + di) * row + dj
-                if di or dj:
-                    np.matmul(taps[di, dj], flat[:, off : off + span], out=tmp)
-                    acc += tmp
-                else:
-                    np.matmul(taps[0, 0], flat[:, off : off + span], out=acc)
-        block = acc.reshape(c_out, n, row)[:, :, :w]
-        if bias is None:
-            out[:, r0 : r0 + n] = block
-        else:
-            np.add(block, bias[:, None, None], out=out[:, r0 : r0 + n])
+    c_out, row = taps.shape[2], w + 2
+    span = n * row
+    acc = buf[: c_out * span].reshape(c_out, span)
+    tmp = buf[c_out * span : 2 * c_out * span].reshape(c_out, span)
+    for di in range(3):
+        for dj in range(3):
+            off = di * row + dj
+            if di or dj:
+                np.matmul(taps[di, dj], win[:, off : off + span], out=tmp)
+                acc += tmp
+            else:
+                np.matmul(taps[0, 0], win[:, off : off + span], out=acc)
+    return acc.reshape(c_out, n, row)[:, :, :w]
+
+
+def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
+    """Room for ``_shifted_block``'s sum and product over the largest block."""
+    return np.empty(2 * c_out * _block_rows(h, w) * (w + 2), dtype=dtype)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> Tensor:
@@ -479,15 +491,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
     bias: (C_out,).  pad defaults to (k - 1) // 2 and must equal it.
 
     A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
-    is nine shifted products (the implicit-GEMM lowering): the input is
-    padded into a flat buffer with row stride w+2, so each tap reads the
-    contiguous window starting at di(w+2)+dj, and ``_shifted_gemm`` sums
-    the taps block by block into the output.  The closure keeps x, not the
-    padded copy.  The backward pass pads x and g again: for each block, dW
-    for a tap gains g times that tap's input window transposed, and dx is
-    the shifted sum with the flipped, transposed taps.  dx is computed only
-    for an input that requires a gradient or is a node of the open tape;
-    otherwise it is None.
+    is nine shifted products (the implicit-GEMM lowering), run over blocks
+    of rows (``_row_blocks``).  Each call allocates one zeroed window for
+    the largest block, and each block copies its rows and the row above
+    and below into it at row stride w+2 (``_fill_window``).  Each tap then
+    reads the window's contiguous span from di(w+2)+dj, and
+    ``_shifted_block`` sums the nine products into a cache-sized buffer
+    that is cropped into the output.  No padded copy of the whole map is
+    made, and the closure keeps x.  The backward pass fills one window of
+    x and one of g per block: dW for a tap gains g times that tap's span
+    of x transposed, and the block of dx is the shifted sum over g with the
+    flipped, transposed taps.  dx is computed only for an input that
+    requires a gradient or is a node of the open tape; otherwise it is None.
     """
     if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
         raise ShapeError(f"conv2d: bad ranks x{x.shape} w{weight.shape} b{bias.shape}")
@@ -520,29 +535,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
     else:
         taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
         out = np.empty((c_out, h, w), dtype=x.dtype)
-        _shifted_gemm(taps, _pad_flat(x.data), out, bias.data)
+        win, buf = _window(c_in, h, w, x.dtype), _block_buffer(c_out, h, w, x.dtype)
+        for r0, n in _row_blocks(h, w):
+            _fill_window(win, x.data, r0, n)
+            np.add(_shifted_block(taps, win, n, w, buf), bias.data[:, None, None], out=out[:, r0 : r0 + n])
+        del win, buf  # before the finite check's temporary
         row = w + 2
 
         def bwd(g):
-            xp, gp = _pad_flat(x.data), _pad_flat(g)
+            xwin, gwin = _window(c_in, h, w, g.dtype), _window(c_out, h, w, g.dtype)
             dtaps = np.empty((3, 3, c_out, c_in), dtype=g.dtype)
             part = np.empty((c_out, c_in), dtype=g.dtype)
-            for r0, n in _row_blocks(h, w):
-                start = (r0 + 1) * row + 1
-                g_rows = gp[:, start : start + n * row]  # g at row stride w+2, junk columns zero
-                for di in range(3):
-                    for dj in range(3):
-                        off = (r0 + di) * row + dj
-                        window = xp[:, off : off + n * row].T
-                        if r0:
-                            np.matmul(g_rows, window, out=part)
-                            dtaps[di, dj] += part
-                        else:
-                            np.matmul(g_rows, window, out=dtaps[di, dj])
             dx = None
             if need_dx:
                 dx = np.empty((c_in, h, w), dtype=g.dtype)
-                _shifted_gemm(np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2)), gp, dx)
+                flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
+                buf = _block_buffer(c_in, h, w, g.dtype)
+            for r0, n in _row_blocks(h, w):
+                _fill_window(xwin, x.data, r0, n)
+                _fill_window(gwin, g, r0, n)
+                g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
+                for di in range(3):
+                    for dj in range(3):
+                        off = di * row + dj
+                        span = xwin[:, off : off + n * row].T
+                        if r0:
+                            np.matmul(g_rows, span, out=part)
+                            dtaps[di, dj] += part
+                        else:
+                            np.matmul(g_rows, span, out=dtaps[di, dj])
+                if need_dx:
+                    dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)
             return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
 
     n_flops = h * w * c_out * (2 * c_in * k * k) + h * w * c_out
@@ -586,7 +609,13 @@ def avg_pool2(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis at each spatial location."""
+    """Normalize over the channel axis at each spatial location.
+
+    The closure keeps x and the per-pixel mu and inv_std, not the
+    normalized map xhat: the backward pass recomputes xhat with the
+    forward's operations, so it has the same bits.  x is usually kept by
+    another op as well (a residual add or the next conv).
+    """
     if x.ndim != 3:
         raise ShapeError(f"layer_norm: expects (C,h,w), got {x.shape}")
     c = x.shape[0]
@@ -597,17 +626,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if x.dtype != gamma.dtype or x.dtype != beta.dtype:
         raise ShapeError("layer_norm: operand dtypes must match")
     dt = x.data.dtype.type
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    inv_std = dt(1.0) / np.sqrt(var + dt(eps))
-    xhat = (x.data - mu) * inv_std
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+    x_map = x.data
+    mu = x_map.mean(axis=0)
+    inv_std = dt(1.0) / np.sqrt(x_map.var(axis=0) + dt(eps))
+
+    def normalized():
+        xhat = x_map - mu
+        xhat *= inv_std
+        return xhat
+
+    out = normalized()
+    out *= gamma.data[:, None, None]
+    out += beta.data[:, None, None]
 
     def bwd(g):
+        xhat = normalized()
         dgamma = (g * xhat).sum(axis=(1, 2))
         dbeta = g.sum(axis=(1, 2))
-        dxhat = g * gamma.data[:, None, None]
-        dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std, in place
+        dx = g * gamma.data[:, None, None]
+        mean_dxhat, mean_dxhat_xhat = dx.mean(axis=0), (dx * xhat).mean(axis=0)
+        dx -= mean_dxhat
+        xhat *= mean_dxhat_xhat
+        dx -= xhat
+        dx *= inv_std
         return dx, dgamma, dbeta
 
     _, h, w = x.shape

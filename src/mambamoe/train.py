@@ -241,8 +241,7 @@ def metrics_from_confusion(conf: np.ndarray) -> Metrics:
 
 def predict_labels(params: NetworkParams, scene: HsiScene, topk: int = 3) -> np.ndarray:
     """Inference-mode argmax class map for the whole scene (no randomness)."""
-    x = normalize_scene(scene)
-    result = forward_full(params, x, train=False, topk=topk)
+    result = forward_full(params, normalize_scene(scene), train=False, topk=topk)
     return (result.final_logits.data.argmax(axis=0) + 1).astype(np.uint16)
 
 

@@ -1,5 +1,7 @@
 """Scan orders, the state-space recurrence, and the directional experts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mambamoe.network import NetSpec, init_network_params
 from mambamoe.scan import (
     SPATIAL_DIRECTIONS,
     _chunk_length,
+    _decay_slope,
     _grid,
     _linear_scan,
     _tokens,
@@ -110,6 +113,26 @@ def scan_with_grads(p, seq, probe):
         y = spatial_expert_forward(p, x, ScanDirection.TL_BR)
         tape.backward(tt.sum_all(tt.mul(y, Tensor(row_map(probe)))))
     return y.data[:, 0].T, (p.a_log.grad, p.b_bar.grad, p.c_out.grad, x.grad[:, 0].T)
+
+
+def padded_reference(lam, u):
+    """``_linear_scan`` as it was before it scanned the stack in place: a
+    zero-padded, chunk-major copy, the fix-up as one broadcast product, and
+    a copy back into u."""
+    t_len, d = u.shape
+    step = _chunk_length(t_len)
+    k = -(-t_len // step)
+    rows = np.zeros((k * step, d), dtype=u.dtype)
+    rows[:t_len] = u
+    w = np.ascontiguousarray(rows.reshape(k, step, d).transpose(1, 0, 2))
+    for j in range(1, step):
+        w[j] += w[j - 1] * lam
+    powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[:, None]
+    ends = w[step - 1]
+    for c in range(1, k):
+        ends[c] += ends[c - 1] * powers[-1]
+    w[: step - 1, 1:] += ends[:-1] * powers[:-1, None]
+    u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
 
 
 def rel_err(x, ref):
@@ -284,6 +307,31 @@ class TestChunkedScan:
         _linear_scan(lam, reversed_store[::-1])
         assert rel_err(reversed_store[::-1], ref) < 1e-10
 
+    # 4099 tokens are 64 chunks of 65 steps, the last one padded
+    @pytest.mark.parametrize("t_len", [LONG, LONG + 3])
+    def test_kernel_bitwise_equals_the_padded_copy_form(self, t_len):
+        rng = np.random.default_rng(t_len)
+        lam = rng.uniform(0.5, 1.0, 24).astype(np.float32)
+        u = rng.normal(size=(t_len, 24)).astype(np.float32)
+        for view in (lambda a: a, lambda a: a[::-1]):
+            got, want = u.copy(), u.copy()
+            _linear_scan(lam, view(got))
+            padded_reference(lam, view(want))
+            assert got.tobytes() == want.tobytes()
+
+    def test_scan_of_whole_chunks_makes_no_copy_of_the_stack(self):
+        rng = np.random.default_rng(44)
+        lam = rng.uniform(0.5, 1.0, 24).astype(np.float32)
+        u = rng.normal(size=(self.LONG, 24)).astype(np.float32)
+        for view in (lambda a: a, lambda a: a[::-1]):
+            tracemalloc.start()
+            try:
+                _linear_scan(lam, view(u))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < u.nbytes
+
     @staticmethod
     def assert_matches_loops(state_dim, seq_shape, seed):
         rng = np.random.default_rng(seed)
@@ -392,6 +440,32 @@ class TestSpatialExpert:
         out_bltr = spatial_expert_forward(p, Tensor(x), ScanDirection.BL_TR).data
         out_rot2 = spatial_expert_forward(p, Tensor(rot), ScanDirection.TR_BL).data
         assert out_bltr.tobytes() == out_rot2[:, ::-1, ::-1].copy().tobytes()
+
+    def test_keeps_its_map_not_tokens_with_the_same_gradients(self):
+        rng = np.random.default_rng(10)
+        p = make_expert(3, 2, rng)  # D = 3, E = 2: no other held array is token-shaped
+        x = parameter(rng.normal(size=(2, 5, 6)))
+        g_grid = rng.normal(size=(2, 5, 6))
+        for direction in SPATIAL_DIRECTIONS:
+            with tt.Tape() as tape:
+                spatial_expert_forward(p, x, direction)
+                rule = tape.ops[-1].backward
+                held = [cell.cell_contents for cell in rule.__closure__]
+                grads = rule(g_grid)
+            arrays = [a for a in held if isinstance(a, np.ndarray)]
+            assert any(a is x.data for a in arrays)
+            assert not any(a.shape == (30, 2) for a in arrays)
+            # the form that kept the forward's tokens
+            lam, f, g = p.decay, _tokens(x.data, direction), _tokens(g_grid, direction)
+            states = f @ p.b_bar.data.T
+            _linear_scan(lam, states)
+            dh = g @ p.c_out.data
+            _linear_scan(lam, dh[::-1])
+            df = dh @ p.b_bar.data
+            df += g
+            d_a = (dh[1:] * states[:-1]).sum(axis=0) * _decay_slope(p.a_log.data)
+            for got, want in zip(grads, (d_a, dh.T @ f, g.T @ states, _grid(df, direction, 5, 6))):
+                assert got.tobytes() == want.tobytes()
 
     def test_full_scan_gradient_t64(self):
         rng = np.random.default_rng(9)

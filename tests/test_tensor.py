@@ -165,10 +165,17 @@ class TestConv2d:
             dx, _, _ = tape.ops[-1].backward(g)
         np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
 
+    @staticmethod
+    def window_bytes(c, h, w, itemsize=4):
+        """One padded window of a 3x3 conv: the largest row block and the rows
+        above and below it, at row stride w+2."""
+        n = min(h, tt.CONV_BLOCK_PIXELS // (w + 2))
+        return c * ((n + 2) * (w + 2) + 2) * itemsize
+
     def test_forward_holds_no_full_size_accumulator(self):
-        # (32, 128, 128) -> 48 channels in float32: the output is 3.1 MB and
-        # the padded input 2.2 MB; a full-size accumulator and its product
-        # buffer would add 3.2 MB each
+        # (32, 128, 128) -> 48 channels in float32: the output is 3.1 MB, one
+        # padded window 0.28 MB and a padded copy of the whole input 2.2 MB; a
+        # full-size accumulator and its product buffer would add 3.2 MB each
         rng = np.random.default_rng(6)
         x = Tensor(rand(rng, 32, 128, 128, dtype=np.float32))
         wt = Tensor(rand(rng, 48, 32, 3, 3, dtype=np.float32))
@@ -179,8 +186,26 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded = 32 * (130 * 130 + 2) * 4
-        assert peak < out.data.nbytes + padded + 2**20
+        assert peak < out.data.nbytes + self.window_bytes(32, 128, 128) + 2**20
+
+    def test_backward_pads_one_row_block_at_a_time(self):
+        # (48, 64, 64) float32: dx is 0.75 MiB, one window of x or g 0.4 MiB;
+        # padded copies of the whole x and g would add 1.6 MiB
+        rng = np.random.default_rng(7)
+        x = parameter(rand(rng, 48, 64, 64, dtype=np.float32))
+        wt = parameter(rand(rng, 48, 48, 3, 3, dtype=np.float32))
+        b = parameter(rand(rng, 48, dtype=np.float32))
+        g = rand(rng, 48, 64, 64, dtype=np.float32)
+        with Tape() as tape:
+            tt.conv2d(x, wt, b)
+            rule = tape.ops[-1].backward
+            tracemalloc.start()
+            try:
+                dx, _, _ = rule(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < dx.nbytes + 2 * self.window_bytes(48, 64, 64) + 2**20
 
     def test_kernel_size_and_pad_contract(self):
         x = Tensor(np.ones((1, 4, 4)))
@@ -281,6 +306,26 @@ class TestLayerNorm:
         out = tt.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))).data
         assert np.abs(out.mean(axis=0)).max() < 1e-5
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-3
+
+    def test_keeps_its_input_not_xhat_with_the_same_gradients(self):
+        rng = np.random.default_rng(7)
+        x = parameter(rand(rng, 5, 6, 7, dtype=np.float32))
+        gamma, beta = parameter(rand(rng, 5, dtype=np.float32)), parameter(rand(rng, 5, dtype=np.float32))
+        g = rand(rng, 5, 6, 7, dtype=np.float32)
+        with Tape() as tape:
+            tt.layer_norm(x, gamma, beta)
+            rule = tape.ops[-1].backward
+            held = _held_arrays(rule)
+            grads = rule(g)
+        maps = [a for a in held if a.shape == x.shape]
+        assert maps and all(a is x.data for a in maps)
+        # the form that kept the forward's xhat
+        inv_std = np.float32(1.0) / np.sqrt(x.data.var(axis=0) + np.float32(1e-5))
+        xhat = (x.data - x.data.mean(axis=0)) * inv_std
+        dxhat = g * gamma.data[:, None, None]
+        dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
+        for got, want in zip(grads, (dx, (g * xhat).sum(axis=(1, 2)), g.sum(axis=(1, 2)))):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestUpsample:
@@ -490,6 +535,18 @@ class TestBackward:
 
         rep = grad_check(fn, [x, w, b, gamma, beta], names=["x", "w", "b", "gamma", "beta"])
         assert rep.passed, rep.per_param
+
+
+def _held_arrays(fn) -> list:
+    """The arrays that a closure holds, and those of the closures it holds."""
+    held = []
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            held.append(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            held += _held_arrays(v)
+    return held
 
 
 def _recording(rule, seen):

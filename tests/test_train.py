@@ -1,11 +1,14 @@
 """Split sampling, Adam, metrics, repeats, and short training runs."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mambamoe import data as dataio
+from mambamoe import network
 from mambamoe import train as training
 from mambamoe.train import (
     AdamState,
@@ -240,6 +243,31 @@ class TestTrainingLoop:
         labels = scene.labels.astype(np.int64)
         conf = confusion_matrix(labels[result.test_mask], pred[result.test_mask], 3)
         np.testing.assert_array_equal(conf, m.confusion)
+
+    def test_predict_frees_the_scene_and_each_stem_map_once_consumed(self, monkeypatch):
+        scene = small_scene()
+        params = network.init_network_params(network.NetSpec(4, 8, 4, 3), np.random.default_rng(0))
+        extract, momeb, ffb = network.extract_features, network.momeb_forward, network.ffb
+        maps, seen = [], []
+
+        def watched_extract(stem, x):
+            feats = extract(stem, x)
+            maps.extend(weakref.ref(t.data) for t in (x, *feats))
+            return feats
+
+        def watched_momeb(p, f, **kw):
+            seen.append(("momeb", maps[0]() is not None))  # the normalized scene
+            return momeb(p, f, **kw)
+
+        def watched_ffb(p, m, l_next=None):
+            seen.append(("ffb", any(r() is not None for r in maps)))
+            return ffb(p, m, l_next)
+
+        monkeypatch.setattr(network, "extract_features", watched_extract)
+        monkeypatch.setattr(network, "momeb_forward", watched_momeb)
+        monkeypatch.setattr(network, "ffb", watched_ffb)
+        predict_labels(params, scene, topk=3)
+        assert seen == [("momeb", False)] * 3 + [("ffb", False)] * 3
 
     def test_topk_sweep_shapes(self):
         scene = small_scene()
