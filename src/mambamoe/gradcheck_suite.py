@@ -70,10 +70,13 @@ def _upsample(rng: np.random.Generator) -> GradCheckReport:
     return _probed(rng, lambda: tt.bilinear_upsample(x, (7, 5)), [x], (2, 7, 5))
 
 
-def _avg_pool2(rng: np.random.Generator) -> GradCheckReport:
-    # odd extents: the dropped trailing row and column must get zero gradient
-    x = parameter(rng.normal(size=(2, 5, 7)), dtype=F64)
-    return _probed(rng, lambda: tt.avg_pool2(x), [x], (2, 2, 3))
+def _conv_relu_pool(rng: np.random.Generator) -> GradCheckReport:
+    # a 9x7 map is one block of 9 rows: its odd last row is staged, then
+    # dropped with the last column, and must get zero gradient
+    x = parameter(rng.normal(size=(2, 9, 7)), dtype=F64)
+    w = parameter(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
+    b = parameter(rng.normal(size=3), dtype=F64)
+    return _probed(rng, lambda: tt.conv_relu_pool(x, w, b), [x, w, b], (3, 4, 3))
 
 
 def _relu(rng: np.random.Generator) -> GradCheckReport:
@@ -179,7 +182,7 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "ffb": _ffb,
     "head": _head,
     "total_loss": _total_loss,
-    "avg_pool2": _avg_pool2,
+    "conv_relu_pool": _conv_relu_pool,
     "relu": _relu,
 }
 """Entry name -> check on its own random draws; ``total_loss`` runs at

@@ -1,7 +1,8 @@
 """Full network assembly: encoder, fusion decoder, uncertainty-guided stage
 supervision, total loss, and checkpoint serialization.
 
-The encoder is three conv+ReLU+avgpool stages, each followed by a
+The encoder is three conv+ReLU+avgpool stages, each one fused op that
+never builds its full-resolution map, and each followed by a
 mixture-of-expert block; the decoder fuses stages coarse-to-fine through
 residual blocks and bilinear upsampling; stage 1's head is the prediction.
 The head is a 1x1 conv and the upsample of its logits, which it commutes
@@ -222,15 +223,19 @@ def stage_sizes(height: int, width: int) -> list[tuple[int, int]]:
 
 
 def extract_features(stem: StemParams, x: Tensor) -> list[Tensor]:
-    """Three conv+ReLU+avgpool stages; each halves the spatial extent."""
+    """Three conv+ReLU+avgpool stages; each halves the spatial extent.
+
+    Each stage is one ``tt.conv_relu_pool`` op, which pools each row block
+    of the conv as it is made: no stage builds its full-resolution map,
+    forward or backward."""
     if x.ndim != 3:
         raise ShapeError(f"extract_features: expects (B,H,W), got {x.shape}")
     _, h, w = x.shape
     if h < 8 or w < 8:
         raise ShapeError(f"extract_features: scene {h}x{w} too small; the third stage would vanish")
-    f1 = tt.avg_pool2(tt.relu(tt.conv2d(x, stem.conv1_w, stem.conv1_b)))
-    f2 = tt.avg_pool2(tt.relu(tt.conv2d(f1, stem.conv2_w, stem.conv2_b)))
-    f3 = tt.avg_pool2(tt.relu(tt.conv2d(f2, stem.conv3_w, stem.conv3_b)))
+    f1 = tt.conv_relu_pool(x, stem.conv1_w, stem.conv1_b)
+    f2 = tt.conv_relu_pool(f1, stem.conv2_w, stem.conv2_b)
+    f3 = tt.conv_relu_pool(f2, stem.conv3_w, stem.conv3_b)
     return [f1, f2, f3]
 
 

@@ -14,7 +14,8 @@ tensor itself, the node key of the op that made the input, or None for a
 constant.  A node key is the tape's serial number and the op's index, so
 the tape holds no activation tensor: an activation lives only while a
 closure reads it (``relu`` keeps a bool mask, ``matmul`` its operands,
-``conv2d`` and ``layer_norm`` their input) or while the caller keeps it.
+``conv2d`` and ``layer_norm`` their input, ``conv_relu_pool`` its input and
+its ReLU mask packed to one bit per pixel) or while the caller keeps it.
 Closures that need only a shape keep the shape.  During the replay each
 op drops its closure and routes once it has run, so the arrays it read
 are freed as soon as nothing else holds them.  A tensor made on another
@@ -442,27 +443,38 @@ def _window(c: int, h: int, w: int, dtype) -> np.ndarray:
     return np.zeros((c, (_block_rows(h, w) + 2) * (w + 2) + 2), dtype=dtype)
 
 
-def _fill_window(win: np.ndarray, src: np.ndarray, r0: int, n: int) -> None:
-    """Copy rows r0-1 .. r0+n of the (C, h, w) map src into the window, with
-    zero rows where they fall outside the map.  The border columns stay zero
-    from the window's allocation."""
-    c, h, w = src.shape
+def _rows_of(src: np.ndarray):
+    """The row source of a (C, h, w) array: put(dst, lo) copies rows lo ..
+    lo+m-1 of src into the (C, m, w) array dst."""
+
+    def put(dst, lo):
+        dst[...] = src[:, lo : lo + dst.shape[1]]
+
+    return put
+
+
+def _fill_window(win: np.ndarray, put, h: int, w: int, r0: int, n: int) -> None:
+    """Write rows r0-1 .. r0+n of an h x w map into the window through the
+    row source ``put`` (see ``_rows_of``), with zero rows where they fall
+    outside the map.  The border columns stay zero from the window's
+    allocation."""
+    c = win.shape[0]
     rows = win[:, : (n + 2) * (w + 2)].reshape(c, n + 2, w + 2)
     top = r0 - 1
     lo, hi = max(top, 0), min(r0 + n + 1, h)
     rows[:, : lo - top] = 0
-    rows[:, lo - top : hi - top, 1 : w + 1] = src[:, lo:hi]
+    put(rows[:, lo - top : hi - top, 1 : w + 1], lo)
     rows[:, hi - top :] = 0
 
 
 def _shifted_block(taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.ndarray) -> np.ndarray:
     """Sum of the nine products taps[di, dj] @ the window's span from
-    di(w+2)+dj, over a block of n rows; returns the block's (C_out, n, w)
-    outputs, a view of ``buf``.
+    di(w+2)+dj, over a block of n rows; returns the block's outputs as a
+    contiguous (C_out, n, w+2) view of ``buf``.
 
-    The products accumulate in ``buf`` at row stride w+2, in which position
-    r(w+2)+j holds pixel (r, j) and the columns j = w, w+1 are junk; the
-    returned view crops them.
+    The products accumulate at row stride w+2, in which position r(w+2)+j
+    holds pixel (r, j) and the columns j = w, w+1 are junk: callers crop
+    them.
     """
     c_out, row = taps.shape[2], w + 2
     span = n * row
@@ -476,12 +488,115 @@ def _shifted_block(taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.nd
                 acc += tmp
             else:
                 np.matmul(taps[0, 0], win[:, off : off + span], out=acc)
-    return acc.reshape(c_out, n, row)[:, :, :w]
+    return acc.reshape(c_out, n, row)
 
 
 def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
     """Room for ``_shifted_block``'s sum and product over the largest block."""
     return np.empty(2 * c_out * _block_rows(h, w) * (w + 2), dtype=dtype)
+
+
+def _taps(weight: np.ndarray) -> np.ndarray:
+    """A (C_out, C_in, 3, 3) kernel as contiguous (3, 3, C_out, C_in) taps."""
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+
+
+def _conv3_blocks(x: np.ndarray, taps: np.ndarray):
+    """The forward pass of a 3x3 conv of the (C_in, h, w) array x, one row
+    block at a time: yields (r0, n, acc), where acc is the block's sum of
+    the nine tap products without the bias, at row stride w+2 with two junk
+    columns (``_shifted_block``), in a buffer that the next block reuses.
+    The window and the buffer are freed when the loop ends."""
+    c_in, h, w = x.shape
+    win, buf = _window(c_in, h, w, x.dtype), _block_buffer(taps.shape[2], h, w, x.dtype)
+    put = _rows_of(x)
+    for r0, n in _row_blocks(h, w):
+        _fill_window(win, put, h, w, r0, n)
+        yield r0, n, _shifted_block(taps, win, n, w, buf)
+
+
+def _conv3_backward(x: np.ndarray, taps: np.ndarray, put_g, need_dx: bool):
+    """dx (or None) and dW of a 3x3 conv of the (C_in, h, w) array x, whose
+    output gradient the row source ``put_g`` writes (see ``_rows_of``).
+
+    Each block fills one window of x and one of g: dW for a tap gains g
+    times that tap's span of x transposed, and the block of dx is the
+    shifted sum over g with the flipped, transposed taps.
+    """
+    c_in, h, w = x.shape
+    c_out, row, dtype = taps.shape[2], w + 2, x.dtype
+    xwin, gwin = _window(c_in, h, w, dtype), _window(c_out, h, w, dtype)
+    put_x = _rows_of(x)
+    dtaps = np.empty((3, 3, c_out, c_in), dtype=dtype)
+    part = np.empty((c_out, c_in), dtype=dtype)
+    dx = None
+    if need_dx:
+        dx = np.empty((c_in, h, w), dtype=dtype)
+        flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
+        buf = _block_buffer(c_in, h, w, dtype)
+    for r0, n in _row_blocks(h, w):
+        _fill_window(xwin, put_x, h, w, r0, n)
+        _fill_window(gwin, put_g, h, w, r0, n)
+        g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
+        for di in range(3):
+            for dj in range(3):
+                off = di * row + dj
+                span = xwin[:, off : off + n * row].T
+                if r0:
+                    np.matmul(g_rows, span, out=part)
+                    dtaps[di, dj] += part
+                else:
+                    np.matmul(g_rows, span, out=dtaps[di, dj])
+        if need_dx:
+            dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)[:, :, :w]
+    return dx, dtaps.transpose(2, 3, 0, 1)
+
+
+def _map_sum(put, c: int, h: int, w: int, dtype) -> np.ndarray:
+    """Per-channel sum of the (C, h, w) map that the row source ``put``
+    writes, with the bits of numpy's ``sum(axis=(1, 2))`` of the whole map,
+    which is never made.
+
+    numpy sums the h*w run pairwise: a run longer than 128 splits at half
+    its length rounded down to a multiple of 8, and shorter runs add in
+    eight lanes.  The nodes of that tree of at most CONV_BLOCK_PIXELS
+    elements are summed by numpy itself, each over a copy of its rows, and
+    the nodes above add up as numpy adds them.  Only the sign of a zero can
+    differ inside the tree, and never in the sum.
+    """
+
+    def node(start: int, n: int) -> np.ndarray:
+        if n > CONV_BLOCK_PIXELS:
+            half = n // 2 - n // 2 % 8
+            return node(start, half) + node(start + half, n - half)
+        r0, r1 = start // w, (start + n - 1) // w + 1
+        rows = np.empty((c, r1 - r0, w), dtype=dtype)
+        put(rows, r0)
+        first = start - r0 * w
+        return rows.reshape(c, -1)[:, first : first + n].sum(axis=1)
+
+    return node(0, h * w)
+
+
+def _conv_shapes(name: str, x: Tensor, weight: Tensor, bias: Tensor) -> tuple[int, int, int]:
+    """(C_out, C_in, k) of a conv's operands, after checking their ranks,
+    extents and dtypes."""
+    if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
+        raise ShapeError(f"{name}: bad ranks x{x.shape} w{weight.shape} b{bias.shape}")
+    c_out, c_in, k, k2 = weight.shape
+    if k != k2 or k not in (1, 3):
+        raise ShapeError(f"{name}: kernel must be square with k in {{1,3}}, got {k}x{k2}")
+    if x.shape[0] != c_in:
+        raise ShapeError(f"{name}: input channels {x.shape[0]} != weight C_in {c_in}")
+    if bias.shape[0] != c_out:
+        raise ShapeError(f"{name}: bias length {bias.shape[0]} != C_out {c_out}")
+    if x.dtype != weight.dtype or x.dtype != bias.dtype:
+        raise ShapeError(f"{name}: operand dtypes must match")
+    return c_out, c_in, k
+
+
+def _conv_flops(c_out: int, c_in: int, k: int, h: int, w: int) -> int:
+    return h * w * c_out * (2 * c_in * k * k) + h * w * c_out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> Tensor:
@@ -492,29 +607,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
 
     A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
     is nine shifted products (the implicit-GEMM lowering), run over blocks
-    of rows (``_row_blocks``).  Each call allocates one zeroed window for
-    the largest block, and each block copies its rows and the row above
-    and below into it at row stride w+2 (``_fill_window``).  Each tap then
-    reads the window's contiguous span from di(w+2)+dj, and
-    ``_shifted_block`` sums the nine products into a cache-sized buffer
-    that is cropped into the output.  No padded copy of the whole map is
-    made, and the closure keeps x.  The backward pass fills one window of
-    x and one of g per block: dW for a tap gains g times that tap's span
-    of x transposed, and the block of dx is the shifted sum over g with the
-    flipped, transposed taps.  dx is computed only for an input that
-    requires a gradient or is a node of the open tape; otherwise it is None.
+    of rows (``_row_blocks``) by helpers that ``conv_relu_pool`` shares.
+    ``_conv3_blocks`` allocates one zeroed window for the largest block and
+    copies each block's rows, with the row above and below, into it at row
+    stride w+2 (``_fill_window``); ``_shifted_block`` then sums the nine
+    products, each over the window's contiguous span from di(w+2)+dj, into
+    a cache-sized buffer that is cropped into the output.  No padded copy
+    of the whole map is made, and the closure keeps x.  The backward pass,
+    ``_conv3_backward``, fills one window of x and one of g per block.  dx
+    is computed only for an input that requires a gradient or is a node of
+    the open tape; otherwise it is None.
     """
-    if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
-        raise ShapeError(f"conv2d: bad ranks x{x.shape} w{weight.shape} b{bias.shape}")
-    c_out, c_in, k, k2 = weight.shape
-    if k != k2 or k not in (1, 3):
-        raise ShapeError(f"conv2d: kernel must be square with k in {{1,3}}, got {k}x{k2}")
-    if x.shape[0] != c_in:
-        raise ShapeError(f"conv2d: input channels {x.shape[0]} != weight C_in {c_in}")
-    if bias.shape[0] != c_out:
-        raise ShapeError(f"conv2d: bias length {bias.shape[0]} != C_out {c_out}")
-    if x.dtype != weight.dtype or x.dtype != bias.dtype:
-        raise ShapeError("conv2d: operand dtypes must match")
+    c_out, c_in, k = _conv_shapes("conv2d", x, weight, bias)
     p = (k - 1) // 2
     if pad is not None and pad != p:
         raise ShapeError(f"conv2d: pad must be (k-1)//2 = {p} to preserve size, got {pad}")
@@ -533,79 +637,103 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
             return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
 
     else:
-        taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
+        taps = _taps(weight.data)
         out = np.empty((c_out, h, w), dtype=x.dtype)
-        win, buf = _window(c_in, h, w, x.dtype), _block_buffer(c_out, h, w, x.dtype)
-        for r0, n in _row_blocks(h, w):
-            _fill_window(win, x.data, r0, n)
-            np.add(_shifted_block(taps, win, n, w, buf), bias.data[:, None, None], out=out[:, r0 : r0 + n])
-        del win, buf  # before the finite check's temporary
-        row = w + 2
+        for r0, n, acc in _conv3_blocks(x.data, taps):
+            np.add(acc[:, :, :w], bias.data[:, None, None], out=out[:, r0 : r0 + n])
+        del acc  # a view of the block buffer, before the finite check's temporary
 
         def bwd(g):
-            xwin, gwin = _window(c_in, h, w, g.dtype), _window(c_out, h, w, g.dtype)
-            dtaps = np.empty((3, 3, c_out, c_in), dtype=g.dtype)
-            part = np.empty((c_out, c_in), dtype=g.dtype)
-            dx = None
-            if need_dx:
-                dx = np.empty((c_in, h, w), dtype=g.dtype)
-                flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
-                buf = _block_buffer(c_in, h, w, g.dtype)
-            for r0, n in _row_blocks(h, w):
-                _fill_window(xwin, x.data, r0, n)
-                _fill_window(gwin, g, r0, n)
-                g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
-                for di in range(3):
-                    for dj in range(3):
-                        off = di * row + dj
-                        span = xwin[:, off : off + n * row].T
-                        if r0:
-                            np.matmul(g_rows, span, out=part)
-                            dtaps[di, dj] += part
-                        else:
-                            np.matmul(g_rows, span, out=dtaps[di, dj])
-                if need_dx:
-                    dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)
-            return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
+            dx, dw = _conv3_backward(x.data, taps, _rows_of(g), need_dx)
+            return dx, dw, g.sum(axis=(1, 2))
 
-    n_flops = h * w * c_out * (2 * c_in * k * k) + h * w * c_out
-    return _wrap("conv2d", (x, weight, bias), out, bwd, flops=n_flops)
+    return _wrap("conv2d", (x, weight, bias), out, bwd, flops=_conv_flops(c_out, c_in, k, h, w))
 
 
-def avg_pool2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 mean pooling; a trailing odd row/column is dropped.
+def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """One stem stage: the 2x2 mean pool of relu(conv2d(x, weight, bias))
+    for a 3x3 kernel, bit for bit, without the full-resolution map.
 
-    Each window sums as (x00 + x01) + (x10 + x11) and then scales by 0.25:
-    two strided adds over the map instead of a 5-D ``mean`` reduction.  The
-    add order is fixed because it is the order in which ``mean(axis=(2, 4))``
-    of the (c, h2, 2, w2, 2) view adds, so the result keeps the bits of the
-    mean (scaling by 0.25 and dividing by 4 round alike).  Only at a pooled
-    width of 1 does ``mean`` add a window in a row instead, and the last bit
-    can differ there.
+    x: (C_in, h, w) with h, w >= 2; weight: (C_out, C_in, 3, 3); bias:
+    (C_out,).  The output is (C_out, h // 2, w // 2): a trailing odd row or
+    column is dropped.
+
+    Each row block of the conv (``_conv3_blocks``) gets its bias, is
+    checked for non-finite values and goes through ``np.maximum`` while it
+    is in cache.  Its rows are then pooled as (x00 + x01) + (x10 + x11),
+    scaled by 0.25: the horizontal pair sums of each row first, then the
+    sums of row pairs.  A block with an odd row count leaves its last row's
+    pair sums in a staging row that pairs with the next block's first row.
+
+    The closure keeps x and the ReLU mask packed to one bit per pixel
+    (``np.packbits``).  The backward pass is conv2d's
+    (``_conv3_backward``): each block's window of the output gradient is
+    written straight from g * 0.25 and the unpacked mask, and db sums the
+    same rows in numpy's order (``_map_sum``), so no full-resolution
+    gradient is made.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"avg_pool2: expects (C,h,w), got {x.shape}")
-    c, h, w = x.shape
+    c_out, c_in, k = _conv_shapes("conv_relu_pool", x, weight, bias)
+    if k != 3:
+        raise ShapeError(f"conv_relu_pool: kernel must be 3x3, got {k}x{k}")
+    _, h, w = x.shape
     if h < 2 or w < 2:
-        raise ShapeError(f"avg_pool2: spatial extent must be >= 2, got {h}x{w}")
+        raise ShapeError(f"conv_relu_pool: spatial extent must be >= 2, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    rows = x.data[:, : 2 * h2]
-    cols = rows[:, :, 0 : 2 * w2 : 2] + rows[:, :, 1 : 2 * w2 : 2]
-    out = cols[:, 0::2] + cols[:, 1::2]
-    out *= out.dtype.type(0.25)
     dtype = x.dtype
+    quarter = dtype.type(0.25)
+    tape = active_tape()
+    need_dx = tape is not None and _route(x, tape) is not None
+    taps = _taps(weight.data)
+    out = np.empty((c_out, h2, w2), dtype=dtype)
+    # the horizontal pair sums of a block's rows, after a staged row
+    cols = np.empty((c_out, _block_rows(h, w) + 1, w2), dtype=dtype)
+    staged = 0  # 1 when cols[:, 0] holds an unpaired row's pair sums
+    # backward reads only the ReLU mask, made only when a tape may record the op
+    mask = np.empty((c_out, h, (w + 7) // 8), dtype=np.uint8) if tape is not None else None
+    for r0, n, padded in _conv3_blocks(x.data, taps):
+        # bias and ReLU run over whole padded rows, which are contiguous;
+        # the junk columns are cropped before they are checked or read
+        acc = padded[:, :, :w]
+        np.add(padded, bias.data[:, None, None], out=padded)
+        if not np.all(np.isfinite(acc)):
+            raise NumericalError("conv_relu_pool: non-finite values in the convolution")
+        np.maximum(padded, dtype.type(0), out=padded)  # -0.0 maps to +0.0
+        if mask is not None:
+            mask[:, r0 : r0 + n] = np.packbits(acc > 0, axis=2)
+        np.add(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2], out=cols[:, staged : staged + n])
+        pairs, i0 = (staged + n) // 2, (r0 - staged) // 2
+        np.add(cols[:, 0 : 2 * pairs : 2], cols[:, 1 : 2 * pairs : 2], out=out[:, i0 : i0 + pairs])
+        staged = (staged + n) % 2
+        if staged:
+            cols[:, 0] = cols[:, 2 * pairs]
+    del padded, acc, cols  # before the finite check's temporary
+    out *= quarter
 
     def bwd(g):
-        quarter = g * g.dtype.type(0.25)
-        dx = np.empty((c, h, w), dtype)
-        dx[:, 2 * h2 :] = 0
-        dx[:, :, 2 * w2 :] = 0
-        for i in (0, 1):
-            for j in (0, 1):
-                dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2] = quarter
-        return (dx,)
+        q = g * quarter  # each window pixel's share
 
-    return _wrap("avg_pool2", (x,), out, bwd, flops=4 * c * h2 * w2)
+        def put_g(dst, lo):
+            # rows lo .. lo+m-1 of the conv's output gradient: q on the
+            # pixels of each window where the ReLU passed, 0 elsewhere
+            covered = max(0, min(dst.shape[1], 2 * h2 - lo))  # rows inside a window
+            if covered:
+                i = lo // 2
+                wide = np.empty((c_out, (lo + covered + 1) // 2 - i, 2 * w2), dtype=dtype)
+                wide[:, :, 0::2] = q[:, i : i + wide.shape[1]]
+                wide[:, :, 1::2] = q[:, i : i + wide.shape[1]]
+                bits = np.unpackbits(mask[:, lo : lo + covered], axis=2, count=2 * w2)
+                for a in (0, 1):  # the rows at even and at odd offsets from lo
+                    rows = dst[:, a:covered:2, : 2 * w2]
+                    j = (lo + a) // 2 - i
+                    np.multiply(wide[:, j : j + rows.shape[1]], bits[:, a::2], out=rows)
+            dst[:, covered:] = 0
+            dst[:, :, 2 * w2 :] = 0
+
+        dx, dw = _conv3_backward(x.data, taps, put_g, need_dx)
+        return dx, dw, _map_sum(put_g, c_out, h, w, dtype)
+
+    n_flops = _conv_flops(c_out, c_in, 3, h, w) + c_out * h * w + 4 * c_out * h2 * w2
+    return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -10,6 +10,7 @@ from mambamoe.network import NetSpec, classify_head, forward_full, init_network_
 from mambamoe.profiler import (
     PAPER_SCALE,
     CostReport,
+    _conv_flops,
     count_flops,
     count_params,
     make_report,
@@ -106,6 +107,25 @@ class TestFlops:
         with FLOPS:
             classify_head(head, l1, (17, 14))
         assert FLOPS.total == count_flops(spec, (3, 17, 14))[2]["head"]
+
+    def test_stem_counts_its_analytic_term_per_stage(self):
+        # each stage is one conv_relu_pool: the conv, c*h*w for the ReLU and
+        # 4*c*h2*w2 for the pool; 17x14 drops a row at the first stage
+        spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
+        stem = init_network_params(spec, np.random.default_rng(6)).stem
+        f = Tensor(np.random.default_rng(7).normal(size=(3, 17, 14)).astype(np.float32))
+        sizes = stage_sizes(17, 14)
+        total = 0
+        for (w, b), (h, wd), (h2, w2) in zip(
+            [(stem.conv1_w, stem.conv1_b), (stem.conv2_w, stem.conv2_b), (stem.conv3_w, stem.conv3_b)],
+            [(17, 14)] + sizes[:2],
+            sizes,
+        ):
+            with FLOPS:
+                f = tt.conv_relu_pool(f, w, b)
+            assert FLOPS.total == _conv_flops(8, w.shape[1], 3, h, wd) + 8 * h * wd + 4 * 8 * h2 * w2
+            total += FLOPS.total
+        assert total == count_flops(spec, (3, 17, 14))[2]["stem"]
 
     def test_instrumented_forward_within_5_percent(self):
         spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)

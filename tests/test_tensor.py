@@ -97,6 +97,18 @@ class TestMatmul:
             tt.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
+def window_bytes(c, h, w, itemsize=4):
+    """One padded window of a 3x3 conv: the largest row block and the rows
+    above and below it, at row stride w+2."""
+    n = min(h, tt.CONV_BLOCK_PIXELS // (w + 2))
+    return c * ((n + 2) * (w + 2) + 2) * itemsize
+
+
+def block_buffer_bytes(c_out, h, w, itemsize=4):
+    """A 3x3 conv's sum and product buffer over its largest row block."""
+    return 2 * c_out * min(h, tt.CONV_BLOCK_PIXELS // (w + 2)) * (w + 2) * itemsize
+
+
 class TestConv2d:
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(2)
@@ -165,13 +177,6 @@ class TestConv2d:
             dx, _, _ = tape.ops[-1].backward(g)
         np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
 
-    @staticmethod
-    def window_bytes(c, h, w, itemsize=4):
-        """One padded window of a 3x3 conv: the largest row block and the rows
-        above and below it, at row stride w+2."""
-        n = min(h, tt.CONV_BLOCK_PIXELS // (w + 2))
-        return c * ((n + 2) * (w + 2) + 2) * itemsize
-
     def test_forward_holds_no_full_size_accumulator(self):
         # (32, 128, 128) -> 48 channels in float32: the output is 3.1 MB, one
         # padded window 0.28 MB and a padded copy of the whole input 2.2 MB; a
@@ -186,7 +191,7 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < out.data.nbytes + self.window_bytes(32, 128, 128) + 2**20
+        assert peak < out.data.nbytes + window_bytes(32, 128, 128) + 2**20
 
     def test_backward_pads_one_row_block_at_a_time(self):
         # (48, 64, 64) float32: dx is 0.75 MiB, one window of x or g 0.4 MiB;
@@ -205,7 +210,7 @@ class TestConv2d:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < dx.nbytes + 2 * self.window_bytes(48, 64, 64) + 2**20
+        assert peak < dx.nbytes + 2 * window_bytes(48, 64, 64) + 2**20
 
     def test_kernel_size_and_pad_contract(self):
         x = Tensor(np.ones((1, 4, 4)))
@@ -217,20 +222,59 @@ class TestConv2d:
             tt.conv2d(x, Tensor(np.ones((1, 2, 3, 3))), Tensor(np.zeros(1)))
 
 
+def avg_pool2(x: Tensor) -> Tensor:
+    """The 2x2 mean pool that the stem ran after its conv and ReLU, kept as
+    an oracle: the horizontal pair sums, then the row pair sums, scaled by
+    0.25; a trailing odd row or column is dropped and gets zero gradient."""
+    c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    rows = x.data[:, : 2 * h2]
+    cols = rows[:, :, 0 : 2 * w2 : 2] + rows[:, :, 1 : 2 * w2 : 2]
+    out = cols[:, 0::2] + cols[:, 1::2]
+    out *= out.dtype.type(0.25)
+
+    def bwd(g):
+        quarter = g * g.dtype.type(0.25)
+        dx = np.zeros((c, h, w), g.dtype)
+        for i in (0, 1):
+            for j in (0, 1):
+                dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2] = quarter
+        return (dx,)
+
+    return tt.custom_op("avg_pool2", (x,), out, bwd)
+
+
+def composition(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The unfused stem stage that ``conv_relu_pool`` replaces."""
+    return avg_pool2(tt.relu(tt.conv2d(x, w, b)))
+
+
 class TestPool:
+    """The pooling of ``conv_relu_pool``, seen through a conv whose kernel is
+    the identity at its centre tap, on inputs that the ReLU passes: the
+    conv and the ReLU then return their input bit for bit."""
+
+    @staticmethod
+    def pool(x, on_tape=False):
+        c = x.shape[0]
+        w = np.zeros((c, c, 3, 3), x.dtype)
+        w[range(c), range(c), 1, 1] = 1
+        xt = parameter(x) if on_tape else Tensor(x)
+        return xt, tt.conv_relu_pool(xt, Tensor(w), Tensor(np.zeros(c, x.dtype)))
+
     def test_constant_map(self):
-        out = tt.avg_pool2(Tensor(np.full((2, 4, 6), 3.5)))
+        _, out = self.pool(np.full((2, 4, 6), 3.5))
         np.testing.assert_allclose(out.data, 3.5)
         assert out.shape == (2, 2, 3)
 
     def test_2x2_mean(self):
-        out = tt.avg_pool2(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
+        _, out = self.pool(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         assert out.data.tolist() == [[[2.5]]]
 
     def test_odd_extent_drops_trailing(self):
         rng = np.random.default_rng(5)
-        x = rand(rng, 1, 5, 5)
-        out = tt.avg_pool2(Tensor(x)).data
+        x = np.abs(rand(rng, 1, 5, 5))
+        out = self.pool(x)[1].data
         ref = np.zeros((1, 2, 2))
         for i in range(2):
             for j in range(2):
@@ -239,13 +283,15 @@ class TestPool:
 
     def test_too_small(self):
         with pytest.raises(ShapeError):
-            tt.avg_pool2(Tensor(np.ones((1, 1, 4))))
+            self.pool(np.ones((1, 1, 4)))
+        with pytest.raises(ShapeError):
+            self.pool(np.ones((1, 4, 1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     @pytest.mark.parametrize("shape", [(48, 128, 128), (2, 6, 4), (3, 5, 7), (2, 6, 5), (1, 3, 4)])
     def test_forward_bit_equals_5d_mean(self, shape, dtype):
-        x = rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype)
-        out = tt.avg_pool2(Tensor(x)).data
+        x = np.abs(rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype))
+        out = self.pool(x)[1].data
         assert out.dtype == dtype
         assert out.tobytes() == self.mean_5d(x).tobytes()
 
@@ -253,8 +299,8 @@ class TestPool:
     @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 7, 3)])
     def test_pooled_width_one_within_rounding_of_mean(self, shape, dtype):
         # numpy's mean sums a window in a row here, ((x00 + x01) + x10) + x11
-        x = rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype)
-        out = tt.avg_pool2(Tensor(x)).data
+        x = np.abs(rand(np.random.default_rng(sum(shape)), *shape, dtype=dtype))
+        out = self.pool(x)[1].data
         np.testing.assert_allclose(out, self.mean_5d(x), rtol=0, atol=4 * np.finfo(dtype).eps * np.abs(x).max())
 
     @staticmethod
@@ -266,17 +312,135 @@ class TestPool:
     def test_backward_odd_extents_matches_loop(self, shape):
         rng = np.random.default_rng(sum(shape))
         c, h, w = shape
-        x = parameter(rand(rng, *shape))
         probe = rand(rng, c, h // 2, w // 2)
         with Tape() as tape:
-            loss = tt.sum_all(tt.mul(tt.avg_pool2(x), Tensor(probe)))
-            tape.backward(loss)
+            x, out = self.pool(np.abs(rand(rng, *shape)) + 0.5, on_tape=True)
+            tape.backward(tt.sum_all(tt.mul(out, Tensor(probe))))
         ref = np.zeros(shape)
         for i in range(h // 2):
             for j in range(w // 2):
                 ref[:, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = probe[:, i, j, None, None] * 0.25
         assert x.grad.tobytes() == ref.tobytes()
         assert not x.grad[:, h - h % 2 :].any() and not x.grad[:, :, w - w % 2 :].any()
+
+
+class TestConvReluPool:
+    """``conv_relu_pool`` is the composition ``avg_pool2(relu(conv2d))``, bit
+    for bit, and never holds a full-resolution map."""
+
+    @staticmethod
+    def operands(rng, c_in, h, w, c_out, dtype):
+        x = rand(rng, c_in, h, w, dtype=dtype)
+        wt = (rand(rng, c_out, c_in, 3, 3) / np.sqrt(9 * c_in)).astype(dtype)
+        return x, wt, rand(rng, c_out, dtype=dtype), rand(rng, c_out, h // 2, w // 2, dtype=dtype)
+
+    @staticmethod
+    def run(op, x, wt, b, g):
+        """Output, dx, dW and db of sum(g * op(x, w, b))."""
+        xt, wtt, bt = parameter(x), parameter(wt), parameter(b)
+        with Tape() as tape:
+            out = op(xt, wtt, bt)
+            tape.backward(tt.sum_all(tt.mul(out, Tensor(g))))
+        return out.data, xt.grad, wtt.grad, bt.grad
+
+    # the three stem stages at train-128 sizes; odd extents, whose trailing row
+    # and column are dropped, in one block of 9 rows; and a map three rows
+    # taller than one block, whose first block has an odd row count
+    SHAPES = [
+        (32, 128, 128, 48),
+        (48, 64, 64, 48),
+        (48, 32, 32, 48),
+        (2, 9, 7, 3),
+        (2, tt.CONV_BLOCK_PIXELS // 4 + 3, 2, 3),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("c_in, h, w, c_out", SHAPES)
+    def test_bits_equal_the_composition(self, c_in, h, w, c_out, dtype):
+        x, wt, b, g = self.operands(np.random.default_rng(h * w), c_in, h, w, c_out, dtype)
+        got, want = self.run(tt.conv_relu_pool, x, wt, b, g), self.run(composition, x, wt, b, g)
+        for name, a, e in zip(("out", "dx", "dW", "db"), got, want):
+            assert a.dtype == dtype and a.tobytes() == e.tobytes(), name
+
+    def test_input_gradient_only_for_an_input_on_the_tape(self):
+        x, wt, b, g = self.operands(np.random.default_rng(8), 2, 7, 6, 3, F64)
+        _, dx_ref, dw_ref, db_ref = self.run(composition, x, wt, b, g)
+        with Tape() as tape:
+            tt.conv_relu_pool(Tensor(x), parameter(wt), parameter(b))
+            dx, dw, db = tape.ops[-1].backward(g)
+        assert dx is None
+        assert dw.tobytes() == dw_ref.tobytes() and db.tobytes() == db_ref.tobytes()
+        with Tape() as tape:
+            tt.conv_relu_pool(tt.scale(parameter(x), 1.0), parameter(wt), parameter(b))
+            dx, _, _ = tape.ops[-1].backward(g)
+        assert dx.tobytes() == dx_ref.tobytes()
+
+    def test_contract(self):
+        x = Tensor(np.ones((2, 4, 4)))
+        b = Tensor(np.zeros(3))
+        tt.conv_relu_pool(x, Tensor(np.ones((3, 2, 3, 3))), b)
+        for bad_x, bad_w in [
+            (np.ones((2, 1, 4)), np.ones((3, 2, 3, 3))),  # an extent below 2
+            (np.ones((2, 4, 1)), np.ones((3, 2, 3, 3))),
+            (np.ones((2, 4, 4)), np.ones((3, 2, 1, 1))),  # a 1x1 kernel
+            (np.ones((2, 4, 4)), np.ones((3, 1, 3, 3))),  # C_in mismatch
+        ]:
+            with pytest.raises(ShapeError):
+                tt.conv_relu_pool(Tensor(bad_x), Tensor(bad_w), b)
+
+    def test_nonfinite_convolution_raises_though_the_relu_hides_it(self):
+        x = np.ones((1, 4, 5))
+        x[0, 0, 4] = -np.inf  # in the dropped column: only the conv sees it
+        with pytest.raises(NumericalError, match="conv_relu_pool"):
+            tt.conv_relu_pool(Tensor(x), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
+
+    def test_inference_builds_no_full_resolution_map(self):
+        # (32, 128, 128) -> 48 in float32: the conv's map is 3 MiB, the pooled
+        # output 0.75 MiB, one window 0.28 MiB and one block buffer 0.75 MiB
+        x, wt, b, _ = self.operands(np.random.default_rng(9), 32, 128, 128, 48, np.float32)
+        xt, wtt, bt = Tensor(x), Tensor(wt), Tensor(b)
+        tracemalloc.start()
+        try:
+            out = tt.conv_relu_pool(xt, wtt, bt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        staging = 48 * (tt.CONV_BLOCK_PIXELS // 130 + 1) * 64 * 4
+        assert peak < out.data.nbytes + window_bytes(32, 128, 128) + block_buffer_bytes(48, 128, 128) + staging + 2**20
+
+    def test_backward_builds_no_full_resolution_gradient(self):
+        # (48, 128, 128) -> 48 in float32: dx is 3 MiB, g and its quarter
+        # 0.75 MiB each; the full-resolution gradient would add 3 MiB
+        x, wt, b, g = self.operands(np.random.default_rng(10), 48, 128, 128, 48, np.float32)
+        xt = parameter(x)
+        with Tape() as tape:
+            tt.conv_relu_pool(xt, parameter(wt), parameter(b))
+            rule = tape.ops[-1].backward
+            tracemalloc.start()
+            try:
+                dx, _, _ = rule(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < dx.nbytes + g.nbytes + 2 * window_bytes(48, 128, 128) + block_buffer_bytes(48, 128, 128) + 2**20
+
+    def test_closure_keeps_the_input_and_a_packed_mask(self):
+        x, wt, b, _ = self.operands(np.random.default_rng(11), 3, 12, 20, 4, F64)
+        xt, wtt = parameter(x), parameter(wt)
+        with Tape() as tape:
+            y = tt.conv_relu_pool(xt, wtt, parameter(b))
+            alive = weakref.ref(y.data)
+            held = [cell.cell_contents for cell in tape.ops[-1].backward.__closure__]
+            loss = tt.sum_all(tt.scale(y, 1.5))  # scale's rule keeps only the factor
+            del y
+            assert alive() is None
+            arrays = [a.data if isinstance(a, Tensor) else a for a in held if isinstance(a, (Tensor, np.ndarray))]
+            maps = [a for a in arrays if a.size > wt.size]  # the taps are weight-sized
+            assert len(maps) == 2 and any(a is xt.data for a in maps)
+            mask = next(a for a in maps if a is not xt.data)
+            relu_out = tt.relu(tt.conv2d(Tensor(x), Tensor(wt), Tensor(b))).data
+            assert mask.dtype == np.uint8 and mask.tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
+            tape.backward(loss)
 
 
 class TestLayerNorm:
@@ -572,7 +736,6 @@ class TestTapeMemory:
         "narrow": ((2, 3, 4), lambda y: tt.sum_all(tt.narrow(y, 1, 1, 2))),
         "concat": ((2, 3, 4), lambda y: tt.sum_all(tt.concat([Tensor(np.ones((1, 3, 4))), y], axis=0))),
         "spatial_mean": ((2, 3, 4), lambda y: tt.sum_all(tt.spatial_mean(y))),
-        "avg_pool2": ((2, 3, 4), lambda y: tt.sum_all(tt.avg_pool2(y))),
         "masked_cross_entropy": (
             (3, 3, 4),
             lambda y: tt.masked_cross_entropy(y, TestTapeMemory.LABELS, np.ones((3, 4))),
