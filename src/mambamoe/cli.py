@@ -255,9 +255,9 @@ def cmd_profile(cfg: RunConfig, input_raw: str, n_class: int) -> int:
         raise ConfigError(f"--input must be BxHxW, got {input_raw!r}") from exc
     try:
         spec = NetSpec(bands=bands, channels=cfg.train.channels, state_dim=cfg.train.state_dim, n_class=n_class)
+        report = profiler.make_report(spec, (bands, height, width))
     except ShapeError as exc:
         raise ConfigError(str(exc)) from exc
-    report = profiler.make_report(spec, (bands, height, width))
     print(profiler.report_table(report), end="")
     print(profiler.report_csv(report), end="")
     return 0

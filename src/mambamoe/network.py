@@ -1,8 +1,8 @@
 """Full network assembly: encoder, fusion decoder, uncertainty-guided stage
 supervision, total loss, and checkpoint serialization.
 
-The encoder is three conv+ReLU+avgpool stages, each one fused op that
-never builds its full-resolution map, and each followed by a
+The encoder is three conv+ReLU+avgpool stages, each one fused op whose
+forward pass never builds its full-resolution map, and each followed by a
 mixture-of-expert block; the decoder fuses stages coarse-to-fine through
 residual blocks and bilinear upsampling; stage 1's head is the prediction.
 The head is a 1x1 conv and the upsample of its logits, which it commutes
@@ -213,7 +213,10 @@ def init_network_params(spec: NetSpec, rng: np.random.Generator, dtype=np.float3
 
 
 def stage_sizes(height: int, width: int) -> list[tuple[int, int]]:
-    """Spatial extents after each of the three pooling stages."""
+    """Spatial extents after each of the three pooling stages; a scene under
+    8x8, whose third stage would vanish, raises ShapeError."""
+    if height < 8 or width < 8:
+        raise ShapeError(f"scene {height}x{width} too small; the third stage would vanish")
     sizes = []
     h, w = height, width
     for _ in range(N_STAGES):
@@ -226,13 +229,15 @@ def extract_features(stem: StemParams, x: Tensor) -> list[Tensor]:
     """Three conv+ReLU+avgpool stages; each halves the spatial extent.
 
     Each stage is one ``tt.conv_relu_pool`` op, which pools each row block
-    of the conv as it is made: no stage builds its full-resolution map,
-    forward or backward."""
+    of the conv as it is made: no stage's forward pass builds its
+    full-resolution map.  A scene under 8x8 raises ShapeError
+    (``stage_sizes``)."""
     if x.ndim != 3:
         raise ShapeError(f"extract_features: expects (B,H,W), got {x.shape}")
-    _, h, w = x.shape
-    if h < 8 or w < 8:
-        raise ShapeError(f"extract_features: scene {h}x{w} too small; the third stage would vanish")
+    try:
+        stage_sizes(*x.shape[1:])
+    except ShapeError as exc:
+        raise ShapeError(f"extract_features: {exc}") from None
     f1 = tt.conv_relu_pool(x, stem.conv1_w, stem.conv1_b)
     f2 = tt.conv_relu_pool(f1, stem.conv2_w, stem.conv2_b)
     f3 = tt.conv_relu_pool(f2, stem.conv3_w, stem.conv3_b)

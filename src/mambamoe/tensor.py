@@ -19,7 +19,9 @@ its ReLU mask packed to one bit per pixel) or while the caller keeps it.
 Closures that need only a shape keep the shape.  During the replay each
 op drops its closure and routes once it has run, so the arrays it read
 are freed as soon as nothing else holds them.  A tensor made on another
-tape enters as a constant.
+tape enters as a constant.  A backward rule may build a temporary map:
+``conv_relu_pool``'s builds its conv's full-resolution output gradient
+once, and no measured training peak lies there.
 """
 
 from __future__ import annotations
@@ -443,27 +445,16 @@ def _window(c: int, h: int, w: int, dtype) -> np.ndarray:
     return np.zeros((c, (_block_rows(h, w) + 2) * (w + 2) + 2), dtype=dtype)
 
 
-def _rows_of(src: np.ndarray):
-    """The row source of a (C, h, w) array: put(dst, lo) copies rows lo ..
-    lo+m-1 of src into the (C, m, w) array dst."""
-
-    def put(dst, lo):
-        dst[...] = src[:, lo : lo + dst.shape[1]]
-
-    return put
-
-
-def _fill_window(win: np.ndarray, put, h: int, w: int, r0: int, n: int) -> None:
-    """Write rows r0-1 .. r0+n of an h x w map into the window through the
-    row source ``put`` (see ``_rows_of``), with zero rows where they fall
-    outside the map.  The border columns stay zero from the window's
-    allocation."""
-    c = win.shape[0]
+def _fill_window(win: np.ndarray, src: np.ndarray, r0: int, n: int) -> None:
+    """Copy rows r0-1 .. r0+n of the (C, h, w) array src into the window,
+    with zero rows where they fall outside the map.  The border columns stay
+    zero from the window's allocation."""
+    c, h, w = src.shape
     rows = win[:, : (n + 2) * (w + 2)].reshape(c, n + 2, w + 2)
     top = r0 - 1
     lo, hi = max(top, 0), min(r0 + n + 1, h)
     rows[:, : lo - top] = 0
-    put(rows[:, lo - top : hi - top, 1 : w + 1], lo)
+    rows[:, lo - top : hi - top, 1 : w + 1] = src[:, lo:hi]
     rows[:, hi - top :] = 0
 
 
@@ -509,24 +500,23 @@ def _conv3_blocks(x: np.ndarray, taps: np.ndarray):
     The window and the buffer are freed when the loop ends."""
     c_in, h, w = x.shape
     win, buf = _window(c_in, h, w, x.dtype), _block_buffer(taps.shape[2], h, w, x.dtype)
-    put = _rows_of(x)
     for r0, n in _row_blocks(h, w):
-        _fill_window(win, put, h, w, r0, n)
+        _fill_window(win, x, r0, n)
         yield r0, n, _shifted_block(taps, win, n, w, buf)
 
 
-def _conv3_backward(x: np.ndarray, taps: np.ndarray, put_g, need_dx: bool):
-    """dx (or None) and dW of a 3x3 conv of the (C_in, h, w) array x, whose
-    output gradient the row source ``put_g`` writes (see ``_rows_of``).
+def _conv3_backward(x: np.ndarray, taps: np.ndarray, g: np.ndarray, need_dx: bool):
+    """dx (or None), dW and db of a 3x3 conv of the (C_in, h, w) array x,
+    whose (C_out, h, w) output gradient is g.
 
     Each block fills one window of x and one of g: dW for a tap gains g
     times that tap's span of x transposed, and the block of dx is the
-    shifted sum over g with the flipped, transposed taps.
+    shifted sum over g with the flipped, transposed taps.  db is
+    ``g.sum(axis=(1, 2))``.
     """
     c_in, h, w = x.shape
     c_out, row, dtype = taps.shape[2], w + 2, x.dtype
     xwin, gwin = _window(c_in, h, w, dtype), _window(c_out, h, w, dtype)
-    put_x = _rows_of(x)
     dtaps = np.empty((3, 3, c_out, c_in), dtype=dtype)
     part = np.empty((c_out, c_in), dtype=dtype)
     dx = None
@@ -535,8 +525,8 @@ def _conv3_backward(x: np.ndarray, taps: np.ndarray, put_g, need_dx: bool):
         flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
         buf = _block_buffer(c_in, h, w, dtype)
     for r0, n in _row_blocks(h, w):
-        _fill_window(xwin, put_x, h, w, r0, n)
-        _fill_window(gwin, put_g, h, w, r0, n)
+        _fill_window(xwin, x, r0, n)
+        _fill_window(gwin, g, r0, n)
         g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
         for di in range(3):
             for dj in range(3):
@@ -549,33 +539,7 @@ def _conv3_backward(x: np.ndarray, taps: np.ndarray, put_g, need_dx: bool):
                     np.matmul(g_rows, span, out=dtaps[di, dj])
         if need_dx:
             dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)[:, :, :w]
-    return dx, dtaps.transpose(2, 3, 0, 1)
-
-
-def _map_sum(put, c: int, h: int, w: int, dtype) -> np.ndarray:
-    """Per-channel sum of the (C, h, w) map that the row source ``put``
-    writes, with the bits of numpy's ``sum(axis=(1, 2))`` of the whole map,
-    which is never made.
-
-    numpy sums the h*w run pairwise: a run longer than 128 splits at half
-    its length rounded down to a multiple of 8, and shorter runs add in
-    eight lanes.  The nodes of that tree of at most CONV_BLOCK_PIXELS
-    elements are summed by numpy itself, each over a copy of its rows, and
-    the nodes above add up as numpy adds them.  Only the sign of a zero can
-    differ inside the tree, and never in the sum.
-    """
-
-    def node(start: int, n: int) -> np.ndarray:
-        if n > CONV_BLOCK_PIXELS:
-            half = n // 2 - n // 2 % 8
-            return node(start, half) + node(start + half, n - half)
-        r0, r1 = start // w, (start + n - 1) // w + 1
-        rows = np.empty((c, r1 - r0, w), dtype=dtype)
-        put(rows, r0)
-        first = start - r0 * w
-        return rows.reshape(c, -1)[:, first : first + n].sum(axis=1)
-
-    return node(0, h * w)
+    return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
 
 
 def _conv_shapes(name: str, x: Tensor, weight: Tensor, bias: Tensor) -> tuple[int, int, int]:
@@ -599,11 +563,11 @@ def _conv_flops(c_out: int, c_in: int, k: int, h: int, w: int) -> int:
     return h * w * c_out * (2 * c_in * k * k) + h * w * c_out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-size 2-D cross-correlation, stride 1, zero padding.
 
     x: (C_in, h, w); weight: (C_out, C_in, k, k) with k in {1, 3};
-    bias: (C_out,).  pad defaults to (k - 1) // 2 and must equal it.
+    bias: (C_out,).  The padding is (k - 1) // 2.
 
     A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
     is nine shifted products (the implicit-GEMM lowering), run over blocks
@@ -614,14 +578,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
     products, each over the window's contiguous span from di(w+2)+dj, into
     a cache-sized buffer that is cropped into the output.  No padded copy
     of the whole map is made, and the closure keeps x.  The backward pass,
-    ``_conv3_backward``, fills one window of x and one of g per block.  dx
-    is computed only for an input that requires a gradient or is a node of
-    the open tape; otherwise it is None.
+    ``_conv3_backward``, fills one window of x and one of g per block, and
+    is also ``conv_relu_pool``'s.  dx is computed only for an input that
+    requires a gradient or is a node of the open tape; otherwise it is None.
     """
     c_out, c_in, k = _conv_shapes("conv2d", x, weight, bias)
-    p = (k - 1) // 2
-    if pad is not None and pad != p:
-        raise ShapeError(f"conv2d: pad must be (k-1)//2 = {p} to preserve size, got {pad}")
     _, h, w = x.shape
     tape = active_tape()
     need_dx = tape is not None and _route(x, tape) is not None
@@ -644,8 +605,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int | None = None) -> T
         del acc  # a view of the block buffer, before the finite check's temporary
 
         def bwd(g):
-            dx, dw = _conv3_backward(x.data, taps, _rows_of(g), need_dx)
-            return dx, dw, g.sum(axis=(1, 2))
+            return _conv3_backward(x.data, taps, g, need_dx)
 
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=_conv_flops(c_out, c_in, k, h, w))
 
@@ -666,11 +626,10 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     pair sums in a staging row that pairs with the next block's first row.
 
     The closure keeps x and the ReLU mask packed to one bit per pixel
-    (``np.packbits``).  The backward pass is conv2d's
-    (``_conv3_backward``): each block's window of the output gradient is
-    written straight from g * 0.25 and the unpacked mask, and db sums the
-    same rows in numpy's order (``_map_sum``), so no full-resolution
-    gradient is made.
+    (``np.packbits``).  The backward pass builds the conv's (C_out, h, w)
+    output gradient once, from g * 0.25 and the unpacked mask, and hands it
+    to conv2d's backward (``_conv3_backward``).  That map is the only
+    full-resolution array it adds; no measured training peak lies there.
     """
     c_out, c_in, k = _conv_shapes("conv_relu_pool", x, weight, bias)
     if k != 3:
@@ -710,27 +669,15 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out *= quarter
 
     def bwd(g):
-        q = g * quarter  # each window pixel's share
-
-        def put_g(dst, lo):
-            # rows lo .. lo+m-1 of the conv's output gradient: q on the
-            # pixels of each window where the ReLU passed, 0 elsewhere
-            covered = max(0, min(dst.shape[1], 2 * h2 - lo))  # rows inside a window
-            if covered:
-                i = lo // 2
-                wide = np.empty((c_out, (lo + covered + 1) // 2 - i, 2 * w2), dtype=dtype)
-                wide[:, :, 0::2] = q[:, i : i + wide.shape[1]]
-                wide[:, :, 1::2] = q[:, i : i + wide.shape[1]]
-                bits = np.unpackbits(mask[:, lo : lo + covered], axis=2, count=2 * w2)
-                for a in (0, 1):  # the rows at even and at odd offsets from lo
-                    rows = dst[:, a:covered:2, : 2 * w2]
-                    j = (lo + a) // 2 - i
-                    np.multiply(wide[:, j : j + rows.shape[1]], bits[:, a::2], out=rows)
-            dst[:, covered:] = 0
-            dst[:, :, 2 * w2 :] = 0
-
-        dx, dw = _conv3_backward(x.data, taps, put_g, need_dx)
-        return dx, dw, _map_sum(put_g, c_out, h, w, dtype)
+        # the conv's output gradient: g * 0.25 on each window pixel where the
+        # ReLU passed, 0 elsewhere and on a dropped odd row or column
+        g_conv = np.zeros((c_out, h, w), dtype=dtype)
+        wide = np.repeat(g * quarter, 2, axis=2)
+        bits = np.unpackbits(mask[:, : 2 * h2], axis=2, count=2 * w2)
+        for a in (0, 1):  # the even and the odd rows of each window
+            np.multiply(wide, bits[:, a::2], out=g_conv[:, a : 2 * h2 : 2, : 2 * w2])
+        del wide, bits  # before the block loop allocates its windows and buffers
+        return _conv3_backward(x.data, taps, g_conv, need_dx)
 
     n_flops = _conv_flops(c_out, c_in, 3, h, w) + c_out * h * w + 4 * c_out * h2 * w2
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)

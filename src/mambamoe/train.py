@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as tt
 from .data import HsiScene, normalize_scene
 from .network import NetSpec, NetworkParams, forward_full, init_network_params, total_loss
 from .tensor import NumericalError, Tape, Tensor
@@ -101,38 +100,38 @@ def split_for_seed(labels: np.ndarray, samples_per_class: int, seed: int) -> tup
 # --- Adam ----------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params: list[Tensor]) -> AdamState:
     return AdamState(m=[np.zeros_like(p.data) for p in params], v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(state: AdamState, params: list[Tensor], lr: float, grads: list[np.ndarray] | None = None) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    if grads is None:
-        grads = [p.grad for p in params]
+def adam_step(state: AdamState, params: list[Tensor], lr: float) -> None:
+    """Standard bias-corrected Adam update of each parameter from its
+    ``grad``, in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise tt.ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 # --- training loop ---------------------------------------------------------------

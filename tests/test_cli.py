@@ -122,6 +122,8 @@ class TestExitCodes:
         [
             ["profile", "--classes", "0"],
             ["profile", "--input", "0x13x13"],
+            ["profile", "--input", "8x-16x16"],
+            ["profile", "--input", "8x4x4"],
             ["train", "--seed", "-1"],
             ["train", "--topk", "x"],
             ["train", "--topk", "3.."],
@@ -134,6 +136,8 @@ class TestExitCodes:
         ids=[
             "zero-classes",
             "zero-bands",
+            "negative-height",
+            "scene-under-8x8",
             "negative-seed",
             "topk-not-int",
             "topk-open-sweep",

@@ -99,6 +99,12 @@ class TestFlops:
         with pytest.raises(ValueError):
             count_flops(PAPER_SCALE, (5, 13, 13))
 
+    @pytest.mark.parametrize("height, width", [(4, 4), (-16, 16), (13, 7)])
+    def test_scene_under_8x8_rejected(self, height, width):
+        # the network's third stage would vanish; extract_features refuses it too
+        with pytest.raises(tt.ShapeError, match="too small"):
+            count_flops(PAPER_SCALE, (103, height, width))
+
     def test_head_counts_its_analytic_term(self):
         spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
         head = init_network_params(spec, np.random.default_rng(4)).head
