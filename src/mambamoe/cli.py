@@ -31,6 +31,14 @@ class DataError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a config error: one `error: config:` line and exit 1,
+    not argparse's usage text and exit 2.  Subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @dataclass
 class RunConfig:
     """The CLI's own config keys and their defaults; every ``TrainConfig``
@@ -264,7 +272,7 @@ def cmd_profile(cfg: RunConfig, input_raw: str, n_class: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mambamoe",
         description="Spectral-spatial mixture-of-experts state-space classifier",
         epilog=config_help_text(),
@@ -282,9 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         if name == "profile":
             p.add_argument("--input", default="103x13x13", help="input size BxHxW")
             p.add_argument("--classes", type=int, default=9, help="class count for the head")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         overrides = {}
         topks = _parse_topk(args.topk) if args.topk is not None else None
         if args.seed is not None:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tt
-from .moe import MoMebParams, dssem_forward, momeb_forward, route
+from .moe import MoMebParams, dssem_forward, momeb_forward, route, sre_forward
 from .network import (
     HeadParams,
     NetSpec,
@@ -119,6 +119,18 @@ def _router(rng: np.random.Generator) -> GradCheckReport:
     return _probed(rng, lambda: route(router, xr), [router.w1, router.b1, router.w2, router.b2, xr], (4,))
 
 
+def _mix_top2(rng: np.random.Generator) -> GradCheckReport:
+    # top-2 routing through the renormalized weights; b2's spread keeps the
+    # weights far from a tie, so no difference step flips the selection
+    block = _block(rng, channels=4, state_dim=3)
+    router = block.router
+    router.b2.data[...] = [1.0, 0.5, 0.0, -0.5]
+    xs = parameter(rng.normal(size=(2, 4, 4)), dtype=F64)
+    params = [router.w1, router.b1, router.w2, router.b2, xs]
+    params += [t for expert in block.spatial for t in (expert.a_log, expert.b_bar, expert.c_out)]
+    return _probed(rng, lambda: sre_forward(block.spatial, router, xs, topk=2), params, (2, 4, 4))
+
+
 def _block_check(rng: np.random.Generator, forward) -> GradCheckReport:
     # every block tensor: those ``forward`` does not use must get zero gradients
     net = _network(rng, channels=4, state_dim=3)
@@ -184,6 +196,7 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "total_loss": _total_loss,
     "conv_relu_pool": _conv_relu_pool,
     "relu": _relu,
+    "mix_top2": _mix_top2,
 }
 """Entry name -> check on its own random draws; ``total_loss`` runs at
 TOTAL_LOSS_THRESHOLD, every other entry at THRESHOLD."""

@@ -2,9 +2,9 @@
 
 The block wraps a split/expert/concat/fuse core in the usual transformer
 skeleton: LN -> experts -> residual -> LN -> MLP -> residual.  Four spatial
-experts (one per scan direction) are combined with softmax router weights;
-at inference only the top-k experts are evaluated.  Two spectral experts
-are always on.
+experts (one per scan direction) are combined with softmax router weights
+by one ``mix`` op; at inference only the top-k experts are evaluated, and
+their weights are renormalized.  Two spectral experts are always on.
 """
 
 from __future__ import annotations
@@ -90,6 +90,42 @@ def topk_select(weights: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order[:k])
 
 
+def mix(weights: Tensor, outputs: list[Tensor], selected: list[int]) -> Tensor:
+    """The gated sum of the selected experts' maps, as one tape op.
+
+    outputs[i] is the map of expert selected[i], and weights is the
+    router's softmax.  With every expert selected, w_j is the router weight
+    p_j: the weights already sum to one.  Otherwise w_j = p_j / total, with
+    total summed in ``selected`` order.  The sum runs in ``selected`` order:
+    y_0 w_0, then + y_j w_j.
+
+    The backward pass gives each map g w_j.  With dw_j = sum(g y_j), the
+    router weight p_j gets dw_j when dense, else (dw_j - sum_i w_i dw_i) /
+    total; an unselected weight gets 0.  The closure keeps the maps, which
+    dw reads.
+    """
+    ys = [y.data for y in outputs]
+    if any(y.shape != ys[0].shape or y.dtype != weights.dtype for y in ys):
+        raise ShapeError(f"mix: expert maps {[y.shape for y in ys]} must share one shape and the weights' dtype")
+    p = weights.data
+    w = p[selected]
+    total = sum(w[1:], w[0])
+    dense = len(selected) == N_SPATIAL_EXPERTS
+    if not dense:
+        w = w / total
+    acc = ys[0] * w[0]
+    for y, w_j in zip(ys[1:], w[1:]):
+        acc = acc + y * w_j
+
+    def bwd(g):
+        dw = np.array([(g * y).sum() for y in ys])
+        dp = np.zeros_like(p)
+        dp[selected] = dw if dense else (dw - sum(w * dw)) / total
+        return (dp, *(g * w_j for w_j in w))
+
+    return tt.custom_op("mix", (weights, *outputs), acc, bwd, flops=(2 * len(ys) - 1) * acc.size)
+
+
 def sre_forward(
     experts: tuple[SsmParams, ...],
     router: RouterParams,
@@ -99,27 +135,15 @@ def sre_forward(
     """Weighted combination of directional scan experts.
 
     topk=None (or 4) runs all experts weighted by the router (training
-    mode).  With topk=k < 4 only the selected experts are evaluated and
-    their weights are renormalized to sum to one.  k=4 skips the
-    renormalization: the weights already sum to one, and the tape then
-    holds the same ops as in dense mode, so the result is bit-identical.
+    mode).  With topk=k < 4 only the selected experts are evaluated, and
+    ``mix`` renormalizes their weights to sum to one; at k=4 it uses the
+    router weights as they are, so the result is bit-identical to dense.
     All selected experts run before the combine.
     """
     weights = route(router, x_spa)
-    renormalize = topk is not None and topk != N_SPATIAL_EXPERTS
-    selected = topk_select(weights.data, topk) if renormalize else list(range(N_SPATIAL_EXPERTS))
+    selected = topk_select(weights.data, N_SPATIAL_EXPERTS if topk is None else topk)
     outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
-    if renormalize:
-        picked, total = {}, None
-        for j in selected:
-            picked[j] = tt.element(weights, j)
-            total = picked[j] if total is None else tt.add(total, picked[j])
-    acc = None
-    for j, out_j in zip(selected, outputs):
-        w_j = tt.div(picked[j], total) if renormalize else tt.element(weights, j)
-        term = tt.scale_by(out_j, w_j)
-        acc = term if acc is None else tt.add(acc, term)
-    return acc
+    return mix(weights, outputs, selected)
 
 
 def sse_forward(fwd: SsmParams, bwd: SsmParams, x_spe: Tensor) -> Tensor:

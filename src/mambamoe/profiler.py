@@ -139,10 +139,6 @@ def make_report(spec: NetSpec, input_shape: tuple[int, int, int]) -> CostReport:
     )
 
 
-PAPER_SCALE = NetSpec(bands=103, channels=48, state_dim=24, n_class=9)
-"""Frozen reference configuration for the published-scale cost bracket."""
-
-
 def report_table(report: CostReport) -> str:
     b, h, w = report.input_shape
     rows = [f"input: {b}x{h}x{w}", f"parameters: {report.params_total} ({report.params_total / 1e6:.3f} M)"]

@@ -13,9 +13,10 @@ op holds its backward closure and one route per input: the parameter
 tensor itself, the node key of the op that made the input, or None for a
 constant.  A node key is the tape's serial number and the op's index, so
 the tape holds no activation tensor: an activation lives only while a
-closure reads it (``relu`` keeps a bool mask, ``matmul`` its operands,
-``conv2d`` and ``layer_norm`` their input, ``conv_relu_pool`` its input and
-its ReLU mask packed to one bit per pixel) or while the caller keeps it.
+closure reads it (``relu`` its output, which the conv2d or matmul it feeds
+keeps as well, ``matmul`` its operands, ``conv2d`` and ``layer_norm`` their
+input, ``conv_relu_pool`` its input and its ReLU mask packed to one bit per
+pixel) or while the caller keeps it.
 Closures that need only a shape keep the shape.  During the replay each
 op drops its closure and routes once it has run, so the arrays it read
 are freed as soon as nothing else holds them.  A tensor made on another
@@ -283,48 +284,9 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
     return _wrap("mul", (x, y), x.data * y.data, lambda g: (g * y.data, g * x.data), flops=x.size)
 
 
-def div(x: Tensor, y: Tensor) -> Tensor:
-    _check_same_shape("div", x, y)
-    out = x.data / y.data
-
-    def bwd(g):
-        return g / y.data, -g * out / y.data
-
-    return _wrap("div", (x, y), out, bwd, flops=x.size)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     sv = _scalar(x, s)
     return _wrap("scale", (x,), x.data * sv, lambda g: (g * sv,), flops=x.size)
-
-
-def scale_by(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar tensor (both factors differentiable)."""
-    if s.data.size != 1:
-        raise ShapeError(f"scale_by: scale must be a scalar tensor, got shape {s.shape}")
-    if x.dtype != s.dtype:
-        raise ShapeError(f"scale_by: dtypes {x.dtype} and {s.dtype} must match")
-    sv = s.data.reshape(())
-
-    def bwd(g):
-        return g * sv, (g * x.data).sum().reshape(s.shape)
-
-    return _wrap("scale_by", (x, s), x.data * sv, bwd, flops=2 * x.size)
-
-
-def element(x: Tensor, index: int) -> Tensor:
-    """Extract one entry of a 1-D tensor as a scalar tensor."""
-    if x.ndim != 1:
-        raise ShapeError(f"element: expects a 1-D tensor, got shape {x.shape}")
-    idx = int(index)
-    shape, dtype = x.shape, x.dtype
-
-    def bwd(g):
-        z = np.zeros(shape, dtype)
-        z[idx] = g.reshape(())
-        return (z,)
-
-    return _wrap("element", (x,), x.data[idx].reshape(()), bwd)
 
 
 def matmul(x: Tensor, y: Tensor) -> Tensor:
@@ -351,10 +313,9 @@ def matmul(x: Tensor, y: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, x.data.dtype.type(0))  # -0.0 maps to +0.0
-    # backward reads only out > 0: a bool mask, a quarter of a float32
-    # output, made only when a tape may record the op
-    mask = out > 0 if active_tape() is not None else None
-    return _wrap("relu", (x,), out, lambda g: (g * mask,), flops=x.size)
+    # backward reads out > 0 from out itself, which the next op (a conv2d
+    # or a matmul, wherever the network applies relu) keeps anyway
+    return _wrap("relu", (x,), out, lambda g: (g * (out > 0),), flops=x.size)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -3,7 +3,10 @@
 One optimization step per epoch processes the whole scene (image-level
 paradigm).  Runs are deterministic given the config seed: initialization,
 the per-class split and the Bernoulli supervision masks each draw from
-independent child streams of one seed sequence.
+independent child streams of one seed sequence.  They are bit-reproducible
+for a given seed and BLAS thread count: a threaded BLAS sums matrix
+products in another order, so one and two OpenBLAS threads train to
+different parameter bits.
 """
 
 from __future__ import annotations

@@ -132,6 +132,11 @@ class TestExitCodes:
             ["train", "--topk", "1..4"],
             ["predict", "--topk", "1..4"],
             ["inspect", "--topk", "2..3"],
+            ["train", "--bogus"],
+            ["train", "--seed", "x"],
+            ["profile", "--classes", "x"],
+            ["train", "--topk"],
+            [],
         ],
         ids=[
             "zero-classes",
@@ -146,12 +151,24 @@ class TestExitCodes:
             "train-sweep",
             "predict-sweep",
             "inspect-sweep",
+            "unknown-flag",
+            "seed-not-int",
+            "classes-not-int",
+            "topk-no-value",
+            "no-command",
         ],
     )
     def test_bad_flag_exit_1_one_line(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert main(argv + ["--out", str(tmp_path / "out")] if argv else argv) == 1
         line = one_error_line(capsys, "config")
         assert "--topk" not in argv or "topk" in line
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: mambamoe" in capsys.readouterr().out
 
     def test_non_utf8_class_name_exit_2_one_line(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.hsc"

@@ -18,7 +18,7 @@ from mambamoe.moe import (
     topk_select,
 )
 from mambamoe.network import NetSpec, init_network_params
-from mambamoe.scan import SPATIAL_DIRECTIONS
+from mambamoe.scan import SPATIAL_DIRECTIONS, spatial_expert_forward
 from mambamoe.tensor import Tensor, grad_check, parameter
 
 F64 = np.float64
@@ -118,7 +118,6 @@ class TestSreForward:
         experts = (one, one, one, one)
         router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 3, 3)))
-        from mambamoe.scan import spatial_expert_forward
 
         single = spatial_expert_forward(one, x, SPATIAL_DIRECTIONS[0]).data
         for topk in (None, 1, 2, 3, 4):
@@ -139,7 +138,6 @@ class TestSreForward:
         experts, router, x = self.make(seed=5)
         w = route(router, x).data
         best = int(np.argmax(w))
-        from mambamoe.scan import spatial_expert_forward
 
         alone = spatial_expert_forward(experts[best], x, SPATIAL_DIRECTIONS[best]).data
         out = sre_forward(experts, router, x, topk=1).data
@@ -149,7 +147,6 @@ class TestSreForward:
         experts, router, x = self.make(seed=6)
         w = route(router, x).data
         sel = topk_select(w, 2)
-        from mambamoe.scan import spatial_expert_forward
 
         outs = {j: spatial_expert_forward(experts[j], x, SPATIAL_DIRECTIONS[j]).data for j in sel}
         total = sum(w[j] for j in sel)
@@ -171,6 +168,30 @@ class TestSreForward:
             calls.clear()
             sre_forward(experts, router, x, topk=k)
             assert calls == [SPATIAL_DIRECTIONS[j].name for j in topk_select(w, k or 4)]
+
+    def test_one_mix_op_per_call(self):
+        experts, router, x = self.make(seed=9)
+        with tt.Tape() as router_tape:
+            route(router, x)
+        router_ops = [op.name for op in router_tape.ops]
+        for k in (1, 2, 3, 4):
+            with tt.Tape() as tape:
+                sre_forward(experts, router, x, topk=k)
+            assert [op.name for op in tape.ops] == router_ops + ["spatial_expert_forward"] * k + ["mix"]
+
+    def test_runtime_flops_are_router_scans_and_mix(self):
+        experts, router, x = self.make(seed=10)
+        e, h, w = x.shape
+        with tt.FLOPS:
+            route(router, x)
+            router_flops = tt.FLOPS.total
+        with tt.FLOPS:
+            spatial_expert_forward(experts[0], x, SPATIAL_DIRECTIONS[0])
+            scan_flops = tt.FLOPS.total
+        for k in (1, 2, 3, 4):
+            with tt.FLOPS:
+                sre_forward(experts, router, x, topk=k)
+                assert tt.FLOPS.total == router_flops + k * scan_flops + (2 * k - 1) * e * h * w
 
     def test_unselected_experts_not_evaluated(self):
         experts, router, x = self.make(seed=8)
@@ -209,7 +230,6 @@ class TestDssem:
         out = dssem_forward(block, x).data
 
         from mambamoe.moe import sse_forward
-        from mambamoe.scan import spatial_expert_forward
 
         x_spa, x_spe = Tensor(x.data[:2].copy()), Tensor(x.data[2:].copy())
         w = route(block.router, x_spa).data

@@ -8,7 +8,6 @@ from mambamoe import tensor as tt
 from mambamoe.data import HsiScene, SceneHeader, normalize_scene
 from mambamoe.network import NetSpec, classify_head, forward_full, init_network_params, stage_sizes
 from mambamoe.profiler import (
-    PAPER_SCALE,
     CostReport,
     _conv_flops,
     count_flops,
@@ -18,6 +17,9 @@ from mambamoe.profiler import (
     report_table,
 )
 from mambamoe.tensor import FLOPS, Tensor
+
+# the published-scale configuration: a 103-band scene with 9 classes, at paper widths
+PAPER_SCALE = NetSpec(bands=103, channels=48, state_dim=24, n_class=9)
 
 
 def random_spec(rng):

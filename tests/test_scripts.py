@@ -38,7 +38,6 @@ def run_script(name: str, *args: str) -> str:
                 "=== expert weights (first checkpoint) ===",
             ),
         ),
-        ("profile_paper_scale.py", (), ("input                    : 103x13x13", "parameters ", "key,value")),
     ],
 )
 def test_script_runs_and_prints_its_sections(name, args, headers):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mambamoe import tensor as tt
+from mambamoe.network import ResBlockParams, residual_block
 from mambamoe.tensor import (
     NonDeterministicError,
     NumericalError,
@@ -731,7 +732,6 @@ class TestTapeMemory:
 
     # backward rules that read only their input's shape, each on an input of its rank
     SHAPE_ONLY = {
-        "element": ((5,), lambda y: tt.element(y, 2)),
         "sum_all": ((2, 3, 4), tt.sum_all),
         "narrow": ((2, 3, 4), lambda y: tt.sum_all(tt.narrow(y, 1, 1, 2))),
         "concat": ((2, 3, 4), lambda y: tt.sum_all(tt.concat([Tensor(np.ones((1, 3, 4))), y], axis=0))),
@@ -775,19 +775,20 @@ class TestTapeMemory:
         assert all(op.backward is None and op.routes == () for op in tape.ops)
         np.testing.assert_array_equal(q.grad, 2.0 * x.data)
 
-    def test_relu_keeps_a_mask_not_its_output(self):
+    def test_relu_keeps_the_map_that_its_conv_keeps(self):
         rng = np.random.default_rng(23)
-        x = parameter(rand(rng, 2, 3, 4))
+        res = ResBlockParams(*(parameter(rand(rng, *shape)) for shape in ((3, 3, 3, 3), (3,)) * 2))
+        x = parameter(rand(rng, 3, 4, 5))
         with Tape() as tape:
-            y = tt.relu(x)
-            alive = weakref.ref(y.data)
-            held = [cell.cell_contents for cell in tape.ops[-1].backward.__closure__]
-            loss = tt.sum_all(tt.scale(y, 1.5))
-            del y
-            assert alive() is None
-            assert not any(isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.size == x.size for a in held)
-            tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, 1.5, 0.0))
+            residual_block(res, x)
+            ops = tape.ops
+            assert [op.name for op in ops] == ["relu", "conv2d", "relu", "conv2d", "add"]
+            for relu_op, conv_op in ((ops[0], ops[1]), (ops[2], ops[3])):
+                held = _held_arrays(relu_op.backward)
+                conv_held = [cell.cell_contents for cell in conv_op.backward.__closure__]
+                conv_maps = [v.data for v in conv_held if isinstance(v, Tensor)]
+                assert len(held) == 1 and held[0].dtype != bool
+                assert len(conv_maps) == 1 and held[0] is conv_maps[0]
 
     def test_relu_without_a_tape_makes_no_mask(self):
         x = Tensor(rand(np.random.default_rng(24), 64, 64, dtype=np.float32))
