@@ -194,7 +194,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out_dir: Path, topks: list[int]) -> int:
+def cmd_eval(cfg: RunConfig, topks: list[int]) -> int:
     scene = _load_scene(cfg)
     params, meta = _load_model(cfg, scene)
     seed = meta.get("seed", cfg.train.seed)
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         if args.command == "eval":
-            return cmd_eval(cfg, out_dir, topks or [cfg.train.topk_infer])
+            return cmd_eval(cfg, topks or [cfg.train.topk_infer])
         if args.command == "predict":
             return cmd_predict(cfg, out_dir)
         if args.command == "inspect":

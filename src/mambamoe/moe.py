@@ -1,10 +1,11 @@
 """Mixture-of-Mamba-expert block: routed spatial scans, shared spectral scans.
 
 The block wraps a split/expert/concat/fuse core in the usual transformer
-skeleton: LN -> experts -> residual -> LN -> MLP -> residual.  Four spatial
-experts (one per scan direction) are combined with softmax router weights
-by one ``mix`` op; at inference only the top-k experts are evaluated, and
-their weights are renormalized.  Two spectral experts are always on.
+skeleton: LN -> experts -> residual -> LN -> MLP -> residual.  One ``route``
+op gives the four spatial experts (one per scan direction) their softmax
+weights, and one ``mix`` op combines them; at inference only the top-k
+experts are evaluated, and their weights are renormalized.  Two spectral
+experts are always on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .scan import (
     spatial_expert_forward,
     spectral_bidirectional,
 )
-from .tensor import ShapeError, Tensor
+from .tensor import NumericalError, ShapeError, Tensor
 
 N_SPATIAL_EXPERTS = 4
 
@@ -69,17 +70,47 @@ class MoMebParams:
 
 
 def route(router: RouterParams, x_spa: Tensor) -> Tensor:
-    """Router weights for one feature map: pool -> MLP -> softmax over 4.
+    """Router weights for one feature map, as one tape op: the channel
+    means -> linear -> ReLU -> linear -> softmax over the 4 experts.
 
     One weight vector per map (global average pooling first), so skipping
-    an unselected expert skips its whole directional scan.
+    an unselected expert skips its whole directional scan.  A non-finite
+    pooled vector, pre-activation or logit raises ``NumericalError``: the
+    ReLU or the softmax would map some of them to finite weights.
+
+    The backward pass applies the softmax, linear, ReLU, linear and mean
+    rules in turn; the closure keeps the pooled and hidden vectors and the
+    output.
     """
+    w1, b1, w2, b2 = router.w1.data, router.b1.data, router.w2.data, router.b2.data
     if x_spa.shape[0] != router.in_dim:
         raise ShapeError(f"route: input channels {x_spa.shape[0]} != router width {router.in_dim}")
-    pooled = tt.spatial_mean(x_spa)
-    hidden = tt.relu(tt.add(tt.matmul(router.w1, pooled), router.b1))
-    logits = tt.add(tt.matmul(router.w2, hidden), router.b2)
-    return tt.softmax(logits, axis=0)
+    if any(a.dtype != x_spa.dtype for a in (w1, b1, w2, b2)):
+        raise ShapeError(f"route: router parameters must share the map's dtype {x_spa.dtype}")
+    c, h, w = x_spa.shape
+    pooled = _finite("pooled features", x_spa.data.mean(axis=(1, 2)))
+    pre = _finite("pre-activation", w1 @ pooled + b1)
+    hidden = np.maximum(pre, pre.dtype.type(0))  # -0.0 maps to +0.0
+    logits = _finite("logits", w2 @ hidden + b2)
+    e = np.exp(logits - logits.max())
+    p = e / e.sum()
+    inv = x_spa.dtype.type(1.0 / (h * w))
+
+    def bwd(g):
+        d_logits = (g - (g * p).sum()) * p
+        d_pre = (w2.T @ d_logits) * (hidden > 0)
+        dx = np.broadcast_to((w1.T @ d_pre)[:, None, None] * inv, (c, h, w)).copy()
+        return np.outer(d_pre, pooled), d_pre, np.outer(d_logits, hidden), d_logits, dx
+
+    # the mean, both products, both bias adds, the ReLU and 4 terms per softmax entry
+    flops = x_spa.size + 2 * (w1.size + w2.size) + 2 * b1.size + 5 * b2.size
+    return tt.custom_op("route", (router.w1, router.b1, router.w2, router.b2, x_spa), p, bwd, flops=flops)
+
+
+def _finite(what: str, v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise NumericalError(f"route: non-finite values in the {what}")
+    return v
 
 
 def topk_select(weights: np.ndarray, k: int) -> list[int]:

@@ -76,15 +76,21 @@ def _scan_flops(t: int, d: int, e: int) -> int:
     return t * (2 * d + 4 * d * e + e)
 
 
+def _router_flops(e: int, h: int, w: int) -> int:
+    """The channel means of an (e, h, w) map, both linear layers with their
+    biases, the ReLU and the softmax over the experts."""
+    hidden = max(e // 2, 1)
+    return e * h * w + (2 * e * hidden + hidden) + hidden + (2 * hidden * N_EXPERTS + N_EXPERTS) + 4 * N_EXPERTS
+
+
 def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, dict[int, int], dict[str, int]]:
     """Inference-forward FLOPs: dense total, per-k totals, and a component
-    breakdown.  Top-k only reduces the spatial-expert scan share."""
+    breakdown.  Top-k reduces only the spatial-expert scans and the combine."""
     bands, height, width = input_shape
     if bands != spec.bands:
         raise ValueError(f"count_flops: input bands {bands} != config bands {spec.bands}")
     c, d = spec.channels, spec.state_dim
     half = c // 2
-    hidden = max(half // 2, 1)
     sizes = stage_sizes(height, width)
 
     comp: dict[str, int] = {}
@@ -101,7 +107,7 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     for h, w in sizes:
         spatial_scans += N_EXPERTS * _scan_flops(h * w, d, half)
         spectral = 2 * (h * w) * _scan_flops(half, d, 1) + half * h * w  # both directions + additive fuse
-        router = half * h * w + (2 * half * hidden + hidden) + hidden + (2 * hidden * N_EXPERTS + N_EXPERTS) + 4 * N_EXPERTS
+        router = _router_flops(half, h, w)
         combine = (2 * N_EXPERTS - 1) * half * h * w  # weight-scale + accumulate
         mlp = _conv_flops(2 * c, c, 1, h, w) + 2 * c * h * w + _conv_flops(c, 2 * c, 1, h, w)
         momeb_other += (
@@ -122,7 +128,9 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     comp["head"] = _conv_flops(k_cls, c, 1, *sizes[0]) + 7 * k_cls * height * width
 
     dense = sum(comp.values())
-    per_k = {k: dense - (N_EXPERTS - k) * (spatial_scans // N_EXPERTS) for k in range(1, N_EXPERTS + 1)}
+    # each unselected expert saves its scan and its scale + accumulate in the combine
+    per_expert = spatial_scans // N_EXPERTS + 2 * half * sum(h * w for h, w in sizes)
+    per_k = {k: dense - (N_EXPERTS - k) * per_expert for k in range(1, N_EXPERTS + 1)}
     return dense, per_k, comp
 
 

@@ -1,9 +1,9 @@
 """Dense tensors on a recorded operation tape with reverse-mode gradients.
 
 Arithmetic is strict: elementwise operands must have identical shapes and
-dtypes (matrix products use the usual inner-dimension contract), and there
-is no broadcasting.  Every forward operation checks its output for NaN/Inf
-and raises ``NumericalError`` rather than letting bad values propagate.
+dtypes, and there is no broadcasting.  Every forward operation checks its
+output for NaN/Inf and raises ``NumericalError`` rather than letting bad
+values propagate.
 
 Training runs in float32; gradient checking requires float64 (central
 finite differences are unreliable in single precision).
@@ -13,10 +13,10 @@ op holds its backward closure and one route per input: the parameter
 tensor itself, the node key of the op that made the input, or None for a
 constant.  A node key is the tape's serial number and the op's index, so
 the tape holds no activation tensor: an activation lives only while a
-closure reads it (``relu`` its output, which the conv2d or matmul it feeds
-keeps as well, ``matmul`` its operands, ``conv2d`` and ``layer_norm`` their
-input, ``conv_relu_pool`` its input and its ReLU mask packed to one bit per
-pixel) or while the caller keeps it.
+closure reads it (``relu`` its output, which the conv2d it feeds keeps as
+well, ``conv2d`` and ``layer_norm`` their input, ``conv_relu_pool`` its
+input and its ReLU mask packed to one bit per pixel) or while the caller
+keeps it.
 Closures that need only a shape keep the shape.  During the replay each
 op drops its closure and routes once it has run, so the arrays it read
 are freed as soon as nothing else holds them.  A tensor made on another
@@ -289,32 +289,10 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _wrap("scale", (x,), x.data * sv, lambda g: (g * sv,), flops=x.size)
 
 
-def matmul(x: Tensor, y: Tensor) -> Tensor:
-    if x.dtype != y.dtype:
-        raise ShapeError(f"matmul: dtypes {x.dtype} and {y.dtype} must match")
-    if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[1] != y.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
-    out = x.data @ y.data
-
-    if y.ndim == 1:
-
-        def bwd(g):
-            return np.outer(g, y.data), x.data.T @ g
-
-        n_flops = 2 * x.shape[0] * x.shape[1]
-    else:
-
-        def bwd(g):
-            return g @ y.data.T, x.data.T @ g
-
-        n_flops = 2 * x.shape[0] * x.shape[1] * y.shape[1]
-    return _wrap("matmul", (x, y), out, bwd, flops=n_flops)
-
-
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, x.data.dtype.type(0))  # -0.0 maps to +0.0
-    # backward reads out > 0 from out itself, which the next op (a conv2d
-    # or a matmul, wherever the network applies relu) keeps anyway
+    # backward reads out > 0 from out itself, which the next op (a conv2d,
+    # wherever the network applies relu) keeps anyway
     return _wrap("relu", (x,), out, lambda g: (g * (out > 0),), flops=x.size)
 
 
@@ -368,19 +346,6 @@ def split(x: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
         raise ShapeError(f"split: axis extent {extent} not divisible into {parts} parts")
     step = extent // parts
     return tuple(narrow(x, axis, i * step, step) for i in range(parts))
-
-
-def spatial_mean(x: Tensor) -> Tensor:
-    """Global average over the two trailing spatial axes: (C,h,w) -> (C,)."""
-    if x.ndim != 3:
-        raise ShapeError(f"spatial_mean: expects (C,h,w), got {x.shape}")
-    c, h, w = x.shape
-    inv = x.data.dtype.type(1.0 / (h * w))
-
-    def bwd(g):
-        return (np.broadcast_to(g[:, None, None] * inv, (c, h, w)).copy(),)
-
-    return _wrap("spatial_mean", (x,), x.data.mean(axis=(1, 2)), bwd, flops=x.size)
 
 
 # --- spatial primitives ------------------------------------------------------
@@ -734,18 +699,6 @@ def bilinear_upsample(x: Tensor, target: tuple[int, int]) -> Tensor:
         return (np.matmul(ry.T, (g.reshape(c * ht, wt) @ rx).reshape(c, ht, w)),)
 
     return _wrap("bilinear_upsample", (x,), out, bwd, flops=7 * c * ht * wt)
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _wrap("softmax", (x,), out, bwd, flops=4 * x.size)
 
 
 def masked_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:

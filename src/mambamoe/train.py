@@ -150,7 +150,7 @@ class TrainResult:
     seconds: float = 0.0
 
 
-def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> TrainResult:
+def train(config: TrainConfig, scene: HsiScene) -> TrainResult:
     """Full-scene training per the experimental protocol: dense experts,
     stage supervision when enabled, one Adam step per epoch."""
     ss_init, _, ss_mask = _seed_streams(config.seed)
@@ -190,8 +190,6 @@ def train(config: TrainConfig, scene: HsiScene, progress: bool = False) -> Train
         pred = result.final_logits.data.argmax(axis=0) + 1
         train_oa = float((pred[train_mask] == labels[train_mask]).mean())
         history.append((epoch, loss.item(), train_oa))
-        if progress and (epoch % 20 == 0 or epoch == 1):
-            print(f"epoch {epoch:4d}  loss {loss.item():.4f}  train_oa {train_oa:.3f}")
     return TrainResult(
         params=params,
         history=history,

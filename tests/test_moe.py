@@ -49,16 +49,21 @@ def zero_router(channels_half):
 class TestRoute:
     def test_zero_router_uniform(self):
         router = zero_router(2)
-        w = route(router, Tensor(np.random.default_rng(1).normal(size=(2, 3, 3))))
-        np.testing.assert_allclose(w.data, 0.25)
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 3)))
+        for shift in (0.0, 123.456):  # equal logits at any offset
+            router.b2.data[...] = shift
+            np.testing.assert_allclose(route(router, x).data, 0.25)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e4]))
     @settings(max_examples=30, deadline=None)
-    def test_weights_positive_sum_to_one(self, seed):
+    def test_weights_positive_sum_to_one(self, seed, spread):
         rng = np.random.default_rng(seed)
         router = make_router(4, rng)
-        w = route(router, Tensor(rng.normal(size=(4, 2, 5)))).data
-        assert w.min() > 0
+        x = Tensor(rng.normal(size=(4, 2, 5)))
+        if spread:  # logits up to 2e4 apart: the smallest weights underflow to 0
+            router.b2.data[...] = rng.uniform(-spread, spread, size=4)
+        w = route(router, x).data
+        assert w.min() > 0 or (spread and w.min() == 0)
         assert abs(w.sum() - 1.0) < 1e-6
 
     def test_hand_computed_pool_mlp_softmax(self):
@@ -72,6 +77,22 @@ class TestRoute:
         logits = router.w2.data @ hidden + router.b2.data
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(w, e / e.sum(), atol=1e-6)
+
+    @pytest.mark.parametrize("name, value, what", [("w1", -3e38, "pre-activation"), ("b2", -np.inf, "logits")])
+    def test_non_finite_layer_raises_though_the_weights_would_be_finite(self, name, value, what):
+        # the ReLU maps a -inf pre-activation to 0, the softmax a -inf logit to weight 0
+        router = make_block(channels=4, state=1, dtype=np.float32).router
+        getattr(router, name).data[0] = value
+        x = Tensor(np.ones((2, 3, 3), dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(tt.NumericalError, match=f"^route: non-finite values in the {what}$"):
+            route(router, x)
+
+    def test_width_and_dtype_mismatch_rejected(self):
+        router = make_router(2, 0)
+        with pytest.raises(tt.ShapeError, match="router width"):
+            route(router, Tensor(np.ones((3, 2, 2))))
+        with pytest.raises(tt.ShapeError, match="dtype"):
+            route(router, Tensor(np.ones((2, 2, 2), dtype=np.float32)))
 
     def test_expert_ids_carry_directions(self):
         assert [d.name for d in SPATIAL_DIRECTIONS] == ["TL_BR", "BR_TL", "TR_BL", "BL_TR"]
@@ -171,13 +192,10 @@ class TestSreForward:
 
     def test_one_mix_op_per_call(self):
         experts, router, x = self.make(seed=9)
-        with tt.Tape() as router_tape:
-            route(router, x)
-        router_ops = [op.name for op in router_tape.ops]
         for k in (1, 2, 3, 4):
             with tt.Tape() as tape:
                 sre_forward(experts, router, x, topk=k)
-            assert [op.name for op in tape.ops] == router_ops + ["spatial_expert_forward"] * k + ["mix"]
+            assert [op.name for op in tape.ops] == ["route"] + ["spatial_expert_forward"] * k + ["mix"]
 
     def test_runtime_flops_are_router_scans_and_mix(self):
         experts, router, x = self.make(seed=10)

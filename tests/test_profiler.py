@@ -6,10 +6,12 @@ import pytest
 
 from mambamoe import tensor as tt
 from mambamoe.data import HsiScene, SceneHeader, normalize_scene
+from mambamoe.moe import route
 from mambamoe.network import NetSpec, classify_head, forward_full, init_network_params, stage_sizes
 from mambamoe.profiler import (
     CostReport,
     _conv_flops,
+    _router_flops,
     count_flops,
     count_params,
     make_report,
@@ -58,19 +60,28 @@ class TestParams:
 
 
 class TestFlops:
-    def test_matmul_convention(self):
-        x = Tensor(np.ones((3, 4), dtype=np.float32))
-        y = Tensor(np.ones((4, 5), dtype=np.float32))
+    def test_router_counts_its_analytic_term(self):
+        # at a half-width of 12 the router's hidden width is 6
+        spec = NetSpec(bands=3, channels=24, state_dim=4, n_class=3)
+        router = init_network_params(spec, np.random.default_rng(8)).momeb[0].router
+        x = Tensor(np.random.default_rng(9).normal(size=(12, 5, 7)).astype(np.float32))
         with FLOPS:
-            tt.matmul(x, y)
-        assert FLOPS.total == 2 * 3 * 4 * 5
+            route(router, x)
+        assert FLOPS.total == _router_flops(12, 5, 7)
 
-    def test_topk_scan_proportionality(self):
-        dense, per_k, comp = count_flops(PAPER_SCALE, (103, 13, 13))
-        scan = comp["spatial_experts"]
+    def test_topk_savings_equal_runtime_savings(self):
+        # each unselected expert saves its scan and its share of the combine, exactly
+        spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
+        params = init_network_params(spec, np.random.default_rng(10))
+        x = Tensor(np.random.default_rng(11).normal(size=(3, 16, 12)).astype(np.float32))
+        _, per_k, _ = count_flops(spec, (3, 16, 12))
+        runtime = {}
         for k in (1, 2, 3, 4):
-            assert per_k[k] == dense - (4 - k) * scan // 4
-        assert (per_k[3] - dense + scan) / scan == 0.75
+            with FLOPS:
+                forward_full(params, x, train=False, topk=k)
+                runtime[k] = FLOPS.total
+        for k in (1, 2, 3):
+            assert per_k[4] - per_k[k] == runtime[4] - runtime[k]
 
     def test_topk4_equals_dense_and_monotone(self):
         dense, per_k, _ = count_flops(PAPER_SCALE, (103, 13, 13))
