@@ -245,9 +245,7 @@ def cmd_gradcheck() -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, out_dir: Path, spec_name: str) -> int:
-    if spec_name != "default":
-        raise ConfigError(f"unknown synthetic spec {spec_name!r} (only 'default' is bundled)")
+def cmd_synth(cfg: RunConfig, out_dir: Path) -> int:
     scene = dataio.generate_synthetic(dataio.default_synthetic_spec(seed=cfg.synth_seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "synthetic.hsc"
@@ -285,8 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--topk", default=None, help="expert count k, or for eval a sweep like 1..4")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-        if name == "synth":
-            p.add_argument("--spec", default="default", help="bundled synthetic spec name")
         if name == "profile":
             p.add_argument("--input", default="103x13x13", help="input size BxHxW")
             p.add_argument("--classes", type=int, default=9, help="class count for the head")
@@ -316,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck()
         if args.command == "synth":
-            return cmd_synth(cfg, out_dir, args.spec)
+            return cmd_synth(cfg, out_dir)
         if args.command == "profile":
             return cmd_profile(cfg, args.input, args.classes)
         raise ConfigError(f"unknown command {args.command}")

@@ -54,8 +54,8 @@ class NetSpec:
     sse_on: bool = True
 
     def __post_init__(self):
-        if self.channels % 2 != 0:
-            raise ShapeError(f"NetSpec: channel width must be even, got {self.channels}")
+        if self.channels < 2 or self.channels % 2 != 0:
+            raise ShapeError(f"NetSpec: channel width must be even and >= 2, got {self.channels}")
         if min(self.bands, self.state_dim, self.n_class) < 1:
             raise ShapeError(f"NetSpec: widths must be positive, got {self}")
         for name in ("momeb_on", "sre_on", "sse_on"):
@@ -293,20 +293,19 @@ class StageOutput:
     mask: np.ndarray  # (h, w) bool
 
 
-def uarb(logits: Tensor, rng: np.random.Generator | None, frozen_mask: np.ndarray | None = None) -> StageOutput:
+def uarb(logits: Tensor, rng: np.random.Generator | None) -> StageOutput:
     """Uncertainty-sampled stage supervision (training only).
 
     Takes one stage's ``classify_head`` logits (stage 1's are the
     prediction) and selects each pixel independently with probability equal
     to its uncertainty: selected iff ``rng.random() < U``, drawn in row-major
-    pixel order.  Reads only ``logits.data`` and records no tape op.
-    ``frozen_mask`` replaces the sampling for deterministic gradient checks.
+    pixel order.  Reads only ``logits.data`` and records no tape op.  A
+    generator seeded the same way draws the same mask.
     """
-    if rng is None and frozen_mask is None:
+    if rng is None:
         raise RuntimeError("uarb: training rng required (block is omitted at inference)")
     u = uncertainty_map(logits.data)
-    mask = rng.random(u.shape) < u if frozen_mask is None else np.asarray(frozen_mask, dtype=bool)
-    return StageOutput(logits=logits, uncertainty=u, mask=mask)
+    return StageOutput(logits=logits, uncertainty=u, mask=rng.random(u.shape) < u)
 
 
 # --- full forward and loss ----------------------------------------------------
@@ -326,14 +325,14 @@ def forward_full(
     topk: int | None = None,
     mask_rng: np.random.Generator | None = None,
     uarb_on: bool = True,
-    frozen_masks: Sequence[np.ndarray] | None = None,
 ) -> ForwardResult:
     """Run the whole pipeline on one scene.
 
     Training mode uses dense experts (topk ignored) and, when enabled,
-    the uncertainty-sampled stage supervision; inference uses top-k expert
-    selection and consumes no randomness.  The ablation switches come from
-    ``params.spec``.
+    the uncertainty-sampled stage supervision, whose three masks are drawn
+    from ``mask_rng`` in stage order (a fresh generator from the same seed
+    gives the same masks); inference uses top-k expert selection and
+    consumes no randomness.  The ablation switches come from ``params.spec``.
     """
     _, h, w = x.shape
     effective_topk = None if train else topk
@@ -354,9 +353,7 @@ def forward_full(
     stages: list[StageOutput] = []
     if train and uarb_on:
         heads = [final_logits] + [classify_head(params.head, l_i, (h, w)) for l_i in (l2, l3)]
-        for i, logits in enumerate(heads):
-            frozen = frozen_masks[i] if frozen_masks is not None else None
-            stages.append(uarb(logits, mask_rng, frozen_mask=frozen))
+        stages = [uarb(logits, mask_rng) for logits in heads]
     return ForwardResult(final_logits=final_logits, stages=stages)
 
 

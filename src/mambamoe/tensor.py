@@ -745,6 +745,8 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -
 
 # --- gradient checking -------------------------------------------------------
 
+FD_STEP = 1e-5  # central-difference step of grad_check
+
 
 @dataclass
 class GradCheckReport:
@@ -752,7 +754,6 @@ class GradCheckReport:
 
     per_param: dict[str, float]
     threshold: float
-    step: float
 
     @property
     def max_rel_err(self) -> float:
@@ -766,16 +767,15 @@ class GradCheckReport:
 def grad_check(
     fn: Callable[[], Tensor],
     params: Sequence[Tensor],
-    step: float = 1e-5,
     threshold: float = 1e-4,
     names: Sequence[str] | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of a scalar map against central differences.
 
-    ``fn`` must be deterministic and must not consume randomness: it is run
-    twice up front and any bitwise disagreement raises
-    ``NonDeterministicError`` (this rejects blocks with live Bernoulli
-    sampling; freeze the mask first).  Parameters must be float64.
+    ``fn`` must be deterministic: it is run twice up front and any bitwise
+    disagreement raises ``NonDeterministicError`` (this rejects blocks with
+    live Bernoulli sampling; draw it from a generator seeded anew on every
+    call).  Parameters must be float64; each entry is moved by ``FD_STEP``.
     """
     params = list(params)
     if names is None:
@@ -789,7 +789,7 @@ def grad_check(
     probe_a = fn().data.copy()
     probe_b = fn().data.copy()
     if probe_a.tobytes() != probe_b.tobytes():
-        raise NonDeterministicError("two forward passes disagree; non-differentiable sampling must be frozen")
+        raise NonDeterministicError("two forward passes disagree; sampling must be seeded anew on every call")
 
     for p in params:
         p.zero_grad()
@@ -804,13 +804,13 @@ def grad_check(
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             f_plus = fn().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             f_minus = fn().item()
             flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * step)
+            numeric[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
         num = numeric.reshape(p.shape)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1e-3)
         per_param[name] = float((np.abs(a - num) / denom).max()) if p.size else 0.0
-    return GradCheckReport(per_param=per_param, threshold=threshold, step=step)
+    return GradCheckReport(per_param=per_param, threshold=threshold)

@@ -6,9 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mambamoe import gradcheck_suite
 from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
 from mambamoe.data import default_synthetic_spec, generate_synthetic, save_hsc
 from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from mambamoe.tensor import GradCheckReport
 from mambamoe.train import TrainConfig
 
 
@@ -237,12 +239,40 @@ class TestExitCodes:
 class TestSynthCommand:
     def test_synth_writes_deterministic_scene(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["synth", "--spec", "default", "--seed", "9", "--out", str(out_a)]) == 0
-        assert main(["synth", "--spec", "default", "--seed", "9", "--out", str(out_b)]) == 0
+        assert main(["synth", "--seed", "9", "--out", str(out_a)]) == 0
+        assert main(["synth", "--seed", "9", "--out", str(out_b)]) == 0
         assert (out_a / "synthetic.hsc").read_bytes() == (out_b / "synthetic.hsc").read_bytes()
 
     def test_unknown_spec_exit_1(self, tmp_path, capsys):
         assert main(["synth", "--spec", "weird", "--out", str(tmp_path)]) == 1
+        assert "--spec" in one_error_line(capsys, "config")
+        assert not any(tmp_path.iterdir())
+
+
+class TestGradcheckCommand:
+    @staticmethod
+    def entries(monkeypatch, **extra):
+        """Two cheap entries of the suite, then ``extra``."""
+        table = {name: gradcheck_suite.ENTRIES[name] for name in ("relu", "upsample")}
+        monkeypatch.setattr(gradcheck_suite, "ENTRIES", {**table, **extra})
+
+    def test_passing_suite_prints_one_row_per_entry(self, monkeypatch, capsys):
+        self.entries(monkeypatch)
+        assert main(["gradcheck"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out[:2]] == ["relu", "upsample"]
+        assert all(line.endswith("[ok]") for line in out[:2])
+        assert len(out) == 3 and out[2].startswith("suite: PASS")
+
+    def test_failing_entry_exit_3_one_line(self, monkeypatch, capsys):
+        self.entries(monkeypatch, broken=lambda rng: GradCheckReport(per_param={"w": 0.5}, threshold=1e-4))
+        assert main(["gradcheck"]) == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[2].startswith("broken") and rows[2].endswith("[FAIL]")
+        assert rows[3].startswith("suite: FAIL")
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numeric: "), err
 
 
 class TestTrainEvalPredictPipeline:

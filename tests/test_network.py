@@ -15,6 +15,7 @@ from mambamoe.network import (
     NetworkParams,
     ResBlockParams,
     StageOutput,
+    _build_network_params,
     classify_head,
     extract_features,
     ffb,
@@ -28,7 +29,7 @@ from mambamoe.network import (
     uarb,
     uncertainty_map,
 )
-from mambamoe.tensor import ShapeError, Tape, Tensor, grad_check, parameter
+from mambamoe.tensor import ShapeError, Tape, Tensor, parameter
 
 F64 = np.float64
 
@@ -39,6 +40,12 @@ def tiny_spec(bands=2, channels=4, state=3, classes=2):
 
 def tiny_params(seed=0, dtype=F64, **kw):
     return init_network_params(tiny_spec(**kw), np.random.default_rng(seed), dtype=dtype)
+
+
+@pytest.mark.parametrize("channels", [0, -2, 3])
+def test_spec_refuses_a_channel_width_that_is_not_even_and_at_least_2(channels):
+    with pytest.raises(ShapeError, match="channel width"):
+        tiny_spec(channels=channels)
 
 
 class TestEncoder:
@@ -254,8 +261,8 @@ class TestUarb:
         rng = np.random.default_rng(17)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(classify_head(params.head, l1, (8, 8)), None, frozen_mask=np.zeros((8, 8)))
-        assert not st.mask.any()
+        logits = classify_head(params.head, l1, (8, 8))
+        st = StageOutput(logits, uncertainty_map(logits.data), np.zeros((8, 8), dtype=bool))
         assert tt.masked_cross_entropy(st.logits, y_trn, st.mask).item() == 0.0
 
     def test_mask_one_reproduces_training_labels(self):
@@ -263,8 +270,8 @@ class TestUarb:
         rng = np.random.default_rng(19)
         l1 = Tensor(rng.normal(size=(4, 4, 4)))
         y_trn = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
-        st = uarb(classify_head(params.head, l1, (8, 8)), None, frozen_mask=np.ones((8, 8)))
-        assert st.mask.all()
+        logits = classify_head(params.head, l1, (8, 8))
+        st = StageOutput(logits, uncertainty_map(logits.data), np.ones((8, 8), dtype=bool))
         term = tt.masked_cross_entropy(st.logits, y_trn, st.mask).item()
         assert term == tt.masked_cross_entropy(st.logits, y_trn, y_trn > 0).item()
 
@@ -520,6 +527,15 @@ class TestCheckpoint:
         # an empty payload passes the length check, so only the shape can reject it
         with pytest.raises(CheckpointError, match="negative extent"):
             self.load_edited(tmp_path, 2, lambda line: line.rsplit(b" ", 1)[0] + b" 0,-1")
+
+    def test_zero_channel_width_refused(self, tmp_path):
+        # meta and manifest agree on C = 0, so every C-sized payload is empty
+        spec = tiny_spec()
+        object.__setattr__(spec, "channels", 0)  # past the NetSpec check, as a hand-written file is
+        path = tmp_path / "zero.mmoe"
+        save_checkpoint(path, _build_network_params(spec, lambda name, shape: np.zeros(shape), np.float32))
+        with pytest.raises(CheckpointError, match="channel width"):
+            load_checkpoint(path)
 
     def test_unknown_dtype_code(self, tmp_path):
         with pytest.raises(CheckpointError, match="dtype code 'q9'"):
