@@ -1,10 +1,22 @@
 """Command-line entry point.
 
-Subcommands: train, eval, predict, inspect, gradcheck, synth, profile.
 Experiment knobs live in a config file (`key = value` lines, `#` comments,
-unknown keys rejected); `--seed`, `--topk` and `--out` override it.  Exit
-codes: 0 success, 1 config error, 2 data error, 3 numerical abort; each
-failure prints one `error: <category>: <reason>` line on stderr.
+unknown keys rejected).  Each subcommand takes only the flags it reads
+(`COMMAND_FLAGS`); `--seed`, `--topk` and `--out` override the config keys
+`seed`, `topk_infer` and `out_dir`:
+
+    train      --config --seed --topk --out
+    eval       --config --topk             (--topk: k, or a sweep lo..hi)
+    predict    --config --topk --out
+    inspect    --config
+    gradcheck  (none; reads no config)
+    synth      --config --seed --out       (--seed: synth_seed)
+    profile    --config --input --classes
+
+eval, predict and inspect take the model, and eval its test split, from
+the config's `checkpoint` alone.  Exit codes: 0 success, 1 config error,
+2 data error, 3 numerical abort; each failure prints one
+`error: <category>: <reason>` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 from . import data as dataio
 from . import profiler
 from . import train as training
-from .network import CheckpointError, NetSpec, load_checkpoint, save_checkpoint
+from .network import CheckpointError, NetSpec, load_checkpoint, save_checkpoint, stage_sizes
 from .tensor import NumericalError, ShapeError
 
 
@@ -50,6 +62,10 @@ class RunConfig:
     palette: str = ""  # optional palette file for rendered maps
     synth_seed: int = 11
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
+
+    def __post_init__(self):
+        if self.synth_seed < 0:
+            raise ValueError(f"synth_seed must be >= 0, got {self.synth_seed}")
 
 
 def _config_fields() -> dict[str, Field]:
@@ -99,9 +115,9 @@ def parse_config(path: str | None, **overrides) -> RunConfig:
     own = {f.name for f in fields(RunConfig)}
     try:
         train = training.TrainConfig(**{k: v for k, v in values.items() if k not in own})
+        return RunConfig(**{k: v for k, v in values.items() if k in own}, train=train)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(**{k: v for k, v in values.items() if k in own}, train=train)
 
 
 def config_help_text() -> str:
@@ -121,28 +137,36 @@ def _read(load, what: str, path: str):
 
 
 def _load_scene(cfg: RunConfig) -> dataio.HsiScene:
+    """The config's scene; one the network cannot pool three times (under
+    8x8) is a DataError before any split, training or output."""
     if cfg.dataset == "synthetic":
-        return dataio.generate_synthetic(dataio.default_synthetic_spec(seed=cfg.synth_seed))
-    return _read(dataio.load_hsc, "dataset", cfg.dataset)
+        scene = dataio.generate_synthetic(dataio.default_synthetic_spec(seed=cfg.synth_seed))
+    else:
+        scene = _read(dataio.load_hsc, "dataset", cfg.dataset)
+    try:
+        stage_sizes(scene.header.height, scene.header.width)
+    except ShapeError as exc:
+        raise DataError(f"dataset {cfg.dataset}: {exc}") from exc
+    return scene
 
 
 def _load_model(cfg: RunConfig, scene: dataio.HsiScene):
+    """The checkpoint is the model: its widths and switches come from it
+    alone, and only its input and output sizes must fit the scene."""
     if not cfg.checkpoint:
         raise ConfigError("this command needs a `checkpoint = <path>` config key")
     params, meta = _read(load_checkpoint, "checkpoint", cfg.checkpoint)
     spec = params.spec
     mismatches = [
-        f"{name}: checkpoint={have} expected={expected}"
+        f"{name}: checkpoint={have} scene={expected}"
         for name, have, expected in (
             ("bands", spec.bands, scene.header.bands),
             ("n_class", spec.n_class, scene.header.n_class),
-            ("channels", spec.channels, cfg.train.channels),
-            ("state_dim", spec.state_dim, cfg.train.state_dim),
         )
         if have != expected
     ]
     if mismatches:
-        raise DataError("checkpoint/config mismatch: " + "; ".join(mismatches))
+        raise DataError("checkpoint/scene mismatch: " + "; ".join(mismatches))
     return params, meta
 
 
@@ -197,8 +221,10 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_eval(cfg: RunConfig, topks: list[int]) -> int:
     scene = _load_scene(cfg)
     params, meta = _load_model(cfg, scene)
-    seed = meta.get("seed", cfg.train.seed)
-    n = meta.get("samples_per_class", cfg.train.samples_per_class)
+    for key in ("seed", "samples_per_class"):
+        if key not in meta:
+            raise CheckpointError(f"{cfg.checkpoint}: meta has no {key}, so the test split cannot be re-derived")
+    seed, n = meta["seed"], meta["samples_per_class"]
     # the split is re-derived from these; bools are ints to Python, not to the split
     if type(seed) is not int or seed < 0:
         raise CheckpointError(f"{cfg.checkpoint}: meta seed {seed!r} is not a non-negative int")
@@ -261,12 +287,31 @@ def cmd_profile(cfg: RunConfig, input_raw: str, n_class: int) -> int:
         raise ConfigError(f"--input must be BxHxW, got {input_raw!r}") from exc
     try:
         spec = NetSpec(bands=bands, channels=cfg.train.channels, state_dim=cfg.train.state_dim, n_class=n_class)
-        report = profiler.make_report(spec, (bands, height, width))
+        print(profiler.report_csv(spec, (bands, height, width)), end="")
     except ShapeError as exc:
         raise ConfigError(str(exc)) from exc
-    print(profiler.report_table(report), end="")
-    print(profiler.report_csv(report), end="")
     return 0
+
+
+# the flags each command reads, and no others
+COMMAND_FLAGS = {
+    "train": ("--config", "--seed", "--topk", "--out"),
+    "eval": ("--config", "--topk"),
+    "predict": ("--config", "--topk", "--out"),
+    "inspect": ("--config",),
+    "gradcheck": (),
+    "synth": ("--config", "--seed", "--out"),
+    "profile": ("--config", "--input", "--classes"),
+}
+
+_FLAG_ARGS = {
+    "--config": dict(help="config file path"),
+    "--seed": dict(type=int, help="override config seed (synth: synth_seed)"),
+    "--topk": dict(help="override topk_infer: expert count k, or for eval a sweep like 1..4"),
+    "--out": dict(help="output directory (default: config out_dir)"),
+    "--input": dict(default="103x13x13", help="input size BxHxW"),
+    "--classes": dict(type=int, default=9, help="class count for the head"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -277,29 +322,27 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "predict", "inspect", "gradcheck", "synth", "profile"):
-        p = sub.add_parser(name, epilog=config_help_text(), formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--topk", default=None, help="expert count k, or for eval a sweep like 1..4")
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-        if name == "profile":
-            p.add_argument("--input", default="103x13x13", help="input size BxHxW")
-            p.add_argument("--classes", type=int, default=9, help="class count for the head")
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name, formatter_class=argparse.RawDescriptionHelpFormatter)
+        if "--config" in flags:
+            p.epilog = config_help_text()
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_ARGS[flag])
     try:
         args = parser.parse_args(argv)
+        if args.command == "gradcheck":
+            return cmd_gradcheck()
+        seed, topk, out = (getattr(args, name, None) for name in ("seed", "topk", "out"))
         overrides = {}
-        topks = _parse_topk(args.topk) if args.topk is not None else None
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-            if args.command == "synth":
-                overrides["synth_seed"] = args.seed
+        if seed is not None:
+            overrides["synth_seed" if args.command == "synth" else "seed"] = seed
+        topks = _parse_topk(topk) if topk is not None else None
         if topks is not None and args.command != "eval":
             if len(topks) > 1:
-                raise ConfigError(f"topk sweep {args.topk!r} is for eval only; {args.command} takes one k")
+                raise ConfigError(f"topk sweep {topk!r} is for eval only; {args.command} takes one k")
             overrides["topk_infer"] = topks[0]
         cfg = parse_config(args.config, **overrides)
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        out_dir = Path(out if out is not None else cfg.out_dir)
 
         if args.command == "train":
             return cmd_train(cfg, out_dir)
@@ -309,13 +352,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_predict(cfg, out_dir)
         if args.command == "inspect":
             return cmd_inspect(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck()
         if args.command == "synth":
             return cmd_synth(cfg, out_dir)
-        if args.command == "profile":
-            return cmd_profile(cfg, args.input, args.classes)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_profile(cfg, args.input, args.classes)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1

@@ -18,23 +18,9 @@ counter additionally sees small bookkeeping terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .network import NetSpec, stage_sizes
 
 N_EXPERTS = 4
-
-
-@dataclass
-class CostReport:
-    """Analytic cost summary for one configuration and input size."""
-
-    input_shape: tuple[int, int, int]  # (bands, H, W)
-    params_total: int
-    params_by_module: dict[str, int]
-    flops_dense: int
-    flops_topk: dict[int, int]
-    flops_by_component: dict[str, int] = field(default_factory=dict)
 
 
 def _conv_params(c_out: int, c_in: int, k: int) -> int:
@@ -134,42 +120,15 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     return dense, per_k, comp
 
 
-def make_report(spec: NetSpec, input_shape: tuple[int, int, int]) -> CostReport:
+def report_csv(spec: NetSpec, input_shape: tuple[int, int, int]) -> str:
+    """`key,value` lines: the input size, the parameter total and per-module
+    counts, the dense and per-k FLOPs, and the FLOPs per component."""
     params_total, by_module = count_params(spec)
     dense, per_k, comp = count_flops(spec, input_shape)
-    return CostReport(
-        input_shape=tuple(input_shape),
-        params_total=params_total,
-        params_by_module=by_module,
-        flops_dense=dense,
-        flops_topk=per_k,
-        flops_by_component=comp,
-    )
-
-
-def report_table(report: CostReport) -> str:
-    b, h, w = report.input_shape
-    rows = [f"input: {b}x{h}x{w}", f"parameters: {report.params_total} ({report.params_total / 1e6:.3f} M)"]
-    for name, value in report.params_by_module.items():
-        rows.append(f"  params[{name}]: {value}")
-    rows.append(f"flops (dense): {report.flops_dense}")
-    for k in sorted(report.flops_topk):
-        rows.append(f"flops (topk={k}): {report.flops_topk[k]}")
-    for name, value in report.flops_by_component.items():
-        rows.append(f"  flops[{name}]: {value}")
-    width = max(len(r.split(":")[0]) for r in rows)
-    out = []
-    for r in rows:
-        key, _, value = r.partition(":")
-        out.append(f"{key:<{width}} :{value}")
-    return "\n".join(out) + "\n"
-
-
-def report_csv(report: CostReport) -> str:
-    b, h, w = report.input_shape
-    lines = ["key,value", f"input,{b}x{h}x{w}", f"params_total,{report.params_total}"]
-    lines += [f"params_{name},{value}" for name, value in report.params_by_module.items()]
-    lines.append(f"flops_dense,{report.flops_dense}")
-    lines += [f"flops_topk{k},{report.flops_topk[k]}" for k in sorted(report.flops_topk)]
-    lines += [f"flops_{name},{value}" for name, value in report.flops_by_component.items()]
+    b, h, w = input_shape
+    lines = ["key,value", f"input,{b}x{h}x{w}", f"params_total,{params_total}"]
+    lines += [f"params_{name},{value}" for name, value in by_module.items()]
+    lines.append(f"flops_dense,{dense}")
+    lines += [f"flops_topk{k},{per_k[k]}" for k in sorted(per_k)]
+    lines += [f"flops_{name},{value}" for name, value in comp.items()]
     return "\n".join(lines) + "\n"

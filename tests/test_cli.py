@@ -1,14 +1,14 @@
 """Command-line interface: config grammar, exit codes, artifacts."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mambamoe import gradcheck_suite
 from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
-from mambamoe.data import default_synthetic_spec, generate_synthetic, save_hsc
+from mambamoe.data import HsiScene, default_synthetic_spec, generate_synthetic, save_hsc
 from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from mambamoe.tensor import GradCheckReport
 from mambamoe.train import TrainConfig
@@ -80,6 +80,39 @@ class TestConfigGrammar:
             assert f"  {f.name} (default: {f.default!r})" in text
 
 
+def rewrite_meta(src, dest, edit):
+    """Copy checkpoint ``src`` to ``dest`` with ``edit(meta)`` applied to its
+    JSON meta line; the parameter blob is kept byte for byte."""
+    meta_line, rest = src.read_bytes()[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
+    meta = json.loads(meta_line)
+    edit(meta)
+    dest.write_bytes(CHECKPOINT_MAGIC + json.dumps(meta).encode() + b"\n" + rest)
+    return dest
+
+
+def crop_scene(bands, height, width):
+    """The bundled scene cut to ``bands`` x ``height`` x ``width``, labelled
+    1..n_class in turn so that every class has pixels to split."""
+    scene = generate_synthetic(default_synthetic_spec())
+    n_class = scene.header.n_class
+    labels = (np.arange(height * width).reshape(height, width) % n_class + 1).astype(np.uint16)
+    header = replace(scene.header, bands=bands, height=height, width=width)
+    return HsiScene(header=header, cube=scene.cube[:bands, :height, :width], labels=labels)
+
+
+# the flags each command does not read, and a value for each flag
+UNREAD_FLAGS = {
+    "eval": ("--seed", "--out"),
+    "predict": ("--seed",),
+    "inspect": ("--seed", "--topk", "--out"),
+    "gradcheck": ("--config", "--seed", "--topk", "--out"),
+    "synth": ("--topk",),
+    "profile": ("--seed", "--topk", "--out"),
+}
+UNREAD_SLOTS = [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags]
+FLAG_VALUE = {"--config": "missing.cfg", "--seed": "1", "--topk": "2", "--out": "out"}
+
+
 def one_error_line(capsys, category):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {category}: "), err
@@ -89,17 +122,17 @@ def one_error_line(capsys, category):
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "profile"])
     @pytest.mark.parametrize(
-        "body",
+        "body, cause",
         [
-            b"channels = 7\n",
-            b"state_dim = 0\n",
-            b"epochs = 0\n",
-            b"seed = 1 # \xff\n",
-            b"repeats = 2\n",
-            b"lr = nan\n",
-            b"lr = inf\n",
-            b"lr = -1\n",
-            b"lr = 0\n",
+            (b"channels = 7\n", "channels must be even"),
+            (b"state_dim = 0\n", "state_dim must be >= 1"),
+            (b"epochs = 0\n", "epochs must be >= 1"),
+            (b"seed = 1 # \xff\n", "cannot read config"),
+            (b"repeats = 2\n", "unknown key 'repeats'"),
+            (b"lr = nan\n", "lr must be finite and > 0"),
+            (b"lr = inf\n", "lr must be finite and > 0"),
+            (b"lr = -1\n", "lr must be finite and > 0"),
+            (b"lr = 0\n", "lr must be finite and > 0"),
         ],
         ids=[
             "odd-channels",
@@ -113,33 +146,43 @@ class TestExitCodes:
             "zero-lr",
         ],
     )
-    def test_bad_config_exit_1_one_line(self, tmp_path, capsys, command, body):
+    def test_bad_config_exit_1_one_line(self, tmp_path, capsys, command, body, cause):
         path = tmp_path / "bad.cfg"
         path.write_bytes(body)
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        one_error_line(capsys, "config")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path)] + (["--out", str(out)] if command == "train" else [])) == 1
+        assert cause in one_error_line(capsys, "config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_synth_seed_exit_1(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, synth_seed=-1)), "--out", str(out)]) == 1
+        assert "synth_seed must be >= 0" in one_error_line(capsys, "config")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, cause",
         [
-            ["profile", "--classes", "0"],
-            ["profile", "--input", "0x13x13"],
-            ["profile", "--input", "8x-16x16"],
-            ["profile", "--input", "8x4x4"],
-            ["train", "--seed", "-1"],
-            ["train", "--topk", "x"],
-            ["train", "--topk", "3.."],
-            ["predict", "--topk", "4..1"],
-            ["eval", "--topk", "4..1"],
-            ["train", "--topk", "1..4"],
-            ["predict", "--topk", "1..4"],
-            ["inspect", "--topk", "2..3"],
-            ["train", "--bogus"],
-            ["train", "--seed", "x"],
-            ["profile", "--classes", "x"],
-            ["train", "--topk"],
-            [],
-        ],
+            (["profile", "--classes", "0"], "widths must be positive"),
+            (["profile", "--input", "0x13x13"], "widths must be positive"),
+            (["profile", "--input", "8x-16x16"], "too small"),
+            (["profile", "--input", "8x4x4"], "too small"),
+            (["train", "--seed", "-1"], "seed must be >= 0"),
+            (["train", "--topk", "x"], "topk must be k or lo..hi"),
+            (["train", "--topk", "3.."], "topk must be k or lo..hi"),
+            (["predict", "--topk", "4..1"], "is empty"),
+            (["eval", "--topk", "4..1"], "is empty"),
+            (["train", "--topk", "1..4"], "is for eval only"),
+            (["predict", "--topk", "1..4"], "is for eval only"),
+            (["inspect", "--topk", "2..3"], "unrecognized arguments: --topk"),
+            (["train", "--bogus"], "unrecognized arguments: --bogus"),
+            (["train", "--seed", "x"], "argument --seed: invalid int value"),
+            (["profile", "--classes", "x"], "argument --classes: invalid int value"),
+            (["train", "--topk"], "argument --topk: expected one argument"),
+            ([], "the following arguments are required: command"),
+        ]
+        + [([command, flag, FLAG_VALUE[flag]], f"unrecognized arguments: {flag} ") for command, flag in UNREAD_SLOTS],
         ids=[
             "zero-classes",
             "zero-bands",
@@ -158,12 +201,15 @@ class TestExitCodes:
             "classes-not-int",
             "topk-no-value",
             "no-command",
-        ],
+        ]
+        + [f"{command}-unread-{flag[2:]}" for command, flag in UNREAD_SLOTS],
     )
-    def test_bad_flag_exit_1_one_line(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path / "out")] if argv else argv) == 1
-        line = one_error_line(capsys, "config")
-        assert "--topk" not in argv or "topk" in line
+    def test_bad_flag_exit_1_one_line(self, tmp_path, monkeypatch, capsys, argv, cause):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, not even to a default out_dir
+        takes_out = argv[:1] in (["train"], ["predict"], ["synth"])
+        assert main(argv + (["--out", "out"] if takes_out else [])) == 1
+        assert cause in one_error_line(capsys, "config")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -224,16 +270,15 @@ class TestExitCodes:
     def test_directory_path_exit_2_no_partial_outputs(self, tmp_path, capsys, command, key):
         cfg = write_cfg(tmp_path, **{key: str(tmp_path)})
         out = tmp_path / "out"
-        code = main([command, "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg)] + (["--out", str(out)] if command == "train" else []))
         assert code == 2
         one_error_line(capsys, "data")
         assert not out.exists()
 
     def test_eval_without_checkpoint_key_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
-        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "checkpoint" in capsys.readouterr().err
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert "checkpoint" in one_error_line(capsys, "config")
 
 
 class TestSynthCommand:
@@ -302,8 +347,7 @@ class TestTrainEvalPredictPipeline:
     def test_eval_topk_sweep_rows(self, trained, capsys):
         tmp_path, _, out = trained
         cfg = write_cfg(tmp_path, name="eval.cfg", checkpoint=str(out / "checkpoint.mmoe"))
-        code = main(["eval", "--config", str(cfg), "--topk", "1..4", "--out", str(tmp_path / "e")])
-        assert code == 0
+        assert main(["eval", "--config", str(cfg), "--topk", "1..4"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("topk=")]
         assert len(lines) == 4
         for k, line in enumerate(lines, start=1):
@@ -319,24 +363,46 @@ class TestTrainEvalPredictPipeline:
         # training wrote its own map with the same checkpoint and topk
         assert ppm == (out / "prediction.ppm").read_bytes()
 
-    def test_checkpoint_width_mismatch_exit_2_names_field(self, trained, capsys):
+    def test_checkpoint_widths_override_the_config(self, trained, capsys):
+        """The model's widths come from the checkpoint: a config that names
+        other widths evaluates the same C=8, D=4 model."""
         tmp_path, _, out = trained
-        cfg = write_cfg(tmp_path, name="mismatch.cfg", checkpoint=str(out / "checkpoint.mmoe"), channels=16)
-        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "m")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "channels" in err and "checkpoint=8" in err and "expected=16" in err
+        rows = []
+        for name, widths in (("same.cfg", {}), ("wider.cfg", {"channels": 16, "state_dim": 8})):
+            cfg = write_cfg(tmp_path, name=name, checkpoint=str(out / "checkpoint.mmoe"), **widths)
+            assert main(["eval", "--config", str(cfg), "--topk", "3"]) == 0
+            rows += [l for l in capsys.readouterr().out.splitlines() if l.startswith("topk=3")]
+        assert len(rows) == 2 and rows[0] == rows[1]
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    def test_checkpoint_bands_mismatch_exit_2_names_bands(self, trained, capsys, command):
+        tmp_path, _, out = trained
+        scene_path = tmp_path / "three_bands.hsc"
+        save_hsc(crop_scene(3, 32, 32), scene_path)
+        cfg = write_cfg(tmp_path, name="bands.cfg", dataset=str(scene_path), checkpoint=str(out / "checkpoint.mmoe"))
+        dest = tmp_path / "bands_out"
+        assert main([command, "--config", str(cfg)] + (["--out", str(dest)] if command == "predict" else [])) == 2
+        assert "bands: checkpoint=8 scene=3" in one_error_line(capsys, "data")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect"])
+    @pytest.mark.parametrize("height, width", [(6, 6), (4, 16)])
+    def test_scene_under_8x8_exit_2_no_partial_outputs(self, trained, capsys, command, height, width):
+        tmp_path, _, out = trained
+        scene_path = tmp_path / f"small_{height}x{width}.hsc"
+        save_hsc(crop_scene(8, height, width), scene_path)
+        cfg = write_cfg(tmp_path, name="small.cfg", dataset=str(scene_path), checkpoint=str(out / "checkpoint.mmoe"))
+        dest = tmp_path / f"small_{command}"
+        argv = [command, "--config", str(cfg)] + (["--out", str(dest)] if command in ("train", "predict") else [])
+        assert main(argv) == 2
+        assert f"scene {height}x{width} too small" in one_error_line(capsys, "data")
+        assert not dest.exists()
 
     def test_switch_that_is_not_a_bool_exit_2(self, trained, capsys):
         tmp_path, _, out = trained
-        blob = (out / "checkpoint.mmoe").read_bytes()
-        meta_line, rest = blob[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
-        meta = json.loads(meta_line)
-        meta["sre_on"] = "false"
-        edited = tmp_path / "string_switch.mmoe"
-        edited.write_bytes(CHECKPOINT_MAGIC + json.dumps(meta).encode() + b"\n" + rest)
+        edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / "string_switch.mmoe", lambda m: m.update(sre_on="false"))
         cfg = write_cfg(tmp_path, name="str.cfg", checkpoint=str(edited))
-        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert main(["eval", "--config", str(cfg)]) == 2
         assert "sre_on" in one_error_line(capsys, "data")
 
     @pytest.mark.parametrize(
@@ -346,15 +412,20 @@ class TestTrainEvalPredictPipeline:
     )
     def test_bad_split_meta_exit_2_one_line(self, trained, capsys, key, value):
         tmp_path, _, out = trained
-        blob = (out / "checkpoint.mmoe").read_bytes()
-        meta_line, rest = blob[len(CHECKPOINT_MAGIC) :].split(b"\n", 1)
-        meta = json.loads(meta_line)
-        meta[key] = value
-        edited = tmp_path / "split_meta.mmoe"
-        edited.write_bytes(CHECKPOINT_MAGIC + json.dumps(meta).encode() + b"\n" + rest)
+        edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / "split_meta.mmoe", lambda m: m.update({key: value}))
         cfg = write_cfg(tmp_path, name="split.cfg", checkpoint=str(edited))
-        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert main(["eval", "--config", str(cfg)]) == 2
         assert key in one_error_line(capsys, "data")
+
+    @pytest.mark.parametrize("key", ["seed", "samples_per_class"])
+    def test_split_meta_missing_exit_2_names_it(self, trained, capsys, key):
+        """The test split comes from the checkpoint alone, never from the
+        config, whose seed may draw the model's own training pixels."""
+        tmp_path, _, out = trained
+        edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / "no_split.mmoe", lambda m: m.pop(key))
+        cfg = write_cfg(tmp_path, name="nosplit.cfg", checkpoint=str(edited))
+        assert main(["eval", "--config", str(cfg)]) == 2
+        assert f"meta has no {key}" in one_error_line(capsys, "data")
 
     def test_version_1_checkpoint_exit_2_one_line(self, trained, capsys, write_v1_checkpoint):
         tmp_path, _, out = trained
@@ -379,7 +450,7 @@ class TestTrainEvalPredictPipeline:
     def test_inspect_prints_weight_rows_summing_to_one(self, trained, capsys):
         tmp_path, _, out = trained
         cfg = write_cfg(tmp_path, name="ins.cfg", checkpoint=str(out / "checkpoint.mmoe"))
-        assert main(["inspect", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+        assert main(["inspect", "--config", str(cfg)]) == 0
         output = capsys.readouterr().out
         rows = [l for l in output.splitlines() if "router weights" in l or l.strip().startswith("class")]
         assert len(rows) == 3 + 4  # 3 stages + 4 classes
@@ -397,7 +468,7 @@ def test_ablated_model_evaluates_as_trained(tmp_path, capsys):
     trained_oa = next(l.split()[-1] for l in (out / "metrics.txt").read_text().splitlines() if l.startswith("OA"))
     capsys.readouterr()
     cfg = write_cfg(tmp_path, name="eval.cfg", checkpoint=str(out / "checkpoint.mmoe"))
-    assert main(["eval", "--config", str(cfg), "--topk", "3", "--out", str(tmp_path / "e")]) == 0
+    assert main(["eval", "--config", str(cfg), "--topk", "3"]) == 0
     printed = capsys.readouterr().out
     assert "sse_on=False" in printed
     (row,) = [l for l in printed.splitlines() if l.startswith("topk=3")]

@@ -8,16 +8,7 @@ from mambamoe import tensor as tt
 from mambamoe.data import HsiScene, SceneHeader, normalize_scene
 from mambamoe.moe import route
 from mambamoe.network import NetSpec, classify_head, forward_full, init_network_params, stage_sizes
-from mambamoe.profiler import (
-    CostReport,
-    _conv_flops,
-    _router_flops,
-    count_flops,
-    count_params,
-    make_report,
-    report_csv,
-    report_table,
-)
+from mambamoe.profiler import _conv_flops, _router_flops, count_flops, count_params, report_csv
 from mambamoe.tensor import FLOPS, Tensor
 
 # the published-scale configuration: a 103-band scene with 9 classes, at paper widths
@@ -168,10 +159,15 @@ class TestFlops:
 
 class TestReport:
     def test_report_round_numbers(self):
-        report = make_report(PAPER_SCALE, (103, 13, 13))
-        assert isinstance(report, CostReport)
-        table = report_table(report)
-        csv = report_csv(report)
-        assert "params" in table and "flops" in table
-        assert csv.splitlines()[0] == "key,value"
-        assert f"params_total,{report.params_total}" in csv
+        # one line per fact, each read from count_params / count_flops
+        lines = report_csv(PAPER_SCALE, (103, 13, 13)).splitlines()
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert len(rows) == len(lines) - 1
+        total, by_module = count_params(PAPER_SCALE)
+        dense, per_k, comp = count_flops(PAPER_SCALE, (103, 13, 13))
+        expected = {"input": "103x13x13", "params_total": str(total), "flops_dense": str(dense)}
+        expected.update({f"params_{name}": str(v) for name, v in by_module.items()})
+        expected.update({f"flops_topk{k}": str(v) for k, v in per_k.items()})
+        expected.update({f"flops_{name}": str(v) for name, v in comp.items()})
+        assert rows == expected
