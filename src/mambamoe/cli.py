@@ -136,6 +136,21 @@ def _read(load, what: str, path: str):
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """An output path whose nearest existing part is not a directory is a
+    DataError before any work, so no finished run is lost to it."""
+    nearest = next(part for part in (out_dir, *out_dir.parents) if part.exists())
+    if not nearest.is_dir():
+        raise DataError(f"output directory {out_dir}: {nearest} is not a directory")
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
+
+
 def _load_scene(cfg: RunConfig) -> dataio.HsiScene:
     """The config's scene; one the network cannot pool three times (under
     8x8) is a DataError before any split, training or output."""
@@ -200,7 +215,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     palette = _palette_for(cfg, scene)  # a bad palette fails before training, not after
     result = training.train(tcfg, scene)
     metrics = training.evaluate(result.params, scene, result.test_mask, topk=tcfg.topk_infer)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     save_checkpoint(
         out_dir / "checkpoint.mmoe",
         result.params,
@@ -244,7 +259,7 @@ def cmd_predict(cfg: RunConfig, out_dir: Path) -> int:
     params, _ = _load_model(cfg, scene)
     palette = _palette_for(cfg, scene)
     pred = training.predict_labels(params, scene, topk=cfg.train.topk_infer)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     out_path = out_dir / "prediction.ppm"
     dataio.render_map(pred, palette, out_path)
     print(f"wrote {out_path}")
@@ -256,6 +271,9 @@ def cmd_inspect(cfg: RunConfig) -> int:
 
     scene = _load_scene(cfg)
     params, _ = _load_model(cfg, scene)
+    for switch in ("momeb_on", "sre_on"):
+        if not getattr(params.spec, switch):
+            raise DataError(f"{cfg.checkpoint}: {switch} is false, so the model runs no router to inspect")
     print(inspect_expert_weights(params, scene).format())
     return 0
 
@@ -273,7 +291,7 @@ def cmd_gradcheck() -> int:
 
 def cmd_synth(cfg: RunConfig, out_dir: Path) -> int:
     scene = dataio.generate_synthetic(dataio.default_synthetic_spec(seed=cfg.synth_seed))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     out_path = out_dir / "synthetic.hsc"
     dataio.save_hsc(scene, out_path)
     print(f"wrote {out_path} ({scene.header.bands}x{scene.header.height}x{scene.header.width}, {scene.header.n_class} classes)")
@@ -343,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
             overrides["topk_infer"] = topks[0]
         cfg = parse_config(args.config, **overrides)
         out_dir = Path(out if out is not None else cfg.out_dir)
+        if "--out" in COMMAND_FLAGS[args.command]:
+            _check_out_dir(out_dir)
 
         if args.command == "train":
             return cmd_train(cfg, out_dir)

@@ -26,7 +26,7 @@ from .network import (
     init_network_params,
     total_loss,
 )
-from .scan import SPATIAL_DIRECTIONS, ScanDirection, spatial_expert_forward, spectral_bidirectional
+from .scan import ScanDirection, spatial_expert_forward, spectral_bidirectional
 from .tensor import GradCheckReport, Tensor, grad_check, parameter
 
 F64 = np.float64
@@ -88,21 +88,12 @@ def _relu(rng: np.random.Generator) -> GradCheckReport:
 
 
 def _ssm_scan(rng: np.random.Generator) -> GradCheckReport:
-    # a column-major layout: the map read as tokens, scanned, put back
+    # a column-major layout on a 3x5 map: 15 tokens in 3 chunks of 5 steps,
+    # so the states carry across chunks that do not follow the visit columns
     p = _block(rng, channels=4, state_dim=3).spatial[0]
-    xs = parameter(rng.normal(size=(2, 4, 4)), dtype=F64)
-    fn = lambda: spatial_expert_forward(p, xs, SPATIAL_DIRECTIONS[2])
-    return _probed(rng, fn, [p.a_log, p.b_bar, p.c_out, xs], (2, 4, 4))
-
-
-def _ssm_scan_long(rng: np.random.Generator) -> GradCheckReport:
-    # long enough for the chunked kernel: T = 67 is 8 chunks of 9, the last padded
-    # on a one-row map, which TL_BR reads as it lies
-    p = _block(rng, channels=4, state_dim=3).spatial[0]
-    row = parameter(rng.normal(size=(67, 2)).T[:, None], dtype=F64)
-    probe = Tensor(rng.normal(size=(67, 2)).T[:, None], dtype=F64)
-    fn = lambda: tt.sum_all(tt.mul(spatial_expert_forward(p, row, ScanDirection.TL_BR), probe))
-    return grad_check(fn, [p.a_log, p.b_bar, p.c_out, row])
+    xs = parameter(rng.normal(size=(2, 3, 5)), dtype=F64)
+    fn = lambda: spatial_expert_forward(p, xs, ScanDirection.TR_BL)
+    return _probed(rng, fn, [p.a_log, p.b_bar, p.c_out, xs], (2, 3, 5))
 
 
 def _spectral(rng: np.random.Generator) -> GradCheckReport:
@@ -191,7 +182,6 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "layer_norm": _layer_norm,
     "upsample": _upsample,
     "ssm_scan": _ssm_scan,
-    "ssm_scan_long": _ssm_scan_long,
     "spectral": _spectral,
     "router": _router,
     "dssem": lambda rng: _block_check(rng, dssem_forward),

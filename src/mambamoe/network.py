@@ -445,12 +445,14 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if offset != len(rest):
         raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")
 
+    widths = {key: meta.get(key) for key in ("bands", "channels", "state_dim", "n_class")}
+    for key, value in widths.items():
+        # JSON reads 1e400 as inf and 8.5 as a float; bools are ints to Python, not widths
+        if type(value) is not int:
+            raise CheckpointError(f"{path}: meta {key} is {value!r}, not an integer")
     try:
         spec = NetSpec(
-            bands=int(meta["bands"]),
-            channels=int(meta["channels"]),
-            state_dim=int(meta["state_dim"]),
-            n_class=int(meta["n_class"]),
+            **widths,
             momeb_on=meta["momeb_on"],
             sre_on=meta["sre_on"],
             sse_on=meta["sse_on"],

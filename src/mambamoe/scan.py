@@ -23,18 +23,20 @@ in one product; they never run the recurrence step by step.
 
 One in-place kernel, ``_linear_scan``, carries every pass of a spatial
 expert through time: the states in the forward pass and the adjoint (the
-same scan over the reversed stack) in the backward pass.  It cuts the h*w
-tokens into chunks of about sqrt(T) steps, so a scan takes about
-2 sqrt(T) Python-level steps, and on a square map it scans the stack
-itself, with no copy.  Everything outside the recurrence is one product
-over all steps.  For its backward pass a spatial expert keeps its input
-map, which the tape keeps anyway, and the (h*w, D) states; the tokens
-are copied from the map again.
+same scan over the reversed stack) in the backward pass.  It runs the
+T = h*w steps as h chunks of w steps in every direction, so the four
+experts' stacks share one layout; T = h*w needs no padding, and the
+chunks are a view of the stack, not a copy.  A scan
+takes about h + w Python-level steps (2 sqrt(T) on a square map); a map
+of one row or one column takes about T, and only scenes under 16 pixels
+on a side pool to such a map.  Everything outside the recurrence is one
+product over all steps.  For its backward pass a spatial expert keeps its
+input map, which the tape keeps anyway, and the (h*w, D) states; the
+tokens are copied from the map again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,48 +141,31 @@ def _decay_slope(a_log: np.ndarray) -> np.ndarray:
     return -np.exp(a_log - np.exp(a_log))
 
 
-def _chunk_length(t_len: int) -> int:
-    """Steps per chunk of ``_linear_scan``: ceil(sqrt(T)), so a scan takes
-    about 2 sqrt(T) Python-level steps instead of T."""
-    return math.isqrt(t_len - 1) + 1
+def _linear_scan(lam: np.ndarray, chunks: np.ndarray) -> None:
+    """In place over time: u[t] <- lam * u[t-1] + u[t] for a (D,) decay,
+    elementwise, where ``chunks`` is a (K, L, D) view of a (T, D) stack u,
+    chunk c holding steps cL .. cL+L-1.  Any split T = K L is exact.
 
-
-def _linear_scan(lam: np.ndarray, u: np.ndarray) -> None:
-    """In place over time: u[t] <- lam * u[t-1] + u[t] for a (T, D) stack
-    and a (D,) decay, elementwise.
-
-    Two-level chunked scan (in the style of Mamba-2's SSD chunking) over a
-    (K, L, D) view of the stack, chunk c holding steps cL .. cL+L-1: step 1
+    Two-level chunked scan (in the style of Mamba-2's SSD chunking): step 1
     runs the recurrence inside every chunk at once, and step 2 carries each
     chunk's final state into the next chunk, adding it to every position
-    with lam^1..lam^L.  When L divides T, as on every square map, the view
-    is of u itself (splitting the time axis needs no copy, so a reversed
-    view of a stack works too) and the scan makes no (T, D) scratch;
-    otherwise u is copied into a zero-padded stack and back.
+    with lam^1..lam^L.  Splitting the time axis needs no copy, so a
+    reversed view of a stack works too, and the scan makes no (T, D)
+    scratch.
     """
-    t_len, d = u.shape
-    step = _chunk_length(t_len)
-    k = -(-t_len // step)
-    if k * step == t_len:
-        rows = u
-    else:
-        rows = np.zeros((k * step, d), dtype=u.dtype)
-        rows[:t_len] = u
-    chunks = rows.reshape(k, step, d)
-    tmp = np.empty((k, d), dtype=u.dtype)
+    k, step, d = chunks.shape
+    tmp = np.empty((k, d), dtype=chunks.dtype)
     for j in range(1, step):
         np.multiply(chunks[:, j - 1], lam, out=tmp)
         chunks[:, j] += tmp
     # lam^1 .. lam^L, and each chunk, in memory order: numpy then runs over
     # a chunk of a reversed view as one contiguous block
     order = slice(None, None, -1) if chunks.strides[1] < 0 else slice(None)
-    powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[order, None]
-    carry = np.empty((step, d), dtype=u.dtype)
+    powers = lam ** np.arange(1, step + 1, dtype=chunks.dtype)[order, None]
+    carry = np.empty((step, d), dtype=chunks.dtype)
     for c in range(1, k):
         np.multiply(chunks[c - 1, -1], powers, out=carry)
         chunks[c, order] += carry
-    if rows is not u:
-        u[...] = rows[:t_len]
 
 
 def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
@@ -214,14 +199,14 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     x_map = x.data
     f = _tokens(x_map, direction)
     states = f @ b.data.T
-    _linear_scan(lam, states)
+    _linear_scan(lam, states.reshape(h, w, d))
     out = states @ c.data.T
     out += f
 
     def bwd(g_grid):
         g = _tokens(g_grid, direction)
         dh = g @ c.data
-        _linear_scan(lam, dh[::-1])
+        _linear_scan(lam, dh[::-1].reshape(h, w, d))
         df = dh @ b.data
         df += g
         d_lam = (dh[1:] * states[:-1]).sum(axis=0)

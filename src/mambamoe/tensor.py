@@ -38,6 +38,7 @@ DEFAULT_DTYPE = np.float32
 
 CE_POSITION_FLOPS = 2  # bookkeeping per supervised pixel beyond the 4K softmax terms
 CONV_BLOCK_PIXELS = 2048  # outputs per block of a 3x3 conv: its accumulator stays in cache
+LAYER_NORM_EPS = 1e-5  # added to each pixel's channel variance
 
 
 class ShapeError(ValueError):
@@ -609,7 +610,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the channel axis at each spatial location.
 
     The closure keeps x and the per-pixel mu and inv_std, not the
@@ -629,7 +630,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     dt = x.data.dtype.type
     x_map = x.data
     mu = x_map.mean(axis=0)
-    inv_std = dt(1.0) / np.sqrt(x_map.var(axis=0) + dt(eps))
+    inv_std = dt(1.0) / np.sqrt(x_map.var(axis=0) + dt(LAYER_NORM_EPS))
 
     def normalized():
         xhat = x_map - mu

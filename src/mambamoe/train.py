@@ -239,13 +239,13 @@ def metrics_from_confusion(conf: np.ndarray) -> Metrics:
     return Metrics(confusion=conf, oa=oa, aa=aa, kappa=float(kappa), per_class_acc=recalls)
 
 
-def predict_labels(params: NetworkParams, scene: HsiScene, topk: int = 3) -> np.ndarray:
+def predict_labels(params: NetworkParams, scene: HsiScene, topk: int) -> np.ndarray:
     """Inference-mode argmax class map for the whole scene (no randomness)."""
     result = forward_full(params, normalize_scene(scene), train=False, topk=topk)
     return (result.final_logits.data.argmax(axis=0) + 1).astype(np.uint16)
 
 
-def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk: int = 3) -> Metrics:
+def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk: int) -> Metrics:
     if not np.asarray(test_mask).any():
         raise ValueError("evaluate: empty test mask")
     pred = predict_labels(params, scene, topk=topk)

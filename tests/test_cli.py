@@ -1,12 +1,15 @@
 """Command-line interface: config grammar, exit codes, artifacts."""
 
+import errno
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mambamoe import gradcheck_suite
+from mambamoe import train as training
 from mambamoe.cli import ConfigError, RunConfig, config_help_text, main, parse_config
 from mambamoe.data import HsiScene, default_synthetic_spec, generate_synthetic, save_hsc
 from mambamoe.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -280,6 +283,31 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg)]) == 1
         assert "checkpoint" in one_error_line(capsys, "config")
 
+    @pytest.mark.parametrize("command", ["train", "predict", "synth"])
+    @pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out_dir-below-a-file"])
+    def test_out_that_names_a_file_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, command, below):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep")
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("trained before checking the output path"))
+        # the checkpoint is never read: the output path is checked first
+        keys = {"checkpoint": str(tmp_path / "missing.mmoe")}
+        argv = [command, "--config"]
+        if below:
+            argv.append(str(write_cfg(tmp_path, out_dir=str(afile / "sub"), **keys)))
+        else:
+            argv += [str(write_cfg(tmp_path, **keys)), "--out", str(afile)]
+        assert main(argv) == 2
+        assert f"{afile} is not a directory" in one_error_line(capsys, "data")
+        assert afile.read_bytes() == b"keep"
+
+    def test_out_dir_that_cannot_be_made_exit_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        assert main(["synth", "--out", str(tmp_path / "out")]) == 2
+        assert "cannot create output directory" in one_error_line(capsys, "data")
+
 
 class TestSynthCommand:
     def test_synth_writes_deterministic_scene(self, tmp_path, capsys):
@@ -398,6 +426,15 @@ class TestTrainEvalPredictPipeline:
         assert f"scene {height}x{width} too small" in one_error_line(capsys, "data")
         assert not dest.exists()
 
+    def test_width_that_is_not_an_integer_exit_2(self, trained, capsys):
+        tmp_path, _, out = trained
+        # JSON writes inf as Infinity and reads it back as inf, as it reads 1e400
+        edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / "inf_bands.mmoe", lambda m: m.update(bands=float("inf")))
+        cfg = write_cfg(tmp_path, name="inf_bands.cfg", checkpoint=str(edited))
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "inf_bands")]) == 2
+        assert "meta bands is inf, not an integer" in one_error_line(capsys, "data")
+        assert not (tmp_path / "inf_bands").exists()
+
     def test_switch_that_is_not_a_bool_exit_2(self, trained, capsys):
         tmp_path, _, out = trained
         edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / "string_switch.mmoe", lambda m: m.update(sre_on="false"))
@@ -458,6 +495,18 @@ class TestTrainEvalPredictPipeline:
             nums = [float(tok) for tok in line.replace("[", " ").replace("]", " ").split() if _is_float(tok)]
             weights = nums[-4:] if "router" in line else nums[1:5]
             assert abs(sum(weights) - 1.0) < 1e-5, line
+
+
+    @pytest.mark.parametrize("switch, code", [("momeb_on", 2), ("sre_on", 2), ("sse_on", 0)])
+    def test_inspect_refuses_a_model_that_runs_no_router(self, trained, capsys, switch, code):
+        tmp_path, _, out = trained
+        edited = rewrite_meta(out / "checkpoint.mmoe", tmp_path / f"{switch}.mmoe", lambda m: m.update({switch: False}))
+        cfg = write_cfg(tmp_path, name="switch.cfg", checkpoint=str(edited))
+        assert main(["inspect", "--config", str(cfg)]) == code
+        if code:
+            assert f"{switch} is false" in one_error_line(capsys, "data")
+        else:
+            assert "stage 1 router weights" in capsys.readouterr().out
 
 
 def test_ablated_model_evaluates_as_trained(tmp_path, capsys):

@@ -499,6 +499,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="sre_on must be a bool"):
             self.load_edited(tmp_path, 0, self.edit_meta(lambda meta: meta.update(sre_on=value)))
 
+    @pytest.mark.parametrize("raw", ["1e400", "8.5", "true", '"8"'])
+    @pytest.mark.parametrize("key", ["bands", "channels", "state_dim", "n_class"])
+    def test_width_that_is_not_a_json_integer(self, tmp_path, key, raw):
+        def rewrite(line):
+            meta = json.loads(line)
+            meta[key] = None
+            return json.dumps(meta).replace(f'"{key}": null', f'"{key}": {raw}').encode()
+
+        with pytest.raises(CheckpointError, match=f"meta {key} is .*, not an integer"):
+            self.load_edited(tmp_path, 0, rewrite)
+
     @staticmethod
     def load_edited(tmp_path, part: int, edit):
         """Load a valid checkpoint after ``edit`` rewrote one of its first

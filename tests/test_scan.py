@@ -1,5 +1,6 @@
 """Scan orders, the state-space recurrence, and the directional experts."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from mambamoe import tensor as tt
 from mambamoe.network import NetSpec, init_network_params
 from mambamoe.scan import (
     SPATIAL_DIRECTIONS,
-    _chunk_length,
     _decay_slope,
     _grid,
     _linear_scan,
@@ -44,14 +44,21 @@ def gather_order(direction, h, w):
     return gather_order(ScanDirection.TR_BL, h, w)[::-1]
 
 
-def row_map(seq):
-    """A (T, E) sequence as the (E, 1, T) one-row map that TL_BR reads as it lies."""
-    return np.ascontiguousarray(seq.T[:, None])
+def row_major_map(seq, h=1):
+    """A (T, E) sequence as the (E, h, T / h) map that TL_BR reads as it lies."""
+    return np.ascontiguousarray(seq.T).reshape(seq.shape[1], h, -1)
 
 
-def recurrence(p, seq):
-    """The expert's (T, E) output sequence for a (T, E) input sequence."""
-    return spatial_expert_forward(p, Tensor(row_map(seq), dtype=seq.dtype), ScanDirection.TL_BR).data[:, 0].T
+def row_major_seq(grid):
+    """Inverse of ``row_major_map``: an (E, h, w) map as its (h*w, E) sequence."""
+    return grid.reshape(grid.shape[0], -1).T
+
+
+def recurrence(p, seq, h=1):
+    """The expert's (T, E) output sequence for a (T, E) input sequence,
+    read as the row-major (h, T / h) map."""
+    y = spatial_expert_forward(p, Tensor(row_major_map(seq, h), dtype=seq.dtype), ScanDirection.TL_BR)
+    return row_major_seq(y.data)
 
 
 def dense(p):
@@ -103,36 +110,64 @@ def loop_reference_grads(a, b, c, f, g):
     return da, db, dc, df
 
 
-def scan_with_grads(p, seq, probe):
-    """``recurrence`` and the gradients of sum(probe * output), the
-    sequence's as (T, E)."""
-    x = parameter(row_map(seq))
+def scan_with_grads(p, seq, probe, h=1):
+    """The expert's (T, E) output for a (T, E) sequence read as the
+    row-major (h, T / h) map, and the gradients of sum(probe * output),
+    the sequence's as (T, E)."""
+    x = parameter(row_major_map(seq, h))
     for t in (p.a_log, p.b_bar, p.c_out):
         t.zero_grad()
     with tt.Tape() as tape:
         y = spatial_expert_forward(p, x, ScanDirection.TL_BR)
-        tape.backward(tt.sum_all(tt.mul(y, Tensor(row_map(probe)))))
-    return y.data[:, 0].T, (p.a_log.grad, p.b_bar.grad, p.c_out.grad, x.grad[:, 0].T)
+        tape.backward(tt.sum_all(tt.mul(y, Tensor(row_major_map(probe, h)))))
+    return row_major_seq(y.data), (p.a_log.grad, p.b_bar.grad, p.c_out.grad, row_major_seq(x.grad))
 
 
-def padded_reference(lam, u):
-    """``_linear_scan`` as it was before it scanned the stack in place: a
-    zero-padded, chunk-major copy, the fix-up as one broadcast product, and
-    a copy back into u."""
+def sqrt_t_scan(lam, u):
+    """The scan of a (T, D) stack with T a square, in chunks of sqrt(T)
+    steps, as ``_linear_scan`` chunked every stack before it took the map's
+    (h, w): a chunk-major copy, the fix-up as one broadcast product, and a
+    copy back into u.  This form rounds like the in-place kernel, bit for bit."""
     t_len, d = u.shape
-    step = _chunk_length(t_len)
-    k = -(-t_len // step)
-    rows = np.zeros((k * step, d), dtype=u.dtype)
-    rows[:t_len] = u
-    w = np.ascontiguousarray(rows.reshape(k, step, d).transpose(1, 0, 2))
+    step = math.isqrt(t_len)
+    assert step * step == t_len
+    w = np.ascontiguousarray(u.reshape(step, step, d).transpose(1, 0, 2))
     for j in range(1, step):
         w[j] += w[j - 1] * lam
     powers = lam ** np.arange(1, step + 1, dtype=u.dtype)[:, None]
     ends = w[step - 1]
-    for c in range(1, k):
+    for c in range(1, step):
         ends[c] += ends[c - 1] * powers[-1]
     w[: step - 1, 1:] += ends[:-1] * powers[:-1, None]
-    u[...] = w.transpose(1, 0, 2).reshape(k * step, d)[:t_len]
+    u[...] = w.transpose(1, 0, 2).reshape(t_len, d)
+
+
+def token_form(p, x, g_grid, direction, scan):
+    """The expert's output grid and the backward rule's four gradients for
+    the output gradient ``g_grid``, computed on (T, E) tokens, with
+    ``scan(lam, u)`` carrying a (T, D) stack in place."""
+    _, h, w = x.shape
+    lam, f, g = p.decay, _tokens(x, direction), _tokens(g_grid, direction)
+    states = f @ p.b_bar.data.T
+    scan(lam, states)
+    out = states @ p.c_out.data.T
+    out += f
+    dh = g @ p.c_out.data
+    scan(lam, dh[::-1])
+    df = dh @ p.b_bar.data
+    df += g
+    d_a = (dh[1:] * states[:-1]).sum(axis=0) * _decay_slope(p.a_log.data)
+    return _grid(out, direction, h, w), (d_a, dh.T @ f, g.T @ states, _grid(df, direction, h, w))
+
+
+def expert_with_rule(p, x, g_grid, direction):
+    """spatial_expert_forward's output grid, the arrays its backward rule
+    holds, and the rule's four gradients for the output gradient ``g_grid``."""
+    with tt.Tape() as tape:
+        out = spatial_expert_forward(p, Tensor(x), direction).data
+        rule = tape.ops[-1].backward
+        held = [cell.cell_contents for cell in rule.__closure__]
+        return out, held, rule(g_grid)
 
 
 def rel_err(x, ref):
@@ -230,7 +265,7 @@ class TestRecurrence:
         seq = rng.normal(size=(4, 2))
         ref = unrolled_reference(*dense(p), seq)
         np.testing.assert_allclose(recurrence(p, seq), ref, atol=1e-6)
-        x = parameter(row_map(seq))
+        x = parameter(row_major_map(seq))
         fn = lambda: tt.sum_all(spatial_expert_forward(p, x, ScanDirection.TL_BR))
         rep = grad_check(fn, [p.a_log, p.b_bar, p.c_out, x])
         assert rep.passed, rep.per_param
@@ -280,73 +315,66 @@ class TestRecurrence:
 class TestChunkedScan:
     """The chunked kernel against step-by-step loops, across chunk boundaries."""
 
-    LONG = 4096
-    L = _chunk_length(LONG)  # 64
-    LENGTHS = (1, 2, L - 1, L, L + 1, 67, LONG)
-    # case IDs "<T>-1": the one-column case of the kernel's former (T, D, N) form, under its old ID
-    IDS = "{}-1".format
+    # (h, w) maps: h chunks of w steps; a one-row map is one chunk, and a
+    # one-column map is chunks of one step
+    SHAPES = ((1, 1), (1, 2), (2, 1), (7, 9), (9, 7), (1, 67), (67, 1), (63, 1), (64, 1), (65, 1), (4096, 1), (64, 64))
 
-    def test_chunk_length_regimes(self):
-        assert self.L == 64
-        assert _chunk_length(67) == 9  # 67 is no multiple of 9: the last chunk is padded
-        assert (_chunk_length(1), _chunk_length(2)) == (1, 2)  # one chunk
-
-    @pytest.mark.parametrize("t_len", LENGTHS, ids=IDS)
-    def test_kernel_matches_loop(self, t_len):
-        rng = np.random.default_rng(t_len * 10 + 1)
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_kernel_matches_loop(self, h, w):
+        t_len = h * w
+        rng = np.random.default_rng(t_len * 10 + w)
         lam = rng.uniform(0.5, 1.0, 4)
         u = rng.normal(size=(t_len, 4))
         ref = u.copy()
         for t in range(1, t_len):
             ref[t] += np.diag(lam) @ ref[t - 1]
         forward = u.copy()
-        _linear_scan(lam, forward)
+        _linear_scan(lam, forward.reshape(h, w, 4))
         assert rel_err(forward, ref) < 1e-10
         # the adjoint scans a reversed view in place
         reversed_store = u[::-1].copy()
-        _linear_scan(lam, reversed_store[::-1])
+        _linear_scan(lam, reversed_store[::-1].reshape(h, w, 4))
         assert rel_err(reversed_store[::-1], ref) < 1e-10
-
-    # 4099 tokens are 64 chunks of 65 steps, the last one padded
-    @pytest.mark.parametrize("t_len", [LONG, LONG + 3])
-    def test_kernel_bitwise_equals_the_padded_copy_form(self, t_len):
-        rng = np.random.default_rng(t_len)
-        lam = rng.uniform(0.5, 1.0, 24).astype(np.float32)
-        u = rng.normal(size=(t_len, 24)).astype(np.float32)
-        for view in (lambda a: a, lambda a: a[::-1]):
-            got, want = u.copy(), u.copy()
-            _linear_scan(lam, view(got))
-            padded_reference(lam, view(want))
-            assert got.tobytes() == want.tobytes()
 
     def test_scan_of_whole_chunks_makes_no_copy_of_the_stack(self):
         rng = np.random.default_rng(44)
         lam = rng.uniform(0.5, 1.0, 24).astype(np.float32)
-        u = rng.normal(size=(self.LONG, 24)).astype(np.float32)
-        for view in (lambda a: a, lambda a: a[::-1]):
-            tracemalloc.start()
-            try:
-                _linear_scan(lam, view(u))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < u.nbytes
+        for h, w in ((64, 64), (305, 170), (152, 85), (7, 9)):
+            u = rng.normal(size=(h * w, 24)).astype(np.float32)
+            for view in (lambda a: a, lambda a: a[::-1]):
+                tracemalloc.start()
+                try:
+                    _linear_scan(lam, view(u).reshape(h, w, 24))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < u.nbytes, (h, w)
 
-    @staticmethod
-    def assert_matches_loops(state_dim, seq_shape, seed):
-        rng = np.random.default_rng(seed)
-        p = make_expert(state_dim, seq_shape[1], rng)
-        seq = rng.normal(size=seq_shape)
-        probe = rng.normal(size=seq_shape)
-        out, grads = scan_with_grads(p, seq, probe)
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("side", [4, 16, 64])
+    def test_square_maps_bitwise_equal_the_sqrt_t_form(self, side, dtype):
+        rng = np.random.default_rng(side)
+        p = make_expert(4, 3, rng, dtype=dtype)
+        x = rng.normal(size=(3, side, side)).astype(dtype)
+        g_grid = rng.normal(size=x.shape).astype(dtype)
+        for direction in SPATIAL_DIRECTIONS:
+            out, _, grads = expert_with_rule(p, x, g_grid, direction)
+            want_out, want_grads = token_form(p, x, g_grid, direction, sqrt_t_scan)
+            assert out.tobytes() == want_out.tobytes()
+            for got, want in zip(grads, want_grads):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_recurrence_and_adjoint_match_loops_float64(self, h, w):
+        rng = np.random.default_rng(h * w * 10 + w + 1)
+        p = make_expert(5, 3, rng)
+        seq = rng.normal(size=(h * w, 3))
+        probe = rng.normal(size=seq.shape)
+        out, grads = scan_with_grads(p, seq, probe, h)
         assert rel_err(out, unrolled_reference(*dense(p), seq)) < 1e-10
         ref_grads = oracle_grads(p, seq[:, :, None], probe[:, :, None])
         for got, ref in zip(grads, ref_grads):
             assert rel_err(got, ref.reshape(got.shape)) < 1e-10
-
-    @pytest.mark.parametrize("t_len", LENGTHS, ids=IDS)
-    def test_recurrence_and_adjoint_match_loops_float64(self, t_len):
-        self.assert_matches_loops(5, (t_len, 3), seed=t_len * 10 + 2)
 
     def test_float32_long_scan_near_unit_radius(self):
         # lam = 0.96 in every state, the largest decay a trained 128x128
@@ -356,10 +384,10 @@ class TestChunkedScan:
         p64.a_log.data[...] = np.log(-np.log(0.96))
         p32 = SsmParams(*(parameter(t.data, dtype=np.float32) for t in (p64.a_log, p64.b_bar, p64.c_out)))
         np.testing.assert_allclose(p32.decay, 0.96, rtol=1e-6)
-        seq = rng.normal(size=(self.LONG, 24))
+        seq = rng.normal(size=(64 * 64, 24))
         probe = rng.normal(size=seq.shape)
-        out64, grads64 = scan_with_grads(p64, seq, probe)
-        out32, grads32 = scan_with_grads(p32, seq.astype(np.float32), probe.astype(np.float32))
+        out64, grads64 = scan_with_grads(p64, seq, probe, 64)
+        out32, grads32 = scan_with_grads(p32, seq.astype(np.float32), probe.astype(np.float32), 64)
         assert out32.dtype == np.float32
         # 1e-5 is about 100 float32 epsilons
         assert rel_err(out32, out64) < 1e-5
@@ -414,7 +442,7 @@ class TestSpatialExpert:
         seqs = [_tokens(grid, d) for d, grid in grids.items()]
         for other in seqs[1:]:
             assert seqs[0].tobytes() == other.tobytes()
-        np.testing.assert_array_equal(seqs[0], recurrence(p, _tokens(x.data, ScanDirection.TL_BR)))
+        np.testing.assert_array_equal(seqs[0], recurrence(p, _tokens(x.data, ScanDirection.TL_BR), 4))
         for direction, grid in grids.items():
             order = gather_order(direction, 4, 4)
             np.testing.assert_array_equal(grid.reshape(2, 16)[:, order].T, seqs[0])
@@ -435,27 +463,17 @@ class TestSpatialExpert:
     def test_keeps_its_map_not_tokens_with_the_same_gradients(self):
         rng = np.random.default_rng(10)
         p = make_expert(3, 2, rng)  # D = 3, E = 2: no other held array is token-shaped
-        x = parameter(rng.normal(size=(2, 5, 6)))
+        x = rng.normal(size=(2, 5, 6))
         g_grid = rng.normal(size=(2, 5, 6))
+        scan = lambda lam, u: _linear_scan(lam, u.reshape(5, 6, -1))
         for direction in SPATIAL_DIRECTIONS:
-            with tt.Tape() as tape:
-                spatial_expert_forward(p, x, direction)
-                rule = tape.ops[-1].backward
-                held = [cell.cell_contents for cell in rule.__closure__]
-                grads = rule(g_grid)
+            _, held, grads = expert_with_rule(p, x, g_grid, direction)
             arrays = [a for a in held if isinstance(a, np.ndarray)]
-            assert any(a is x.data for a in arrays)
+            assert any(a is x for a in arrays)
             assert not any(a.shape == (30, 2) for a in arrays)
             # the form that kept the forward's tokens
-            lam, f, g = p.decay, _tokens(x.data, direction), _tokens(g_grid, direction)
-            states = f @ p.b_bar.data.T
-            _linear_scan(lam, states)
-            dh = g @ p.c_out.data
-            _linear_scan(lam, dh[::-1])
-            df = dh @ p.b_bar.data
-            df += g
-            d_a = (dh[1:] * states[:-1]).sum(axis=0) * _decay_slope(p.a_log.data)
-            for got, want in zip(grads, (d_a, dh.T @ f, g.T @ states, _grid(df, direction, 5, 6))):
+            _, want_grads = token_form(p, x, g_grid, direction, scan)
+            for got, want in zip(grads, want_grads):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -540,7 +558,8 @@ class TestSpectralExpert:
 
 
 class TestInitialization:
-    T = 4096
+    SIDE = 64
+    T = SIDE * SIDE
 
     @given(
         st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
@@ -564,12 +583,12 @@ class TestInitialization:
             bound = np.minimum(self.T, 1.0 / (1.0 - lam.astype(np.float64)))
         for u in (np.ones((self.T, d)), rng.uniform(-1.0, 1.0, (self.T, d))):
             states = u.astype(dtype)
-            _linear_scan(lam, states)
+            _linear_scan(lam, states.reshape(self.SIDE, self.SIDE, d))
             assert np.all(np.isfinite(states))
             assert np.all(np.abs(states) <= bound * (1 + self.T * np.finfo(dtype).eps))
         # the whole expert, forward and backward, on a bounded sequence
         seq = rng.uniform(-1.0, 1.0, (self.T, 1))
-        out, grads = scan_with_grads(p, seq.astype(dtype), np.ones_like(seq, dtype=dtype))
+        out, grads = scan_with_grads(p, seq.astype(dtype), np.ones_like(seq, dtype=dtype), self.SIDE)
         assert np.all(np.isfinite(out)) and all(np.all(np.isfinite(g)) for g in grads)
 
     def test_mixed_dtypes_rejected(self):
