@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HsiScene, normalize_scene
-from .moe import HORIZONTAL_EXPERTS, N_SPATIAL_EXPERTS, VERTICAL_EXPERTS, route
+from .moe import MoMebParams, expert_views, route
 from .network import NetworkParams, extract_features
 from .scan import SPATIAL_DIRECTIONS, spatial_expert_forward
-from .tensor import Tensor, layer_norm, split
+from .tensor import Tensor
 
 
 @dataclass
@@ -31,13 +31,9 @@ class ClassExpertRow:
     shares: np.ndarray  # (4,) mean normalized response magnitudes
     pixels: int
 
-    @property
-    def vertical_sum(self) -> float:
-        return float(sum(self.shares[j] for j in VERTICAL_EXPERTS))
-
-    @property
-    def horizontal_sum(self) -> float:
-        return float(sum(self.shares[j] for j in HORIZONTAL_EXPERTS))
+    def orientation_sum(self, orientation: str) -> float:
+        """Summed share of the experts that scan in ``orientation``."""
+        return float(sum(s for s, d in zip(self.shares, SPATIAL_DIRECTIONS) if d.orientation == orientation))
 
 
 @dataclass
@@ -58,7 +54,8 @@ class InspectReport:
             cells = "  ".join(f"{v:10.6f}" for v in row.shares)
             lines.append(
                 f"  class {row.class_id} {row.class_name:<14s} {cells}"
-                f"   [vertical {row.vertical_sum:.6f} vs horizontal {row.horizontal_sum:.6f}]"
+                f"   [vertical {row.orientation_sum('vertical'):.6f}"
+                f" vs horizontal {row.orientation_sum('horizontal'):.6f}]"
             )
         return "\n".join(lines)
 
@@ -75,17 +72,14 @@ def downsample_labels(labels: np.ndarray, factor: int = 2) -> np.ndarray:
     return counts.argmax(axis=-1).astype(labels.dtype)
 
 
-def stage1_expert_shares(params: NetworkParams, f1: Tensor) -> np.ndarray:
-    """Per-pixel normalized expert response magnitudes of the stage-1
-    features ``f1``: (4, h1, w1)."""
-    block = params.momeb[0]
-    x_norm = layer_norm(f1, block.ln1_gamma, block.ln1_beta)
-    x_spa, _ = split(x_norm, 2, axis=0)
+def expert_shares(block: MoMebParams, x_spa: Tensor) -> np.ndarray:
+    """Per-pixel normalized response magnitudes of ``block``'s spatial
+    experts on its spatial view ``x_spa``: (4, h, w)."""
     mags = []
-    for j in range(N_SPATIAL_EXPERTS):
-        out_j = spatial_expert_forward(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j])
-        mags.append(np.sqrt((out_j.data.astype(np.float64) ** 2).sum(axis=0)))
-    mags = np.stack(mags)  # (4, h1, w1)
+    for expert, direction in zip(block.spatial, SPATIAL_DIRECTIONS):
+        out = spatial_expert_forward(expert, x_spa, direction)
+        mags.append(np.sqrt((out.data.astype(np.float64) ** 2).sum(axis=0)))
+    mags = np.stack(mags)  # (4, h, w)
     total = mags.sum(axis=0)
     total[total == 0] = 1.0
     return mags / total
@@ -94,14 +88,9 @@ def stage1_expert_shares(params: NetworkParams, f1: Tensor) -> np.ndarray:
 def inspect_expert_weights(params: NetworkParams, scene: HsiScene) -> InspectReport:
     x = normalize_scene(scene)
     feats = extract_features(params.stem, x)
-    stage_weights = []
-    for i in range(3):
-        block = params.momeb[i]
-        x_norm = layer_norm(feats[i], block.ln1_gamma, block.ln1_beta)
-        x_spa, _ = split(x_norm, 2, axis=0)
-        stage_weights.append(route(block.router, x_spa).data.astype(np.float64))
-
-    shares = stage1_expert_shares(params, feats[0])
+    views = [expert_views(block, f)[0] for block, f in zip(params.momeb, feats)]
+    stage_weights = [route(block.router, x_spa).data.astype(np.float64) for block, x_spa in zip(params.momeb, views)]
+    shares = expert_shares(params.momeb[0], views[0])
     labels_s1 = downsample_labels(scene.labels.astype(np.int64))
     rows = []
     for cls in range(1, scene.header.n_class + 1):

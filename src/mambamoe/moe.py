@@ -1,11 +1,11 @@
 """Mixture-of-Mamba-expert block: routed spatial scans, shared spectral scans.
 
-The block wraps a split/expert/concat/fuse core in the usual transformer
-skeleton: LN -> experts -> residual -> LN -> MLP -> residual.  One ``route``
-op gives the four spatial experts (one per scan direction) their softmax
-weights, and one ``mix`` op combines them; at inference only the top-k
-experts are evaluated, and their weights are renormalized.  Two spectral
-experts are always on.
+``momeb_forward`` is the whole block, one function over one routed path:
+LN -> split -> experts -> concat -> fuse -> residual -> LN -> MLP ->
+residual.  One ``route`` op gives the four spatial experts (one per scan
+direction) their softmax weights, only the top-k experts run, and one
+``mix`` op combines them, renormalizing the weights when k < 4.  k = 4 is
+the dense mixture that training runs.  Two spectral experts are always on.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from .scan import (
 )
 from .tensor import NumericalError, ShapeError, Tensor
 
+# expert j scans in SPATIAL_DIRECTIONS[j], a frozen order, so weight dumps
+# are comparable across runs
 N_SPATIAL_EXPERTS = 4
-
-# expert index -> scan direction is frozen so weight dumps are comparable
-# across runs: 0=TL_BR, 1=BR_TL (horizontal pair), 2=TR_BL, 3=BL_TR (vertical pair)
-HORIZONTAL_EXPERTS = (0, 1)
-VERTICAL_EXPERTS = (2, 3)
 
 
 @dataclass
@@ -157,22 +154,15 @@ def mix(weights: Tensor, outputs: list[Tensor], selected: list[int]) -> Tensor:
     return tt.custom_op("mix", (weights, *outputs), acc, bwd, flops=(2 * len(ys) - 1) * acc.size)
 
 
-def sre_forward(
-    experts: tuple[SsmParams, ...],
-    router: RouterParams,
-    x_spa: Tensor,
-    topk: int | None = None,
-) -> Tensor:
-    """Weighted combination of directional scan experts.
+def sre_forward(experts: tuple[SsmParams, ...], router: RouterParams, x_spa: Tensor, k: int) -> Tensor:
+    """The router's top-k directional scan experts, mixed.
 
-    topk=None (or 4) runs all experts weighted by the router (training
-    mode).  With topk=k < 4 only the selected experts are evaluated, and
-    ``mix`` renormalizes their weights to sum to one; at k=4 it uses the
-    router weights as they are, so the result is bit-identical to dense.
-    All selected experts run before the combine.
+    Only the k selected experts run, all before the combine.  Below k = 4
+    ``mix`` renormalizes their weights to sum to one; at k = 4 it uses the
+    router weights as they are (the dense mixture).
     """
     weights = route(router, x_spa)
-    selected = topk_select(weights.data, N_SPATIAL_EXPERTS if topk is None else topk)
+    selected = topk_select(weights.data, k)
     outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
     return mix(weights, outputs, selected)
 
@@ -181,38 +171,19 @@ def sse_forward(fwd: SsmParams, bwd: SsmParams, x_spe: Tensor) -> Tensor:
     return spectral_bidirectional(fwd, bwd, x_spe)
 
 
-def dssem_forward(
-    p: MoMebParams,
-    x_norm: Tensor,
-    topk: int | None = None,
-    sre_on: bool = True,
-    sse_on: bool = True,
-) -> Tensor:
-    """Split channels, run spatial/spectral experts, concat, fuse with 1x1 conv.
+def expert_views(p: MoMebParams, f: Tensor) -> tuple[Tensor, Tensor]:
+    """The block's LN1 of ``f`` split by channel into the spatial view (the
+    first half) and the spectral view; an odd width is a ``ShapeError``."""
+    return tt.split(tt.layer_norm(f, p.ln1_gamma, p.ln1_beta), 2, axis=0)
 
-    The first half of the channels is the spatial view, the second half the
-    spectral view; a disabled expert branch passes its view through
-    unchanged (ablation switch).
-    """
-    if x_norm.shape[0] % 2 != 0:
-        raise ShapeError(f"dssem_forward: channel width must be even, got {x_norm.shape[0]}")
-    x_spa, x_spe = tt.split(x_norm, 2, axis=0)
-    spa_out = sre_forward(p.spatial, p.router, x_spa, topk=topk) if sre_on else x_spa
+
+def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on: bool = True) -> Tensor:
+    """The block on the (C, h, w) map ``f`` with the top-k spatial experts;
+    a disabled expert branch passes its view through (ablation switch)."""
+    x_spa, x_spe = expert_views(p, f)
+    spa_out = sre_forward(p.spatial, p.router, x_spa, k) if sre_on else x_spa
     spe_out = sse_forward(p.spectral_fwd, p.spectral_bwd, x_spe) if sse_on else x_spe
-    return tt.conv2d(tt.concat([spa_out, spe_out], axis=0), p.fuse_w, p.fuse_b)
-
-
-def momeb_forward(
-    p: MoMebParams,
-    f: Tensor,
-    topk: int | None = None,
-    sre_on: bool = True,
-    sse_on: bool = True,
-) -> Tensor:
-    """LN -> DSSEM -> residual -> LN -> MLP -> residual."""
-    x_norm = tt.layer_norm(f, p.ln1_gamma, p.ln1_beta)
-    f_hat = dssem_forward(p, x_norm, topk=topk, sre_on=sre_on, sse_on=sse_on)
-    g = tt.add(f, f_hat)
+    g = tt.add(f, tt.conv2d(tt.concat([spa_out, spe_out], axis=0), p.fuse_w, p.fuse_b))
     g_norm = tt.layer_norm(g, p.ln2_gamma, p.ln2_beta)
     m = tt.conv2d(g_norm, p.mlp_w1, p.mlp_b1)
     m = tt.relu(m)

@@ -16,13 +16,14 @@ is consumed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .moe import MoMebParams, RouterParams, momeb_forward
+from .moe import N_SPATIAL_EXPERTS, MoMebParams, RouterParams, momeb_forward
 from .scan import SsmParams
 from .tensor import ShapeError, Tensor, parameter
 
@@ -328,23 +329,22 @@ def forward_full(
 ) -> ForwardResult:
     """Run the whole pipeline on one scene.
 
-    Training mode uses dense experts (topk ignored) and, when enabled,
-    the uncertainty-sampled stage supervision, whose three masks are drawn
-    from ``mask_rng`` in stage order (a fresh generator from the same seed
-    gives the same masks); inference uses top-k expert selection and
-    consumes no randomness.  The ablation switches come from ``params.spec``.
+    Every expert block runs its top-k routed path.  Training runs k = 4, the
+    dense mixture, and, when enabled, the uncertainty-sampled stage
+    supervision, whose three masks are drawn from ``mask_rng`` in stage order
+    (a fresh generator from the same seed gives the same masks).  Inference
+    runs k = ``topk`` (None names the dense reference, k = 4) and consumes no
+    randomness.  The ablation switches come from ``params.spec``.
     """
     _, h, w = x.shape
-    effective_topk = None if train else topk
+    k = N_SPATIAL_EXPERTS if train or topk is None else topk
     spec = params.spec
     feats = extract_features(params.stem, x)
     del x  # at inference nothing else holds the scene, so it is freed here
     if spec.momeb_on:
         # each stage's map gives way to its MoMEB output
         for i in range(N_STAGES):
-            feats[i] = momeb_forward(
-                params.momeb[i], feats[i], topk=effective_topk, sre_on=spec.sre_on, sse_on=spec.sse_on
-            )
+            feats[i] = momeb_forward(params.momeb[i], feats[i], k, sre_on=spec.sre_on, sse_on=spec.sse_on)
     l3 = ffb(params.ffb[2], feats[2])
     l2 = ffb(params.ffb[1], feats[1], l3)
     l1 = ffb(params.ffb[0], feats[0], l2)
@@ -434,7 +434,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     offset = 0
     for name, dtype_code, shape in manifest:
         dt = np.dtype("<" + dtype_code)
-        nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dt.itemsize
+        nbytes = dt.itemsize * math.prod(shape)  # Python ints: a huge shape cannot wrap to a short payload
         chunk = rest[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"{path}: truncated payload at {name}")

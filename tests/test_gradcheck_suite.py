@@ -9,3 +9,9 @@ from mambamoe.gradcheck_suite import ENTRIES, run_entry
 def test_entry_passes(name):
     rep = run_entry(name)
     assert rep.passed, rep.per_param
+
+
+def test_removing_an_entry_redraws_no_other(monkeypatch):
+    before = run_entry("router")
+    monkeypatch.delitem(ENTRIES, "conv2d")  # an entry listed before it
+    assert run_entry("router") == before

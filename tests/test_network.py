@@ -306,6 +306,18 @@ class TestForwardFull:
             forward_full(params, x, train=True, mask_rng=np.random.default_rng(0))
         assert [op.name for op in tape.ops].count("route") == 3  # one router per expert block
 
+    def test_training_forward_is_the_k4_routed_path(self):
+        params = tiny_params(seed=22)
+        x_data = np.random.default_rng(23).normal(size=(2, 16, 16))
+        with Tape() as train_tape:
+            trained = forward_full(params, Tensor(x_data.copy()), train=True, mask_rng=np.random.default_rng(0))
+        with Tape() as top4_tape:
+            top4 = forward_full(params, Tensor(x_data.copy()), train=False, topk=4)
+        assert trained.final_logits.data.tobytes() == top4.final_logits.data.tobytes()
+        # after the final logits, training adds only the two coarser stage heads
+        names = [op.name for op in top4_tape.ops] + ["conv2d", "bilinear_upsample"] * 2
+        assert [op.name for op in train_tape.ops] == names
+
     def test_inference_consumes_no_randomness_and_is_deterministic(self):
         params = tiny_params(seed=24)
         x_data = np.random.default_rng(25).normal(size=(2, 16, 16))
@@ -340,7 +352,7 @@ class TestForwardFull:
         x = Tensor(np.random.default_rng(31).normal(size=(2, 16, 16)))
         res = forward_full(params, x, train=False, topk=2)
         feats = extract_features(params.stem, x)
-        blocks = lambda **on: [momeb_forward(params.momeb[i], feats[i], topk=2, **on) for i in range(3)]
+        blocks = lambda **on: [momeb_forward(params.momeb[i], feats[i], 2, **on) for i in range(3)]
         ablated = decode(params, blocks(**{switch: False}), (16, 16))
         full = decode(params, blocks(), (16, 16))
         assert res.final_logits.data.tobytes() == ablated.data.tobytes()
@@ -355,7 +367,7 @@ class TestForwardFull:
         res = forward_full(params, x, train=False, topk=None)
 
         feats = extract_features(params.stem, x)
-        m = [momeb_forward(params.momeb[i], feats[i]) for i in range(3)]
+        m = [momeb_forward(params.momeb[i], feats[i], 4) for i in range(3)]
         l3 = ffb(params.ffb[2], m[2])
         l2 = ffb(params.ffb[1], m[1], l3)
         l1 = ffb(params.ffb[0], m[0], l2)
@@ -538,6 +550,11 @@ class TestCheckpoint:
         # an empty payload passes the length check, so only the shape can reject it
         with pytest.raises(CheckpointError, match="negative extent"):
             self.load_edited(tmp_path, 2, lambda line: line.rsplit(b" ", 1)[0] + b" 0,-1")
+
+    def test_extent_product_past_int64(self, tmp_path):
+        # 2**62 * 4 elements wrap to 0 in int64, which an empty payload would match
+        with pytest.raises(CheckpointError, match="truncated"):
+            self.load_edited(tmp_path, 2, lambda line: line.rsplit(b" ", 1)[0] + b" 4611686018427387904,4")
 
     def test_zero_channel_width_refused(self, tmp_path):
         # meta and manifest agree on C = 0, so every C-sized payload is empty

@@ -250,9 +250,9 @@ class TestTrainingLoop:
             maps.extend(weakref.ref(t.data) for t in (x, *feats))
             return feats
 
-        def watched_momeb(p, f, **kw):
+        def watched_momeb(p, f, *args, **kw):
             seen.append(("momeb", maps[0]() is not None))  # the normalized scene
-            return momeb(p, f, **kw)
+            return momeb(p, f, *args, **kw)
 
         def watched_ffb(p, m, l_next=None):
             seen.append(("ffb", any(r() is not None for r in maps)))
