@@ -90,11 +90,13 @@ def _relu(rng: np.random.Generator) -> GradCheckReport:
 
 def _ssm_scan(rng: np.random.Generator) -> GradCheckReport:
     # a column-major layout on a 3x5 map: 15 tokens in 3 chunks of 5 steps,
-    # so the states carry across chunks that do not follow the visit columns
+    # so the states carry across chunks that do not follow the visit columns;
+    # the expert reads the second of two gates, 0.7, and the first gets 0
     p = _block(rng, channels=4, state_dim=3).spatial[0]
     xs = parameter(rng.normal(size=(2, 3, 5)), dtype=F64)
-    fn = lambda: spatial_expert_forward(p, xs, ScanDirection.TR_BL)
-    return _probed(rng, fn, [p.a_log, p.b_bar, p.c_out, xs], (2, 3, 5))
+    gates = parameter([1.3, 0.7], dtype=F64)
+    fn = lambda: spatial_expert_forward(p, xs, ScanDirection.TR_BL, gates, 1)
+    return _probed(rng, fn, [p.a_log, p.b_bar, p.c_out, xs, gates], (2, 3, 5))
 
 
 def _spectral(rng: np.random.Generator) -> GradCheckReport:
@@ -113,8 +115,10 @@ def _router(rng: np.random.Generator) -> GradCheckReport:
 
 
 def _mix_top2(rng: np.random.Generator) -> GradCheckReport:
-    # top-2 routing through the renormalized weights; b2's spread keeps the
-    # weights far from a tie, so no difference step flips the selection
+    # top-2 routing: the router's weights through ``gates``, renormalized,
+    # into the two selected experts' gates and the sum of their maps; b2's
+    # spread keeps the weights far from a tie, so no difference step flips
+    # the selection
     block = _block(rng, channels=4, state_dim=3)
     router = block.router
     router.b2.data[...] = [1.0, 0.5, 0.0, -0.5]

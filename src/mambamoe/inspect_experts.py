@@ -42,19 +42,23 @@ class InspectReport:
     class_rows: list[ClassExpertRow]
 
     def format(self) -> str:
-        names = [d.name for d in SPATIAL_DIRECTIONS]
-        tags = [d.orientation[:1] for d in SPATIAL_DIRECTIONS]
-        header = "  ".join(f"{n}({t})" for n, t in zip(names, tags))
-        lines = [f"{'':24s}  {header}"]
-        for i, w in enumerate(self.stage_weights, start=1):
-            cells = "  ".join(f"{v:10.6f}" for v in w)
-            lines.append(f"stage {i} router weights   {cells}")
+        """One row per stage and per class; every row pads its label to the
+        longest one, so each expert's column lines up under its header."""
+        stage_labels = [f"stage {i} router weights" for i in range(1, len(self.stage_weights) + 1)]
+        class_labels = [f"  class {row.class_id} {row.class_name}" for row in self.class_rows]
+        width = max(map(len, stage_labels + class_labels), default=0)
+
+        def line(label: str, cells) -> str:
+            return f"{label:<{width}s}  " + "  ".join(cells)
+
+        names = (f"{d.name}({d.orientation[:1]})" for d in SPATIAL_DIRECTIONS)
+        lines = [line("", (f"{n:>10s}" for n in names))]
+        lines += [line(label, (f"{v:10.6f}" for v in w)) for label, w in zip(stage_labels, self.stage_weights)]
         lines.append("per-class stage-1 expert response shares:")
-        for row in self.class_rows:
-            cells = "  ".join(f"{v:10.6f}" for v in row.shares)
+        for label, row in zip(class_labels, self.class_rows):
             lines.append(
-                f"  class {row.class_id} {row.class_name:<14s} {cells}"
-                f"   [vertical {row.orientation_sum('vertical'):.6f}"
+                line(label, (f"{v:10.6f}" for v in row.shares))
+                + f"   [vertical {row.orientation_sum('vertical'):.6f}"
                 f" vs horizontal {row.orientation_sum('horizontal'):.6f}]"
             )
         return "\n".join(lines)
@@ -74,10 +78,12 @@ def downsample_labels(labels: np.ndarray, factor: int = 2) -> np.ndarray:
 
 def expert_shares(block: MoMebParams, x_spa: Tensor) -> np.ndarray:
     """Per-pixel normalized response magnitudes of ``block``'s spatial
-    experts on its spatial view ``x_spa``: (4, h, w)."""
+    experts on its spatial view ``x_spa``: (4, h, w).  Each expert runs
+    with a unit gate, so its map is the ungated response."""
+    unit = Tensor(np.ones(1, dtype=x_spa.dtype))
     mags = []
     for expert, direction in zip(block.spatial, SPATIAL_DIRECTIONS):
-        out = spatial_expert_forward(expert, x_spa, direction)
+        out = spatial_expert_forward(expert, x_spa, direction, unit, 0)
         mags.append(np.sqrt((out.data.astype(np.float64) ** 2).sum(axis=0)))
     mags = np.stack(mags)  # (4, h, w)
     total = mags.sum(axis=0)

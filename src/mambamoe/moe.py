@@ -3,9 +3,15 @@
 ``momeb_forward`` is the whole block, one function over one routed path:
 LN -> split -> experts -> concat -> fuse -> residual -> LN -> MLP ->
 residual.  One ``route`` op gives the four spatial experts (one per scan
-direction) their softmax weights, only the top-k experts run, and one
-``mix`` op combines them, renormalizing the weights when k < 4.  k = 4 is
-the dense mixture that training runs.  Two spectral experts are always on.
+direction) their softmax weights, and only the top-k experts run.  One
+``gates`` op turns the selected weights into the experts' gates,
+renormalizing them when k < 4; each expert scales its own map by its
+gate, and one ``mix`` op sums the gated maps.  k = 4 is the dense mixture
+that training runs.  Two spectral experts are always on.
+
+No op keeps an expert's output map: the gate's gradient sum(g * y) needs
+the ungated map y, which the expert's backward pass rebuilds from the
+states it keeps anyway.
 """
 
 from __future__ import annotations
@@ -118,53 +124,56 @@ def topk_select(weights: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order[:k])
 
 
-def mix(weights: Tensor, outputs: list[Tensor], selected: list[int]) -> Tensor:
-    """The gated sum of the selected experts' maps, as one tape op.
+def gates(weights: Tensor, selected: list[int]) -> Tensor:
+    """The selected experts' gates, as one tape op: gate i belongs to
+    expert selected[i], and weights is the router's softmax.
 
-    outputs[i] is the map of expert selected[i], and weights is the
-    router's softmax.  With every expert selected, w_j is the router weight
-    p_j: the weights already sum to one.  Otherwise w_j = p_j / total, with
-    total summed in ``selected`` order.  The sum runs in ``selected`` order:
-    y_0 w_0, then + y_j w_j.
+    With every expert selected, gate w_j is the router weight p_j: the
+    weights already sum to one.  Otherwise w_j = p_j / total, with total
+    summed in ``selected`` order.
 
-    The backward pass gives each map g w_j.  With dw_j = sum(g y_j), the
-    router weight p_j gets dw_j when dense, else (dw_j - sum_i w_i dw_i) /
-    total; an unselected weight gets 0.  The closure keeps the maps, which
-    dw reads.
+    The backward pass takes dw, the gradient of each gate, and gives the
+    router weight p_j dw_j when dense, else (dw_j - sum_i w_i dw_i) /
+    total; an unselected weight gets 0.
     """
-    ys = [y.data for y in outputs]
-    if any(y.shape != ys[0].shape or y.dtype != weights.dtype for y in ys):
-        raise ShapeError(f"mix: expert maps {[y.shape for y in ys]} must share one shape and the weights' dtype")
     p = weights.data
     w = p[selected]
     total = sum(w[1:], w[0])
     dense = len(selected) == N_SPATIAL_EXPERTS
     if not dense:
         w = w / total
-    acc = ys[0] * w[0]
-    for y, w_j in zip(ys[1:], w[1:]):
-        acc = acc + y * w_j
 
-    def bwd(g):
-        dw = np.array([(g * y).sum() for y in ys])
+    def bwd(dw):
         dp = np.zeros_like(p)
         dp[selected] = dw if dense else (dw - sum(w * dw)) / total
-        return (dp, *(g * w_j for w_j in w))
+        return (dp,)
 
-    return tt.custom_op("mix", (weights, *outputs), acc, bwd, flops=(2 * len(ys) - 1) * acc.size)
+    return tt.custom_op("gates", (weights,), w, bwd)
+
+
+def mix(outputs: list[Tensor]) -> Tensor:
+    """The sum of the gated expert maps, in list order, as one tape op:
+    y_0, then + y_j.  The backward pass gives every map the output's
+    gradient; the closure keeps nothing."""
+    ys = [y.data for y in outputs]
+    if any(y.shape != ys[0].shape or y.dtype != ys[0].dtype for y in ys):
+        raise ShapeError(f"mix: expert maps {[y.shape for y in ys]} must share one shape and dtype")
+    n = len(ys)
+    return tt.custom_op("mix", outputs, sum(ys[1:], ys[0]), lambda g: (g,) * n, flops=(n - 1) * ys[0].size)
 
 
 def sre_forward(experts: tuple[SsmParams, ...], router: RouterParams, x_spa: Tensor, k: int) -> Tensor:
-    """The router's top-k directional scan experts, mixed.
+    """The router's top-k directional scan experts, gated and summed.
 
-    Only the k selected experts run, all before the combine.  Below k = 4
-    ``mix`` renormalizes their weights to sum to one; at k = 4 it uses the
-    router weights as they are (the dense mixture).
+    Only the k selected experts run, all before the sum.  Below k = 4
+    ``gates`` renormalizes their weights to sum to one; at k = 4 the gates
+    are the router weights as they are (the dense mixture).
     """
     weights = route(router, x_spa)
     selected = topk_select(weights.data, k)
-    outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
-    return mix(weights, outputs, selected)
+    g = gates(weights, selected)
+    outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j], g, i) for i, j in enumerate(selected)]
+    return mix(outputs)
 
 
 def sse_forward(fwd: SsmParams, bwd: SsmParams, x_spe: Tensor) -> Tensor:

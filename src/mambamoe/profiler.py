@@ -5,8 +5,9 @@ terms and pooling cost 1 FLOP per scalar operation; pure bookkeeping
 (splits, concats, scan reorderings) is free.  One directional scan over T
 tokens of width E with D states costs T * (2D + 4DE + E): the elementwise
 decay and state update, the input and output projections, and the skip
-add.  An expert holds D + 2DE parameters (the decay vector a_log and the
-two projections).  The head is a 1x1 conv at stage 1, then the upsample
+add; a spatial expert then scales its T E outputs by its router gate.
+An expert holds D + 2DE parameters (the decay vector a_log and the two
+projections).  The head is a 1x1 conv at stage 1, then the upsample
 of its K logits; no softmax is taken.  FLOPs are counted for the inference
 forward pass (stage supervision is a training-only construct).
 
@@ -88,18 +89,18 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
         comp["stem"] += _conv_flops(c, ci, 3, h, w) + c * h * w + 4 * c * h2 * w2
 
     ln = lambda h, w: h * w * (7 * c + 4)
-    spatial_scans = 0
+    spatial_experts = 0
     momeb_other = 0
     for h, w in sizes:
-        spatial_scans += N_EXPERTS * _scan_flops(h * w, d, half)
+        spatial_experts += N_EXPERTS * (_scan_flops(h * w, d, half) + half * h * w)  # scan + gate scale
         spectral = 2 * (h * w) * _scan_flops(half, d, 1) + half * h * w  # both directions + additive fuse
         router = _router_flops(half, h, w)
-        combine = (2 * N_EXPERTS - 1) * half * h * w  # weight-scale + accumulate
+        combine = (N_EXPERTS - 1) * half * h * w  # mix adds the gated maps
         mlp = _conv_flops(2 * c, c, 1, h, w) + 2 * c * h * w + _conv_flops(c, 2 * c, 1, h, w)
         momeb_other += (
             2 * ln(h, w) + spectral + router + combine + _conv_flops(c, c, 1, h, w) + mlp + 2 * c * h * w
         )  # trailing term: the two residual adds
-    comp["spatial_experts"] = spatial_scans
+    comp["spatial_experts"] = spatial_experts
     comp["momeb_other"] = momeb_other
 
     res_flops = lambda h, w: 2 * _conv_flops(c, c, 3, h, w) + 3 * c * h * w  # two ReLUs + residual add
@@ -114,8 +115,8 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     comp["head"] = _conv_flops(k_cls, c, 1, *sizes[0]) + 7 * k_cls * height * width
 
     dense = sum(comp.values())
-    # each unselected expert saves its scan and its scale + accumulate in the combine
-    per_expert = spatial_scans // N_EXPERTS + 2 * half * sum(h * w for h, w in sizes)
+    # each unselected expert saves its scan, its gate scale and one add in mix
+    per_expert = spatial_experts // N_EXPERTS + half * sum(h * w for h, w in sizes)
     per_k = {k: dense - (N_EXPERTS - k) * per_expert for k in range(1, N_EXPERTS + 1)}
     return dense, per_k, comp
 

@@ -30,9 +30,10 @@ chunks are a view of the stack, not a copy.  A scan
 takes about h + w Python-level steps (2 sqrt(T) on a square map); a map
 of one row or one column takes about T, and only scenes under 16 pixels
 on a side pool to such a map.  Everything outside the recurrence is one
-product over all steps.  For its backward pass a spatial expert keeps its
-input map, which the tape keeps anyway, and the (h*w, D) states; the
-tokens are copied from the map again.
+product over all steps.  Each expert also scales its outputs by its
+router gate.  For its backward pass a spatial expert keeps its input map,
+which the tape keeps anyway, and the (h*w, D) states; the tokens and the
+ungated outputs are computed from them again.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def _visit(x: np.ndarray, direction: ScanDirection) -> np.ndarray:
 
 
 def _tokens(x: np.ndarray, direction: ScanDirection) -> np.ndarray:
-    """The (E, h, w) map as contiguous (h*w, E) tokens in visit order."""
+    """The (E, h, w) map as (h*w, E) tokens in visit order: a new
+    contiguous array, which the caller may write."""
     e, h, w = x.shape
-    return np.ascontiguousarray(_visit(x, direction)).reshape(h * w, e)
+    return np.array(_visit(x, direction), order="C").reshape(h * w, e)
 
 
 def _grid(seq: np.ndarray, direction: ScanDirection, h: int, w: int) -> np.ndarray:
@@ -168,33 +170,41 @@ def _linear_scan(lam: np.ndarray, chunks: np.ndarray) -> None:
         chunks[c, order] += carry
 
 
-def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection) -> Tensor:
+def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirection, gates: Tensor, i: int) -> Tensor:
     """Run the recurrence over an (E, h, w) map read in ``direction``'s
-    visit order, and put the outputs back on the grid; one tape op.
+    visit order, scale the outputs by the gate ``gates[i]``, and put them
+    back on the grid; one tape op.
 
     Only the state recurrence runs through time, in ``_linear_scan``: the
     forward pass scans B_bar f into the states, and the backward pass scans
-    the reversed C_out^T g into the adjoint dh with the same decay.  Every
-    other term (B_bar f, C_out h + f, and the gradients of a_log, B_bar,
-    C_out and the map) is one product over all steps.  This is the same
-    maths as the step-by-step loop; the chunked order of the sums rounds
-    differently, by about 1e-6 relative in float32.
+    the reversed C_out^T g into the adjoint dh with the same decay, where g
+    is the output gradient times the gate.  Every other term (B_bar f,
+    C_out h + f, and the gradients of a_log, B_bar, C_out and the map) is
+    one product over all steps.  This is the same maths as the step-by-step
+    loop; the chunked order of the sums rounds differently, by about 1e-6
+    relative in float32.  The gate multiplies the (h*w, E) outputs in
+    place, before they go on the grid.
 
-    The op keeps the input map and the states, not the (h*w, E) tokens f:
-    the map is a view of the layer norm's output, which the spectral
-    expert keeps as well, and the backward pass copies f from it again
-    (the same bits) for the gradient of B_bar.
+    The op keeps the input map and the states, not the (h*w, E) tokens f
+    nor the ungated outputs y: the map is a view of the layer norm's
+    output, which the spectral expert keeps as well.  The backward pass
+    copies f from it again for the gradient of B_bar, and rebuilds y on the
+    grid as C_out h + f for the gate's gradient sum(g * y); both have the
+    forward's bits.  Only ``gates[i]`` gets a gradient from this op.
     """
     if x.ndim != 3:
         raise ShapeError(f"spatial_expert_forward: map must be (E,h,w), got {x.shape}")
     if x.shape[0] != params.embed_dim:
         raise ShapeError(f"spatial_expert_forward: token width {x.shape[0]} != params embed dim {params.embed_dim}")
-    if x.dtype != params.a_log.dtype:
-        raise ShapeError("spatial_expert_forward: map/parameter dtypes must match")
+    if x.dtype != params.a_log.dtype or gates.dtype != x.dtype:
+        raise ShapeError("spatial_expert_forward: map/parameter/gate dtypes must match")
+    if gates.ndim != 1 or not 0 <= i < gates.shape[0]:
+        raise ShapeError(f"spatial_expert_forward: gate {i} is not an entry of a gate vector of shape {gates.shape}")
     a_log, b, c = params.a_log, params.b_bar, params.c_out
     lam = params.decay
     e, h, w = x.shape
     d = params.state_dim
+    gate = gates.data[i]
 
     x_map = x.data
     f = _tokens(x_map, direction)
@@ -202,19 +212,29 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     _linear_scan(lam, states.reshape(h, w, d))
     out = states @ c.data.T
     out += f
+    out *= gate
 
     def bwd(g_grid):
         g = _tokens(g_grid, direction)
+        g *= gate
         dh = g @ c.data
         _linear_scan(lam, dh[::-1].reshape(h, w, d))
         df = dh @ b.data
         df += g
         d_lam = (dh[1:] * states[:-1]).sum(axis=0)
-        d_b = dh.T @ _tokens(x_map, direction)
-        return d_lam * _decay_slope(a_log.data), d_b, g.T @ states, _grid(df, direction, h, w)
+        f = _tokens(x_map, direction)
+        d_b = dh.T @ f
+        y = states @ c.data.T
+        y += f
+        gy = _grid(y, direction, h, w)
+        gy *= g_grid
+        d_gates = np.zeros_like(gates.data)
+        d_gates[i] = gy.sum()
+        return d_lam * _decay_slope(a_log.data), d_b, g.T @ states, _grid(df, direction, h, w), d_gates
 
-    n_flops = h * w * (2 * d + 4 * d * e + e)
-    return custom_op("spatial_expert_forward", (a_log, b, c, x), _grid(out, direction, h, w), bwd, flops=n_flops)
+    # the scan, then one multiply per output for the gate
+    n_flops = h * w * (2 * d + 4 * d * e + e) + e * h * w
+    return custom_op("spatial_expert_forward", (a_log, b, c, x, gates), _grid(out, direction, h, w), bwd, flops=n_flops)
 
 
 def spectral_bidirectional(fwd: SsmParams, bwd: SsmParams, x: Tensor) -> Tensor:

@@ -630,14 +630,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     dt = x.data.dtype.type
     x_map = x.data
     mu = x_map.mean(axis=0)
-    inv_std = dt(1.0) / np.sqrt(x_map.var(axis=0) + dt(LAYER_NORM_EPS))
+    # x - mu once, for the variance and the output: x.var(axis=0) and
+    # normalized() with the same bits
+    out = x_map - mu
+    inv_std = dt(1.0) / np.sqrt(np.add.reduce(out * out, axis=0) / c + dt(LAYER_NORM_EPS))
 
     def normalized():
         xhat = x_map - mu
         xhat *= inv_std
         return xhat
 
-    out = normalized()
+    out *= inv_std
     out *= gamma.data[:, None, None]
     out += beta.data[:, None, None]
 

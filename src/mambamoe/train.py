@@ -152,7 +152,11 @@ class TrainResult:
 
 def train(config: TrainConfig, scene: HsiScene) -> TrainResult:
     """Full-scene training per the experimental protocol: dense experts,
-    stage supervision when enabled, one Adam step per epoch."""
+    stage supervision when enabled, one Adam step per epoch.
+
+    The trained parameters are bit-identical across runs only at a fixed
+    seed and a fixed BLAS thread count: another thread count sums the
+    matrix products in another order."""
     ss_init, _, ss_mask = _seed_streams(config.seed)
 
     x = normalize_scene(scene)

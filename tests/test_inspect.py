@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mambamoe.inspect_experts import downsample_labels
+from mambamoe.inspect_experts import ClassExpertRow, InspectReport, downsample_labels
+from mambamoe.scan import SPATIAL_DIRECTIONS
 
 
 def loop_downsample(labels: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -44,3 +45,17 @@ class TestDownsampleLabels:
         got = downsample_labels(labels, factor)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
+
+
+def test_share_columns_line_up_across_class_name_lengths():
+    shares = np.array([0.125, 0.25, 0.375, 0.5])
+    names = ["background", "stripes-vertical", "stripes-horizontal", "disc"]
+    rows = [ClassExpertRow(i, name, shares, pixels=1) for i, name in enumerate(names, start=1)]
+    header, *lines = InspectReport(stage_weights=[shares] * 3, class_rows=rows).format().splitlines()
+    rows = [line for line in lines if "router weights" in line or line.startswith("  class ")]
+    assert len(rows) == 3 + len(names)
+    # each expert's cells end where its header label ends
+    for cell, d in zip((f"{v:10.6f}" for v in shares), SPATIAL_DIRECTIONS):
+        label = f"{d.name}({d.orientation[:1]})"
+        ends = {line.index(cell) + len(cell) for line in rows}
+        assert ends == {header.index(label) + len(label)}

@@ -1,5 +1,8 @@
 """Router, sparse expert selection and the expert block."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,11 @@ def make_network(channels=4, state=3, seed=0, dtype=F64):
 def make_block(channels=4, state=3, seed=0, dtype=F64):
     """The first expert block of ``make_network``."""
     return make_network(channels, state, seed, dtype).momeb[0]
+
+
+def ungated(expert, x, direction):
+    """One spatial expert's map at a unit gate."""
+    return spatial_expert_forward(expert, x, direction, Tensor(np.ones(1, dtype=x.dtype)), 0)
 
 
 def make_router(channels_half, rng):
@@ -114,6 +122,36 @@ class TestTopkSelect:
         assert sel == oracle
 
 
+def former_mix(weights, outputs, selected):
+    """The ungated expert maps combined as one op, in ``selected`` order:
+    the weights renormalized below k = 4, y_0 w_0 then + y_j w_j, and the
+    router gradient sum(g y_j) read from the maps the closure keeps."""
+    ys = [y.data for y in outputs]
+    p = weights.data
+    w = p[selected]
+    total = sum(w[1:], w[0])
+    dense = len(selected) == 4
+    if not dense:
+        w = w / total
+    acc = ys[0] * w[0]
+    for y, w_j in zip(ys[1:], w[1:]):
+        acc = acc + y * w_j
+
+    def bwd(g):
+        dw = np.array([(g * y).sum() for y in ys])
+        dp = np.zeros_like(p)
+        dp[selected] = dw if dense else (dw - sum(w * dw)) / total
+        return (dp, *(g * w_j for w_j in w))
+
+    return tt.custom_op("former_mix", (weights, *outputs), acc, bwd)
+
+
+def former_sre(experts, router, x_spa, k):
+    weights = route(router, x_spa)
+    selected = topk_select(weights.data, k)
+    return former_mix(weights, [ungated(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected], selected)
+
+
 class TestSreForward:
     def make(self, seed=3):
         rng = np.random.default_rng(seed)
@@ -130,7 +168,7 @@ class TestSreForward:
         router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 3, 3)))
 
-        single = spatial_expert_forward(one, x, SPATIAL_DIRECTIONS[0]).data
+        single = ungated(one, x, SPATIAL_DIRECTIONS[0]).data
         for k in (1, 2, 3, 4):
             out = sre_forward(experts, router, x, k)
             np.testing.assert_allclose(out.data, single, atol=1e-6)
@@ -140,7 +178,7 @@ class TestSreForward:
         w = route(router, x).data
         best = int(np.argmax(w))
 
-        alone = spatial_expert_forward(experts[best], x, SPATIAL_DIRECTIONS[best]).data
+        alone = ungated(experts[best], x, SPATIAL_DIRECTIONS[best]).data
         out = sre_forward(experts, router, x, 1).data
         assert out.tobytes() == alone.tobytes()
 
@@ -149,7 +187,7 @@ class TestSreForward:
         w = route(router, x).data
         sel = topk_select(w, 2)
 
-        outs = {j: spatial_expert_forward(experts[j], x, SPATIAL_DIRECTIONS[j]).data for j in sel}
+        outs = {j: ungated(experts[j], x, SPATIAL_DIRECTIONS[j]).data for j in sel}
         total = sum(w[j] for j in sel)
         ref = sum((w[j] / total) * outs[j] for j in sel)
         np.testing.assert_allclose(sre_forward(experts, router, x, 2).data, ref, atol=1e-7)
@@ -159,9 +197,9 @@ class TestSreForward:
         calls = []
         real = moe.spatial_expert_forward
 
-        def counted(expert, x_spa, direction):
+        def counted(expert, x_spa, direction, *gate):
             calls.append(direction.name)
-            return real(expert, x_spa, direction)
+            return real(expert, x_spa, direction, *gate)
 
         monkeypatch.setattr(moe, "spatial_expert_forward", counted)
         w = route(router, x).data
@@ -175,21 +213,46 @@ class TestSreForward:
         for k in (1, 2, 3, 4):
             with tt.Tape() as tape:
                 sre_forward(experts, router, x, k)
-            assert [op.name for op in tape.ops] == ["route"] + ["spatial_expert_forward"] * k + ["mix"]
+            assert [op.name for op in tape.ops] == ["route", "gates"] + ["spatial_expert_forward"] * k + ["mix"]
 
     def test_runtime_flops_are_router_scans_and_mix(self):
+        # each of the k experts scales its map by its gate and mix adds k - 1
+        # maps: 2k - 1 operations per map element beyond the router and scans
         experts, router, x = self.make(seed=10)
         e, h, w = x.shape
+        d = experts[0].state_dim
+        scan_flops = h * w * (2 * d + 4 * d * e + e)
         with tt.FLOPS:
             route(router, x)
             router_flops = tt.FLOPS.total
-        with tt.FLOPS:
-            spatial_expert_forward(experts[0], x, SPATIAL_DIRECTIONS[0])
-            scan_flops = tt.FLOPS.total
         for k in (1, 2, 3, 4):
             with tt.FLOPS:
                 sre_forward(experts, router, x, k)
                 assert tt.FLOPS.total == router_flops + k * scan_flops + (2 * k - 1) * e * h * w
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_output_and_every_gradient_equal_the_former_mix_bit_for_bit(self, k, dtype):
+        rng = np.random.default_rng(30 + k)
+        block = make_block(channels=6, state=3, seed=rng, dtype=dtype)
+        x = rng.normal(size=(3, 5, 6)).astype(dtype)
+        probe = Tensor(rng.normal(size=x.shape).astype(dtype))
+        params = [block.router.w1, block.router.b1, block.router.w2, block.router.b2]
+        params += [t for expert in block.spatial for t in (expert.a_log, expert.b_bar, expert.c_out)]
+
+        def run(fn):
+            for t in params:
+                t.zero_grad()
+            xp = tt.parameter(x)
+            with tt.Tape() as tape:
+                out = fn(block.spatial, block.router, xp, k)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            return [out.data] + [t.grad.copy() for t in params] + [xp.grad]
+
+        got, want = run(sre_forward), run(former_sre)
+        assert got[0].dtype == dtype
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_unselected_experts_not_evaluated(self):
         experts, router, x = self.make(seed=8)
@@ -242,7 +305,7 @@ class TestDssem:
         x_spa, x_spe = Tensor(x_norm[:2].copy()), Tensor(x_norm[2:].copy())
         w = route(block.router, x_spa).data
         spa = sum(
-            w[j] * spatial_expert_forward(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in range(4)
+            w[j] * ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in range(4)
         )
         spe = sse_forward(block.spectral_fwd, block.spectral_bwd, x_spe).data
         stacked = Tensor(np.concatenate([spa, spe], axis=0))
@@ -279,6 +342,29 @@ class TestMomebForward:
         out = momeb_forward(block, Tensor(rng.normal(size=(c, h, w))), int(rng.integers(1, 5)))
         assert out.shape == (c, h, w)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_no_op_keeps_an_expert_map(self, k, monkeypatch):
+        # the router gradient reads each map, which the expert's backward
+        # pass rebuilds: once the block has returned, no map is alive
+        block = make_block(channels=4, state=3, seed=20)
+        x = tt.parameter(np.random.default_rng(21).normal(size=(4, 5, 5)))
+        maps = []
+        real = moe.spatial_expert_forward
+
+        def recorded(*args):
+            out = real(*args)
+            maps.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(moe, "spatial_expert_forward", recorded)
+        with tt.Tape() as tape:
+            out = momeb_forward(block, x, k)
+            gc.collect()
+            assert len(maps) == k
+            assert all(ref() is None for ref in maps)
+            tape.backward(tt.sum_all(out))
+        assert np.all(np.isfinite(x.grad))
+
     def test_matches_composed_oracle(self):
         # the whole block at k = 2, on primitives: the gradients are gradcheck_suite's "momeb" entry
         block = make_block(channels=4, state=3, seed=18)
@@ -289,7 +375,7 @@ class TestMomebForward:
         x_spa, x_spe = Tensor(x_norm[:2].copy()), Tensor(x_norm[2:].copy())
         w = route(block.router, x_spa).data
         sel = topk_select(w, 2)
-        outs = {j: spatial_expert_forward(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in sel}
+        outs = {j: ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in sel}
         spa = sum(w[j] / (w[sel[0]] + w[sel[1]]) * outs[j] for j in sel)
         spe = sse_forward(block.spectral_fwd, block.spectral_bwd, x_spe).data
         f_hat = tt.conv2d(Tensor(np.concatenate([spa, spe], axis=0)), block.fuse_w, block.fuse_b)

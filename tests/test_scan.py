@@ -32,6 +32,11 @@ def make_expert(state_dim, embed_dim, rng, dtype=F64):
     return init_network_params(spec, rng, dtype).momeb[0].spatial[0]
 
 
+def run_expert(p, x, direction, gate=1.0):
+    """spatial_expert_forward on the map ``x`` with the one-entry gate vector [gate]."""
+    return spatial_expert_forward(p, x, direction, Tensor(np.array([gate], dtype=x.dtype)), 0)
+
+
 def gather_order(direction, h, w):
     """Flat row-major grid indices in visit order, built as an index
     permutation: the oracle for the strided layouts of ``_tokens``."""
@@ -57,7 +62,7 @@ def row_major_seq(grid):
 def recurrence(p, seq, h=1):
     """The expert's (T, E) output sequence for a (T, E) input sequence,
     read as the row-major (h, T / h) map."""
-    y = spatial_expert_forward(p, Tensor(row_major_map(seq, h), dtype=seq.dtype), ScanDirection.TL_BR)
+    y = run_expert(p, Tensor(row_major_map(seq, h), dtype=seq.dtype), ScanDirection.TL_BR)
     return row_major_seq(y.data)
 
 
@@ -118,7 +123,7 @@ def scan_with_grads(p, seq, probe, h=1):
     for t in (p.a_log, p.b_bar, p.c_out):
         t.zero_grad()
     with tt.Tape() as tape:
-        y = spatial_expert_forward(p, x, ScanDirection.TL_BR)
+        y = run_expert(p, x, ScanDirection.TL_BR)
         tape.backward(tt.sum_all(tt.mul(y, Tensor(row_major_map(probe, h)))))
     return row_major_seq(y.data), (p.a_log.grad, p.b_bar.grad, p.c_out.grad, row_major_seq(x.grad))
 
@@ -142,29 +147,33 @@ def sqrt_t_scan(lam, u):
     u[...] = w.transpose(1, 0, 2).reshape(t_len, d)
 
 
-def token_form(p, x, g_grid, direction, scan):
-    """The expert's output grid and the backward rule's four gradients for
-    the output gradient ``g_grid``, computed on (T, E) tokens, with
-    ``scan(lam, u)`` carrying a (T, D) stack in place."""
+def token_form(p, x, g_grid, direction, scan, gate=1.0):
+    """The expert's output grid at ``gate`` and the backward rule's five
+    gradients for the output gradient ``g_grid``, computed on (T, E) tokens,
+    with ``scan(lam, u)`` carrying a (T, D) stack in place.  The gate's
+    gradient is sum(g * y) over the ungated grid y, as a one-entry vector."""
     _, h, w = x.shape
-    lam, f, g = p.decay, _tokens(x, direction), _tokens(g_grid, direction)
+    gate = x.dtype.type(gate)
+    lam, f, g = p.decay, _tokens(x, direction), _tokens(g_grid, direction) * gate
     states = f @ p.b_bar.data.T
     scan(lam, states)
-    out = states @ p.c_out.data.T
-    out += f
+    y = states @ p.c_out.data.T
+    y += f
     dh = g @ p.c_out.data
     scan(lam, dh[::-1])
     df = dh @ p.b_bar.data
     df += g
     d_a = (dh[1:] * states[:-1]).sum(axis=0) * _decay_slope(p.a_log.data)
-    return _grid(out, direction, h, w), (d_a, dh.T @ f, g.T @ states, _grid(df, direction, h, w))
+    d_gate = np.array([(g_grid * _grid(y, direction, h, w)).sum()])
+    return _grid(y * gate, direction, h, w), (d_a, dh.T @ f, g.T @ states, _grid(df, direction, h, w), d_gate)
 
 
-def expert_with_rule(p, x, g_grid, direction):
-    """spatial_expert_forward's output grid, the arrays its backward rule
-    holds, and the rule's four gradients for the output gradient ``g_grid``."""
+def expert_with_rule(p, x, g_grid, direction, gate=1.0):
+    """spatial_expert_forward's output grid at ``gate``, the arrays its
+    backward rule holds, and the rule's five gradients for the output
+    gradient ``g_grid``."""
     with tt.Tape() as tape:
-        out = spatial_expert_forward(p, Tensor(x), direction).data
+        out = run_expert(p, Tensor(x), direction, gate).data
         rule = tape.ops[-1].backward
         held = [cell.cell_contents for cell in rule.__closure__]
         return out, held, rule(g_grid)
@@ -266,7 +275,7 @@ class TestRecurrence:
         ref = unrolled_reference(*dense(p), seq)
         np.testing.assert_allclose(recurrence(p, seq), ref, atol=1e-6)
         x = parameter(row_major_map(seq))
-        fn = lambda: tt.sum_all(spatial_expert_forward(p, x, ScanDirection.TL_BR))
+        fn = lambda: tt.sum_all(run_expert(p, x, ScanDirection.TL_BR))
         rep = grad_check(fn, [p.a_log, p.b_bar, p.c_out, x])
         assert rep.passed, rep.per_param
 
@@ -287,7 +296,7 @@ class TestRecurrence:
         # wrong width; a (T, E) sequence, not a map; a float64 map for float32 parameters
         for bad in (np.ones((2, 1, 4), np.float32), np.ones((4, 3), np.float32), np.ones((3, 1, 4))):
             with pytest.raises(ShapeError):
-                spatial_expert_forward(p, Tensor(bad), ScanDirection.TL_BR)
+                run_expert(p, Tensor(bad), ScanDirection.TL_BR)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
     @settings(max_examples=25, deadline=None)
@@ -358,10 +367,10 @@ class TestChunkedScan:
         x = rng.normal(size=(3, side, side)).astype(dtype)
         g_grid = rng.normal(size=x.shape).astype(dtype)
         for direction in SPATIAL_DIRECTIONS:
-            out, _, grads = expert_with_rule(p, x, g_grid, direction)
-            want_out, want_grads = token_form(p, x, g_grid, direction, sqrt_t_scan)
+            out, _, grads = expert_with_rule(p, x, g_grid, direction, 0.7)
+            want_out, want_grads = token_form(p, x, g_grid, direction, sqrt_t_scan, 0.7)
             assert out.tobytes() == want_out.tobytes()
-            for got, want in zip(grads, want_grads):
+            for got, want in zip(grads, want_grads, strict=True):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("h, w", SHAPES)
@@ -402,15 +411,22 @@ class TestSpatialExpert:
         x = parameter(rng.normal(size=(2, 3, 4)))
         for direction in SPATIAL_DIRECTIONS:
             with tt.Tape() as tape:
-                spatial_expert_forward(p, x, direction)
+                run_expert(p, x, direction)
             assert [op.name for op in tape.ops] == ["spatial_expert_forward"]
+
+    def test_gate_is_one_entry_of_a_vector_of_the_map_dtype(self):
+        p = make_expert(2, 3, np.random.default_rng(23))
+        x = Tensor(np.ones((3, 2, 2)))
+        for gates, i in ((np.ones(2), 2), (np.ones(2), -1), (np.ones((2, 1)), 0), (np.ones(2, np.float32), 0)):
+            with pytest.raises(ShapeError, match="gate"):
+                spatial_expert_forward(p, x, ScanDirection.TL_BR, Tensor(gates), i)
 
     def test_zero_params_identity_every_direction(self):
         rng = np.random.default_rng(5)
         zero = SsmParams(parameter(np.zeros(3)), parameter(np.zeros((3, 2))), parameter(np.zeros((2, 3))))
         x = Tensor(rng.normal(size=(2, 4, 5)))
         for direction in SPATIAL_DIRECTIONS:
-            out = spatial_expert_forward(zero, x, direction)
+            out = run_expert(zero, x, direction)
             np.testing.assert_array_equal(out.data, x.data)
 
     def test_directions_differ_on_asymmetric_input_and_match_oracles(self):
@@ -424,7 +440,7 @@ class TestSpatialExpert:
             ref_seq = unrolled_reference(*dense(p), seq)
             ref = np.empty((2, 12))
             ref[:, order] = ref_seq.T
-            out = spatial_expert_forward(p, Tensor(x), direction).data
+            out = run_expert(p, Tensor(x), direction).data
             np.testing.assert_allclose(out, ref.reshape(2, 3, 4), atol=1e-9)
             outs[direction] = out
         assert not np.allclose(outs[ScanDirection.TL_BR], outs[ScanDirection.BR_TL])
@@ -438,7 +454,7 @@ class TestSpatialExpert:
         rng = np.random.default_rng(7)
         p = make_expert(3, 2, rng)
         x = Tensor(np.tile(rng.normal(size=(2, 1, 1)), (1, 4, 4)))
-        grids = {d: spatial_expert_forward(p, x, d).data for d in SPATIAL_DIRECTIONS}
+        grids = {d: run_expert(p, x, d).data for d in SPATIAL_DIRECTIONS}
         seqs = [_tokens(grid, d) for d, grid in grids.items()]
         for other in seqs[1:]:
             assert seqs[0].tobytes() == other.tobytes()
@@ -453,11 +469,11 @@ class TestSpatialExpert:
         p = make_expert(4, 3, rng)
         x = rng.normal(size=(3, 4, 5))
         rot = x[:, ::-1, ::-1].copy()
-        out_brtl = spatial_expert_forward(p, Tensor(x), ScanDirection.BR_TL).data
-        out_rot = spatial_expert_forward(p, Tensor(rot), ScanDirection.TL_BR).data
+        out_brtl = run_expert(p, Tensor(x), ScanDirection.BR_TL).data
+        out_rot = run_expert(p, Tensor(rot), ScanDirection.TL_BR).data
         assert out_brtl.tobytes() == out_rot[:, ::-1, ::-1].copy().tobytes()
-        out_bltr = spatial_expert_forward(p, Tensor(x), ScanDirection.BL_TR).data
-        out_rot2 = spatial_expert_forward(p, Tensor(rot), ScanDirection.TR_BL).data
+        out_bltr = run_expert(p, Tensor(x), ScanDirection.BL_TR).data
+        out_rot2 = run_expert(p, Tensor(rot), ScanDirection.TR_BL).data
         assert out_bltr.tobytes() == out_rot2[:, ::-1, ::-1].copy().tobytes()
 
     def test_keeps_its_map_not_tokens_with_the_same_gradients(self):
@@ -473,7 +489,7 @@ class TestSpatialExpert:
             assert not any(a.shape == (30, 2) for a in arrays)
             # the form that kept the forward's tokens
             _, want_grads = token_form(p, x, g_grid, direction, scan)
-            for got, want in zip(grads, want_grads):
+            for got, want in zip(grads, want_grads, strict=True):
                 assert got.tobytes() == want.tobytes()
 
 

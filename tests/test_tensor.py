@@ -455,6 +455,21 @@ class TestLayerNorm:
         assert np.abs(out.mean(axis=0)).max() < 1e-5
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-3
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("side", [16, 32, 64])
+    def test_forward_equals_the_var_formula_bit_for_bit(self, side, dtype):
+        rng = np.random.default_rng(side)
+        x = rand(rng, 48, side, side, dtype=dtype)
+        gamma, beta = rand(rng, 48, dtype=dtype), rand(rng, 48, dtype=dtype)
+        mu = x.mean(axis=0)
+        inv_std = dtype(1.0) / np.sqrt(x.var(axis=0) + dtype(tt.LAYER_NORM_EPS))
+        want = (x - mu) * inv_std * gamma[:, None, None] + beta[:, None, None]
+        with Tape() as tape:
+            out = tt.layer_norm(parameter(x), parameter(gamma), parameter(beta)).data
+            held = _held_arrays(tape.ops[-1].backward)
+        assert out.tobytes() == want.tobytes()
+        assert {a.tobytes() for a in held if a.shape == (side, side)} == {mu.tobytes(), inv_std.tobytes()}
+
     def test_keeps_its_input_not_xhat_with_the_same_gradients(self):
         rng = np.random.default_rng(7)
         x = parameter(rand(rng, 5, 6, 7, dtype=np.float32))
