@@ -1,18 +1,21 @@
-"""Scene container format, synthetic scene generator, normalization, map
-rendering.
+"""Scene and checkpoint container, synthetic scene generator,
+normalization, map rendering.
 
-The ``.hsc`` container is deliberately minimal: a text header followed by
-raw little-endian payloads, so round-trips are bit-exact and loaders need
-no third-party format stack.  The synthetic generator paints orientation
-patterns (vertical stripes, horizontal stripes, a disc) whose class
-signatures are separated well beyond the noise level, so a
-nearest-signature classifier can verify the scene is learnable before any
-training happens.
+The container is deliberately minimal: a magic line, text lines, then raw
+little-endian payloads and no trailing bytes, so round-trips are bit-exact
+and loaders need no third-party format stack.  ``ContainerReader`` and
+``write_container`` own it for ``.hsc`` scenes and ``network``'s ``.mmoe``
+checkpoints.  The synthetic generator paints orientation patterns (vertical
+stripes, horizontal stripes, a disc) whose class signatures are separated
+well beyond the noise level, so a nearest-signature classifier can verify
+the scene is learnable before any training happens.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -23,15 +26,7 @@ MAX_EXTENT = 1 << 24  # sanity bound on header extents
 
 
 class HscError(ValueError):
-    """Base class for scene container errors."""
-
-
-class BadMagicError(HscError):
-    pass
-
-
-class TruncatedFileError(HscError):
-    pass
+    """Malformed scene container file."""
 
 
 class ExtentError(HscError):
@@ -88,6 +83,63 @@ def _check_finite(cube: np.ndarray, path) -> None:
         raise HscError(f"{path}: non-finite value {value} in band {band} at pixel (row {row}, col {col})")
 
 
+class ContainerReader:
+    """Parser of one container file, read once and walked by offset.
+
+    ``line``, ``array`` and ``end`` consume the file in order; each fault
+    raises ``error`` (the format's own error class) naming the file.
+    """
+
+    def __init__(self, path, magic: bytes, error: type[ValueError]):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.path, self.error = path, error
+        if not self.blob.startswith(magic):
+            raise error(f"{path}: bad magic; expected {magic!r}")
+        self.at = len(magic)
+
+    def line(self, what: str) -> str:
+        """The next newline-terminated line, decoded as UTF-8."""
+        end = self.blob.find(b"\n", self.at)
+        if end < 0:
+            raise self.error(f"{self.path}: truncated in {what}")
+        try:
+            text = self.blob[self.at : end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{self.path}: {what} is not UTF-8 (byte {exc.start})") from exc
+        self.at = end + 1
+        return text
+
+    def array(self, code: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A native-order copy of the next little-endian payload of dtype
+        ``code`` and ``shape``."""
+        if any(s < 0 for s in shape):
+            raise self.error(f"{self.path}: negative extent in shape {shape} of {what}")
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a short payload
+        dt = np.dtype("<" + code)
+        if len(self.blob) - self.at < count * dt.itemsize:
+            raise self.error(f"{self.path}: truncated in {what}")
+        arr = np.frombuffer(self.blob, dtype=dt, count=count, offset=self.at)
+        self.at += count * dt.itemsize
+        return arr.reshape(shape).astype(np.dtype(code), copy=True)
+
+    def end(self) -> None:
+        """Refuse bytes after the last payload."""
+        if self.at != len(self.blob):
+            raise self.error(f"{self.path}: {len(self.blob) - self.at} trailing bytes after payload")
+
+
+def write_container(path, magic: bytes, lines: Iterable[str], payloads: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write ``magic``, each line UTF-8 encoded and newline-terminated, then
+    each ``(code, array)`` payload as little-endian ``code`` in C order.
+    Lines must hold no newline."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+        for code, arr in payloads:
+            fh.write(arr.astype("<" + code, copy=False).tobytes())
+
+
 def save_hsc(scene: HsiScene, path) -> None:
     scene.validate()
     h = scene.header
@@ -97,33 +149,13 @@ def save_hsc(scene: HsiScene, path) -> None:
     with np.errstate(over="ignore"):  # a finite float64 beyond the float32 range becomes inf, refused below
         cube = scene.cube.astype("<f4", copy=False)
     _check_finite(cube, path)
-    with open(path, "wb") as fh:
-        fh.write(HSC_MAGIC)
-        fh.write(f"{h.bands} {h.height} {h.width} {h.n_class}\n".encode("ascii"))
-        for name in h.class_names:
-            fh.write((name + "\n").encode("utf-8"))
-        fh.write((h.provenance.replace("\n", " ") + "\n").encode("utf-8"))
-        fh.write(cube.tobytes())
-        fh.write(scene.labels.astype("<u2", copy=False).tobytes())
+    lines = [f"{h.bands} {h.height} {h.width} {h.n_class}", *h.class_names, h.provenance.replace("\n", " ")]
+    write_container(path, HSC_MAGIC, lines, [("f4", cube), ("u2", scene.labels)])
 
 
 def load_hsc(path) -> HsiScene:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(HSC_MAGIC):
-        raise BadMagicError(f"{path}: not an HSC file (bad magic)")
-    rest = blob[len(HSC_MAGIC) :]
-
-    def take_line(buf: bytes, what: str) -> tuple[str, bytes]:
-        idx = buf.find(b"\n")
-        if idx < 0:
-            raise TruncatedFileError(f"{path}: truncated in {what}")
-        try:
-            return buf[:idx].decode("utf-8"), buf[idx + 1 :]
-        except UnicodeDecodeError as exc:
-            raise HscError(f"{path}: {what} is not UTF-8 (byte {exc.start})") from exc
-
-    header_line, rest = take_line(rest, "header")
+    reader = ContainerReader(path, HSC_MAGIC, HscError)
+    header_line = reader.line("header")
     try:
         bands, height, width, n_class = (int(tok) for tok in header_line.split())
     except ValueError as exc:
@@ -131,23 +163,13 @@ def load_hsc(path) -> HsiScene:
     for name, value in (("bands", bands), ("height", height), ("width", width), ("classes", n_class)):
         if not 1 <= value <= MAX_EXTENT:
             raise ExtentError(f"{path}: header {name}={value} outside [1, {MAX_EXTENT}]")
-    class_names = []
-    for i in range(n_class):
-        name, rest = take_line(rest, f"class name {i + 1}")
-        class_names.append(name)
-    provenance, rest = take_line(rest, "provenance")
-
-    cube_bytes = 4 * bands * height * width
-    label_bytes = 2 * height * width
-    if len(rest) < cube_bytes + label_bytes:
-        raise TruncatedFileError(f"{path}: payload is {len(rest)} bytes, expected {cube_bytes + label_bytes}")
-    if len(rest) > cube_bytes + label_bytes:
-        raise HscError(f"{path}: {len(rest) - cube_bytes - label_bytes} trailing bytes after payload")
-    cube = np.frombuffer(rest[:cube_bytes], dtype="<f4").reshape(bands, height, width).astype(np.float32, copy=True)
+    class_names = [reader.line(f"class name {i + 1}") for i in range(n_class)]
+    provenance = reader.line("provenance")
+    cube = reader.array("f4", (bands, height, width), "cube")
+    labels = reader.array("u2", (height, width), "labels")
+    reader.end()
+    del reader  # the file's bytes go before the finite check's mask is made
     _check_finite(cube, path)
-    labels = (
-        np.frombuffer(rest[cube_bytes:], dtype="<u2").reshape(height, width).astype(np.uint16, copy=True)
-    )
     scene = HsiScene(SceneHeader(bands, height, width, n_class, class_names, provenance), cube, labels)
     scene.validate()
     return scene

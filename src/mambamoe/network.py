@@ -1,5 +1,6 @@
 """Full network assembly: encoder, fusion decoder, uncertainty-guided stage
-supervision, total loss, and checkpoint serialization.
+supervision, total loss, and the checkpoint: the ``data`` container with a
+JSON meta line and a parameter manifest.
 
 The encoder is three conv+ReLU+avgpool stages, each one fused op whose
 forward pass never builds its full-resolution map, and each followed by a
@@ -16,13 +17,13 @@ is consumed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as tt
+from .data import ContainerReader, write_container
 from .moe import N_SPATIAL_EXPERTS, MoMebParams, RouterParams, momeb_forward
 from .scan import SsmParams
 from .tensor import ShapeError, Tensor, parameter
@@ -374,39 +375,25 @@ def total_loss(stages: Sequence[StageOutput], y_trn: np.ndarray, final_logits: T
 
 
 def save_checkpoint(path, params: NetworkParams, extra_meta: dict | None = None) -> None:
-    """Versioned binary container: magic, JSON meta line, manifest, payloads.
-
-    Payloads are raw little-endian in manifest order; round-trips are
-    bit-exact.  The meta line holds every ``NetSpec`` field, which
-    ``extra_meta`` cannot override.
+    """Versioned ``data.write_container`` file: a JSON meta line, the entry
+    count and one ``name code shape`` manifest line per parameter, then the
+    payloads in manifest order; round-trips are bit-exact.  The meta line
+    holds every ``NetSpec`` field, which ``extra_meta`` cannot override.
     """
     meta = {**(extra_meta or {}), "version": CHECKPOINT_VERSION, **asdict(params.spec)}
-    entries = params.named_params()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(f"{len(entries)}\n".encode("ascii"))
-        for name, t in entries:
-            dtype_code = _DTYPE_CODES[t.data.dtype.name]
-            shape_txt = ",".join(str(s) for s in t.shape)
-            fh.write(f"{name} {dtype_code} {shape_txt}\n".encode("ascii"))
-        for _, t in entries:
-            le = t.data.astype("<" + _DTYPE_CODES[t.data.dtype.name], copy=False)
-            fh.write(le.tobytes())
+    entries = [(name, _DTYPE_CODES[t.data.dtype.name], t.data) for name, t in params.named_params()]
+    lines = [json.dumps(meta, sort_keys=True), str(len(entries))]
+    lines += [f"{name} {code} {','.join(str(s) for s in a.shape)}" for name, code, a in entries]
+    write_container(path, CHECKPOINT_MAGIC, lines, [(code, a) for _, code, a in entries])
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    body = blob[len(CHECKPOINT_MAGIC) :]
+    reader = ContainerReader(path, CHECKPOINT_MAGIC, CheckpointError)
+    meta_line, count_line = reader.line("meta line"), reader.line("entry count")
     try:
-        meta_line, rest = body.split(b"\n", 1)
-        meta = json.loads(meta_line.decode("utf-8"))
-        count_line, rest = rest.split(b"\n", 1)
+        meta = json.loads(meta_line)
         n_entries = int(count_line)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # deep JSON nesting exhausts the parser's stack
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -415,35 +402,25 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             "a_bar matrices, which do not convert to the diagonal decay a_log: retrain the model"
         )
     manifest = []
-    for _ in range(n_entries):
+    for i in range(n_entries):
+        line = reader.line(f"malformed manifest line {i + 1}")
         try:
-            line, rest = rest.split(b"\n", 1)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: truncated manifest") from exc
-        try:  # UnicodeDecodeError is a ValueError too
-            name, dtype_code, shape_txt = line.decode("ascii").split(" ")
+            name, dtype_code, shape_txt = line.split(" ")
             shape = tuple(int(s) for s in shape_txt.split(",")) if shape_txt else ()
         except ValueError as exc:
             raise CheckpointError(f"{path}: malformed manifest line {line[:80]!r}") from exc
         if dtype_code not in _DTYPE_CODES.values():
             raise CheckpointError(f"{path}: unknown dtype code {dtype_code!r} for {name}")
-        if any(s < 0 for s in shape):
-            raise CheckpointError(f"{path}: negative extent in shape {shape} of {name}")
+        if manifest and dtype_code != manifest[0][1]:
+            raise CheckpointError(f"{path}: {name} is {dtype_code} but {manifest[0][0]} is {manifest[0][1]}")
         manifest.append((name, dtype_code, shape))
     arrays: dict[str, np.ndarray] = {}
-    offset = 0
     for name, dtype_code, shape in manifest:
-        dt = np.dtype("<" + dtype_code)
-        nbytes = dt.itemsize * math.prod(shape)  # Python ints: a huge shape cannot wrap to a short payload
-        chunk = rest[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        arrays[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).astype(np.dtype(dtype_code), copy=True)
+        arrays[name] = reader.array(dtype_code, shape, name)
         if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
-        offset += nbytes
-    if offset != len(rest):
-        raise CheckpointError(f"{path}: {len(rest) - offset} trailing bytes after payloads")
+    reader.end()
+    del reader  # the file's bytes go before the parameters are built
 
     widths = {key: meta.get(key) for key in ("bands", "channels", "state_dim", "n_class")}
     for key, value in widths.items():

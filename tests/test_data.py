@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mambamoe.data import (
-    BadMagicError,
     ExtentError,
     HscError,
     HsiScene,
@@ -16,7 +15,6 @@ from mambamoe.data import (
     SceneHeader,
     SynthClass,
     SyntheticSpec,
-    TruncatedFileError,
     default_palette,
     default_synthetic_spec,
     generate_synthetic,
@@ -83,7 +81,7 @@ class TestHscRoundTrip:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hsc"
         path.write_bytes(b"XXXX\n1 1 1 1\n")
-        with pytest.raises(BadMagicError):
+        with pytest.raises(HscError, match="magic"):
             load_hsc(path)
 
     def test_truncation_by_one_byte(self, tmp_path):
@@ -92,7 +90,19 @@ class TestHscRoundTrip:
         path = tmp_path / "t.hsc"
         save_hsc(scene, path)
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(HscError, match="truncated"):
+            load_hsc(path)
+
+    @pytest.mark.parametrize("line, what", [(0, "header"), (2, "class name 2"), (5, "provenance")])
+    def test_truncated_in_a_text_line(self, tmp_path, line, what):
+        path = tmp_path / "t.hsc"
+        save_hsc(generate_synthetic(default_synthetic_spec()), path)
+        blob = path.read_bytes()
+        at = len(b"HSC1\n")
+        for _ in range(line):
+            at = blob.index(b"\n", at) + 1
+        path.write_bytes(blob[: at + 2])  # two bytes into the line, before its newline
+        with pytest.raises(HscError, match=f"truncated in {what}"):
             load_hsc(path)
 
     def test_extent_overflow(self, tmp_path):
