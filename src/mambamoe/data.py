@@ -362,8 +362,11 @@ def default_palette(n_class: int) -> dict[int, tuple[int, int, int]]:
 
 
 def load_palette(path) -> dict[int, tuple[int, int, int]]:
-    """Text palette: one `id r g b` line per class; `#` starts a comment."""
+    """Text palette: one `id r g b` line per class; `#` starts a comment.
+    A class id below 0, which no label holds, or a second line for one id
+    is a ``PaletteError`` naming the line."""
     palette: dict[int, tuple[int, int, int]] = {}
+    first_line: dict[int, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -382,6 +385,11 @@ def load_palette(path) -> dict[int, tuple[int, int, int]]:
             raise PaletteError(f"{path}:{lineno}: expected integers `id r g b`, got {line.rstrip()!r}") from exc
         if not all(0 <= v <= 255 for v in (r, g, b)):
             raise PaletteError(f"{path}:{lineno}: rgb components must be in [0, 255]")
+        if cid < 0:
+            raise PaletteError(f"{path}:{lineno}: class id {cid} is below 0")
+        if cid in first_line:
+            raise PaletteError(f"{path}:{lineno}: class id {cid} already has a color on line {first_line[cid]}")
+        first_line[cid] = lineno
         palette[cid] = (r, g, b)
     return palette
 

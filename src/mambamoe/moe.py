@@ -188,13 +188,25 @@ def expert_views(p: MoMebParams, f: Tensor) -> tuple[Tensor, Tensor]:
 
 def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on: bool = True) -> Tensor:
     """The block on the (C, h, w) map ``f`` with the top-k spatial experts;
-    a disabled expert branch passes its view through (ablation switch)."""
+    a disabled expert branch passes its view through (ablation switch).
+
+    Each map is dropped once its last reader has run, so that with no tape
+    nothing holds it: the two views once both branches have run, the
+    branch outputs after the concat, the concat after the fuse conv, ``f``
+    after the residual add (if the caller holds no reference to it), and
+    LN2's output after the first MLP conv.  A tape's closures keep what
+    its backward pass reads, whatever is dropped here.
+    """
     x_spa, x_spe = expert_views(p, f)
     spa_out = sre_forward(p.spatial, p.router, x_spa, k) if sre_on else x_spa
     spe_out = sse_forward(p.spectral_fwd, p.spectral_bwd, x_spe) if sse_on else x_spe
-    g = tt.add(f, tt.conv2d(tt.concat([spa_out, spe_out], axis=0), p.fuse_w, p.fuse_b))
-    g_norm = tt.layer_norm(g, p.ln2_gamma, p.ln2_beta)
-    m = tt.conv2d(g_norm, p.mlp_w1, p.mlp_b1)
-    m = tt.relu(m)
+    del x_spa, x_spe
+    mixed = tt.concat([spa_out, spe_out], axis=0)
+    del spa_out, spe_out
+    fused = tt.conv2d(mixed, p.fuse_w, p.fuse_b)
+    del mixed
+    g = tt.add(f, fused)
+    del f, fused
+    m = tt.relu(tt.conv2d(tt.layer_norm(g, p.ln2_gamma, p.ln2_beta), p.mlp_w1, p.mlp_b1))
     m = tt.conv2d(m, p.mlp_w2, p.mlp_b2)
     return tt.add(g, m)

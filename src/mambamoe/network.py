@@ -336,19 +336,27 @@ def forward_full(
     (a fresh generator from the same seed gives the same masks).  Inference
     runs k = ``topk`` (None names the dense reference, k = 4) and consumes no
     randomness.  The ablation switches come from ``params.spec``.
+
+    At inference no tape keeps a map, so each dies with its last reference:
+    the scene after the stem; each stem map inside its MoMEB block, which
+    it is popped into (``momeb_forward`` says where); each MoMEB map in the
+    ffb that it is popped into.  The decoder outputs l2 and l3 stay held to
+    the end, because the stage heads of training read them.
     """
     _, h, w = x.shape
     k = N_SPATIAL_EXPERTS if train or topk is None else topk
     spec = params.spec
-    feats = extract_features(params.stem, x)
+    maps = extract_features(params.stem, x)
     del x  # at inference nothing else holds the scene, so it is freed here
     if spec.momeb_on:
-        # each stage's map gives way to its MoMEB output
-        for i in range(N_STAGES):
-            feats[i] = momeb_forward(params.momeb[i], feats[i], k, sre_on=spec.sre_on, sse_on=spec.sse_on)
-    l3 = ffb(params.ffb[2], feats[2])
-    l2 = ffb(params.ffb[1], feats[1], l3)
-    l1 = ffb(params.ffb[0], feats[0], l2)
+        # popped, so that the list holds no stage map while its block runs
+        maps = [
+            momeb_forward(params.momeb[i], maps.pop(0), k, sre_on=spec.sre_on, sse_on=spec.sse_on)
+            for i in range(N_STAGES)
+        ]
+    l3 = ffb(params.ffb[2], maps.pop())
+    l2 = ffb(params.ffb[1], maps.pop(), l3)
+    l1 = ffb(params.ffb[0], maps.pop(), l2)
 
     final_logits = classify_head(params.head, l1, (h, w))
     stages: list[StageOutput] = []
@@ -396,7 +404,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     except (ValueError, RecursionError) as exc:  # deep JSON nesting exhausts the parser's stack
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # JSON's 2.0 equals 2 to Python
         raise CheckpointError(
             f"{path}: checkpoint version {version!r} is not {CHECKPOINT_VERSION}; version-1 files hold dense "
             "a_bar matrices, which do not convert to the diagonal decay a_log: retrain the model"

@@ -504,9 +504,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     stride w+2 (``_fill_window``); ``_shifted_block`` then sums the nine
     products, each over the window's contiguous span from di(w+2)+dj, into
     a cache-sized buffer that is cropped into the output.  No padded copy
-    of the whole map is made, and the closure keeps x.  The backward pass,
-    ``_conv3_backward``, fills one window of x and one of g per block, and
-    is also ``conv_relu_pool``'s.  dx is computed only for an input that
+    of the whole map is made.  The closure keeps x and the weight Tensor,
+    not the taps, which the backward pass rebuilds from the weight: no step
+    changes it before the tape's replay.  That pass, ``_conv3_backward``,
+    fills one window of x and one of g per block, and is also
+    ``conv_relu_pool``'s.  dx is computed only for an input that
     requires a gradient or is a node of the open tape; otherwise it is None.
     """
     c_out, c_in, k = _conv_shapes("conv2d", x, weight, bias)
@@ -525,14 +527,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
 
     else:
-        taps = _taps(weight.data)
         out = np.empty((c_out, h, w), dtype=x.dtype)
-        for r0, n, acc in _conv3_blocks(x.data, taps):
+        for r0, n, acc in _conv3_blocks(x.data, _taps(weight.data)):
             np.add(acc[:, :, :w], bias.data[:, None, None], out=out[:, r0 : r0 + n])
         del acc  # a view of the block buffer, before the finite check's temporary
 
         def bwd(g):
-            return _conv3_backward(x.data, taps, g, need_dx)
+            return _conv3_backward(x.data, _taps(weight.data), g, need_dx)
 
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=_conv_flops(c_out, c_in, k, h, w))
 
@@ -552,11 +553,13 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     sums of row pairs.  A block with an odd row count leaves its last row's
     pair sums in a staging row that pairs with the next block's first row.
 
-    The closure keeps x and the ReLU mask packed to one bit per pixel
-    (``np.packbits``).  The backward pass builds the conv's (C_out, h, w)
-    output gradient once, from g * 0.25 and the unpacked mask, and hands it
-    to conv2d's backward (``_conv3_backward``).  That map is the only
-    full-resolution array it adds; no measured training peak lies there.
+    The closure keeps x, the weight Tensor (whose taps the backward pass
+    rebuilds, as conv2d's does) and the ReLU mask packed to one bit per
+    pixel (``np.packbits``).  The backward pass builds the conv's
+    (C_out, h, w) output gradient once, from g * 0.25 and the unpacked
+    mask, and hands it to conv2d's backward (``_conv3_backward``).  That
+    map is the only full-resolution array it adds; no measured training
+    peak lies there.
     """
     c_out, c_in, k = _conv_shapes("conv_relu_pool", x, weight, bias)
     if k != 3:
@@ -569,14 +572,13 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     quarter = dtype.type(0.25)
     tape = active_tape()
     need_dx = tape is not None and _route(x, tape) is not None
-    taps = _taps(weight.data)
     out = np.empty((c_out, h2, w2), dtype=dtype)
     # the horizontal pair sums of a block's rows, after a staged row
     cols = np.empty((c_out, _block_rows(h, w) + 1, w2), dtype=dtype)
     staged = 0  # 1 when cols[:, 0] holds an unpaired row's pair sums
     # backward reads only the ReLU mask, made only when a tape may record the op
     mask = np.empty((c_out, h, (w + 7) // 8), dtype=np.uint8) if tape is not None else None
-    for r0, n, padded in _conv3_blocks(x.data, taps):
+    for r0, n, padded in _conv3_blocks(x.data, _taps(weight.data)):
         # bias and ReLU run over whole padded rows, which are contiguous;
         # the junk columns are cropped before they are checked or read
         acc = padded[:, :, :w]
@@ -604,7 +606,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for a in (0, 1):  # the even and the odd rows of each window
             np.multiply(wide, bits[:, a::2], out=g_conv[:, a : 2 * h2 : 2, : 2 * w2])
         del wide, bits  # before the block loop allocates its windows and buffers
-        return _conv3_backward(x.data, taps, g_conv, need_dx)
+        return _conv3_backward(x.data, _taps(weight.data), g_conv, need_dx)
 
     n_flops = _conv_flops(c_out, c_in, 3, h, w) + c_out * h * w + 4 * c_out * h2 * w2
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)

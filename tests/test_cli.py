@@ -278,6 +278,15 @@ class TestExitCodes:
         one_error_line(capsys, "data")
         assert not out.exists()
 
+    def test_palette_with_a_repeated_class_id_exit_2_no_partial_outputs(self, tmp_path, capsys):
+        palette = tmp_path / "run.pal"
+        palette.write_text("1 230 25 75\n2 60 180 75\n1 0 0 0\n")
+        cfg = write_cfg(tmp_path, palette=str(palette))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.pal:3: class id 1 already has a color on line 1" in one_error_line(capsys, "data")
+        assert not out.exists()
+
     def test_eval_without_checkpoint_key_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert main(["eval", "--config", str(cfg)]) == 1

@@ -1,7 +1,10 @@
 """The scene and checkpoint container and the palette under hostile bytes
-(truncation, byte flips, splices), their exact bytes, and their load memory."""
+(truncation, byte flips, splices) and under rewrites that know the layout
+(one dtype code, extent or meta value), their exact bytes, and their load
+memory."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from mambamoe.cli import main
 from mambamoe.data import (
+    HSC_MAGIC,
     HscError,
     HsiScene,
     PaletteError,
@@ -100,6 +104,146 @@ def test_mutant_loads_or_raises_its_domain_error(valid, fmt, data):
         load(path)
     except error:
         pass
+
+
+def split_layout(blob: bytes) -> tuple[bytes, list[bytes], bytes]:
+    """A ``.hsc`` or ``.mmoe`` file as its magic, its text lines and its
+    payload bytes."""
+    magic = HSC_MAGIC if blob.startswith(HSC_MAGIC) else CHECKPOINT_MAGIC
+    head = blob[len(magic) :]
+    first, second = head.split(b"\n", 2)[:2]
+    if magic == HSC_MAGIC:  # header, one line per class name, provenance
+        n_lines = 2 + int(first.split()[3])
+    else:  # meta, entry count, one manifest line per entry
+        n_lines = 2 + int(second)
+    *lines, payload = head.split(b"\n", n_lines)
+    return magic, lines, payload
+
+
+def rewrite_meta(line: bytes, key: str, raw: str) -> bytes:
+    """The checkpoint's meta line with the value of ``key`` replaced by the
+    JSON text ``raw``, in ``save_checkpoint``'s key order and separators."""
+    meta = json.loads(line)
+    items = (f"{json.dumps(k)}: {raw if k == key else json.dumps(meta[k])}" for k in sorted(meta))
+    return ("{" + ", ".join(items) + "}").encode()
+
+
+def rewrite(blob: bytes, kind: str, line: int, field: int | str, value: str) -> bytes:
+    """``blob`` with one value of its text lines replaced by ``value``: a
+    manifest entry's dtype ``code`` or one ``extent`` of its shape (``line``
+    counts the manifest lines from 0), an ``extent`` of the ``.hsc`` header,
+    a ``meta`` value of the checkpoint (``field`` is its key), or a ``.hsc``
+    text value (a class name or the provenance: ``line`` counts from the
+    first class name).  The payload bytes are unchanged."""
+    magic, lines, payload = split_layout(blob)
+    if magic == HSC_MAGIC:
+        if kind == "extent":
+            extents = lines[0].split(b" ")
+            extents[field] = value.encode()
+            lines[0] = b" ".join(extents)
+        else:
+            lines[1 + line] = value.encode("utf-8", "surrogateescape")
+    elif kind == "meta":
+        lines[0] = rewrite_meta(lines[0], field, value)
+    else:
+        name, code, shape = lines[2 + line].decode().split(" ")
+        if kind == "code":
+            code = value
+        else:
+            dims = shape.split(",")
+            dims[field] = value
+            shape = ",".join(dims)
+        lines[2 + line] = f"{name} {code} {shape}".encode()
+    return magic + b"\n".join(lines + [payload])
+
+
+EXTENTS = st.one_of(
+    st.integers(-2, 40),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**24, 2**24 + 1, 2**31, 2**32 + 3, 2**63, 2**64 + 1]),
+).map(str)
+CODES = st.one_of(
+    st.sampled_from(["f4", "f8", "f2", "f16", "i4", "u2", "b1", "c8", "O", "V8", "S4", "M8", "<f4", ">f8", "q9", ""]),
+    st.text(alphabet="fiucbOVSUMm<>|=?0123456789", max_size=4),
+)
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+META_VALUES = st.one_of(JSON_VALUES.map(json.dumps), st.integers(-4, 40).map(str))
+# past the parser's stack, past the int digit limit, beyond float64, and the right number in the wrong type
+SPECIAL_META = ["[" * 200_000 + "]" * 200_000, "9" * 5000, "1e400", "-1e400", "NaN", "2.0", "true", '"2"']
+# a class name or provenance of any bytes but a newline, UTF-8 or not
+TEXT_VALUES = st.binary(max_size=12).filter(lambda b: b"\n" not in b).map(lambda b: b.decode(errors="surrogateescape"))
+
+
+@st.composite
+def layout_mutant(draw, blob: bytes) -> bytes:
+    """``blob`` with exactly one dtype code, extent or meta value rewritten."""
+    magic, lines, _ = split_layout(blob)
+    if magic == HSC_MAGIC:
+        kind = draw(st.sampled_from(["extent", "meta"]))
+        if kind == "extent":
+            return rewrite(blob, kind, 0, draw(st.integers(0, 3)), draw(EXTENTS))
+        return rewrite(blob, kind, draw(st.integers(0, len(lines) - 2)), 0, draw(TEXT_VALUES))
+    kind = draw(st.sampled_from(["code", "extent", "meta"]))
+    if kind == "meta":
+        key = draw(st.sampled_from(sorted(json.loads(lines[0]))))
+        return rewrite(blob, kind, 0, key, draw(META_VALUES))
+    entry = draw(st.integers(0, len(lines) - 3))
+    if kind == "code":
+        return rewrite(blob, kind, entry, 0, draw(CODES))
+    rank = len(lines[2 + entry].split(b" ")[2].split(b","))
+    return rewrite(blob, kind, entry, draw(st.integers(0, rank - 1)), draw(EXTENTS))
+
+
+@pytest.mark.parametrize("fmt", ["hsc", "mmoe"])
+def test_rewriting_a_value_to_itself_keeps_every_byte(valid, fmt):
+    for blob in valid[1][fmt]:
+        magic, lines, _ = split_layout(blob)
+        if magic == HSC_MAGIC:
+            assert rewrite(blob, "extent", 0, 2, lines[0].split(b" ")[2].decode()) == blob
+            assert rewrite(blob, "meta", 0, 0, lines[1].decode()) == blob
+        else:
+            name, code, shape = lines[3].decode().split(" ")
+            assert rewrite(blob, "code", 1, 0, code) == blob
+            assert rewrite(blob, "extent", 1, 0, shape.split(",")[0]) == blob
+            assert rewrite(blob, "meta", 0, "bands", json.dumps(json.loads(lines[0])["bands"])) == blob
+
+
+def loads_or_raises_its_domain_error(tmp, fmt, blob):
+    """A mutant that loads must hold what its format's writer would write:
+    saved back, it gives the mutant's bytes."""
+    load, error = LOADERS[fmt]
+    path = tmp / f"layout-mutant.{fmt}"
+    path.write_bytes(blob)
+    try:
+        loaded = load(path)
+    except error:
+        return
+    if fmt == "hsc":
+        save_hsc(loaded, path)
+    else:
+        save_checkpoint(path, loaded[0])
+    assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("fmt", ["hsc", "mmoe"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_layout_mutant_loads_or_raises_its_domain_error(valid, fmt, data):
+    tmp, files = valid
+    loads_or_raises_its_domain_error(tmp, fmt, data.draw(layout_mutant(data.draw(st.sampled_from(files[fmt])))))
+
+
+@pytest.mark.parametrize("raw", SPECIAL_META, ids=["deep", "digits", "1e400", "-1e400", "nan", "2.0", "true", "string"])
+def test_every_meta_value_rewritten_to_a_special_loads_or_raises_checkpoint_error(valid, raw):
+    tmp, files = valid
+    for blob in files["mmoe"]:
+        for key in json.loads(split_layout(blob)[1][0]):
+            loads_or_raises_its_domain_error(tmp, "mmoe", rewrite(blob, "meta", 0, key, raw))
 
 
 def write_cfg(tmp_path, **keys):

@@ -338,6 +338,18 @@ class TestRenderMap:
         with pytest.raises(PaletteError):
             load_palette(path)
 
+    def test_palette_rejects_a_repeated_class_id(self, tmp_path):
+        path = tmp_path / "pal.txt"
+        path.write_text("1 0 0 0\n2 0 255 0\n# the same class again\n1 255 255 255\n")
+        with pytest.raises(PaletteError, match=r"pal\.txt:4: class id 1 already has a color on line 1"):
+            load_palette(path)
+
+    def test_palette_rejects_a_class_id_below_0(self, tmp_path):
+        path = tmp_path / "pal.txt"
+        path.write_text("0 0 0 0\n-7 1 2 3\n")
+        with pytest.raises(PaletteError, match=r"pal\.txt:2: class id -7 is below 0"):
+            load_palette(path)
+
     @pytest.mark.parametrize("body", [b"1 \xff 0 0\n", b"1 a 2 3\n"], ids=["non-utf8", "non-integer"])
     def test_palette_rejects_non_utf8_and_non_integers(self, tmp_path, body):
         path = tmp_path / "pal.txt"

@@ -731,12 +731,16 @@ class TestTapeMemory:
             residual_block(res, x)
             ops = tape.ops
             assert [op.name for op in ops] == ["relu", "conv2d", "relu", "conv2d", "add"]
-            for relu_op, conv_op in ((ops[0], ops[1]), (ops[2], ops[3])):
+            for relu_op, conv_op, weight in ((ops[0], ops[1], res.conv1_w), (ops[2], ops[3], res.conv2_w)):
                 held = _held_arrays(relu_op.backward)
                 conv_held = [cell.cell_contents for cell in conv_op.backward.__closure__]
-                conv_maps = [v.data for v in conv_held if isinstance(v, Tensor)]
+                # the conv's input is the Tensor that the relu op made
+                conv_inputs = [v for v in conv_held if isinstance(v, Tensor) and v._node == relu_op.out]
                 assert len(held) == 1 and held[0].dtype != bool
-                assert len(conv_maps) == 1 and held[0] is conv_maps[0]
+                assert len(conv_inputs) == 1 and held[0] is conv_inputs[0].data
+                # besides its input, the conv keeps its weight, not a copy of the taps
+                assert [v for v in conv_held if isinstance(v, Tensor) and v is not conv_inputs[0]] == [weight]
+                assert not _held_arrays(conv_op.backward)
 
     def test_relu_without_a_tape_makes_no_mask(self):
         x = Tensor(rand(np.random.default_rng(24), 64, 64, dtype=np.float32))
