@@ -304,14 +304,6 @@ def default_synthetic_spec(seed: int = 11) -> SyntheticSpec:
     )
 
 
-def nearest_signature_predict(spec: SyntheticSpec, cube: np.ndarray) -> np.ndarray:
-    """Independent per-pixel classifier: argmin distance to class signatures."""
-    sigs = np.stack([cls.signature for cls in spec.classes])  # (K, B)
-    flat = cube.reshape(cube.shape[0], -1).T  # (N, B)
-    d2 = ((flat[:, None, :] - sigs[None, :, :]) ** 2).sum(axis=2)
-    return (d2.argmin(axis=1) + 1).astype(np.uint16).reshape(cube.shape[1:])
-
-
 # --- normalization ------------------------------------------------------------
 
 

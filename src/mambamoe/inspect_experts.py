@@ -4,9 +4,9 @@ Two views are reported per scene:
 
 * per-stage router weights: the gate's softmax over the four directions for
   that stage's feature map (one weight vector per map);
-* per-class expert response shares at the finest stage: each expert's
-  output magnitude at a pixel, normalized across experts, averaged over the
-  pixels of one class.  A scan direction aligned with a class's spatial
+* per-class expert response shares at the finest stage: each expert's own
+  scan magnitude at a pixel (no skip term), normalized across experts,
+  averaged over the pixels of one class.  A scan direction aligned with a class's spatial
   structure accumulates more state along its runs, so its response share
   rises on that class; this is what makes stripe orientation visible.
 """
@@ -79,7 +79,8 @@ def downsample_labels(labels: np.ndarray, factor: int = 2) -> np.ndarray:
 def expert_shares(block: MoMebParams, x_spa: Tensor) -> np.ndarray:
     """Per-pixel normalized response magnitudes of ``block``'s spatial
     experts on its spatial view ``x_spa``: (4, h, w).  Each expert runs
-    with a unit gate, so its map is the ungated response."""
+    with a unit gate, so its map is its own response C h, without the skip
+    term that the block adds once for all experts."""
     unit = Tensor(np.ones(1, dtype=x_spa.dtype))
     mags = []
     for expert, direction in zip(block.spatial, SPATIAL_DIRECTIONS):

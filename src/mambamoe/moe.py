@@ -6,12 +6,12 @@ residual.  One ``route`` op gives the four spatial experts (one per scan
 direction) their softmax weights, and only the top-k experts run.  One
 ``gates`` op turns the selected weights into the experts' gates,
 renormalizing them when k < 4; each expert scales its own map by its
-gate, and one ``mix`` op sums the gated maps.  k = 4 is the dense mixture
-that training runs.  Two spectral experts are always on.
+gate, and one ``mix`` op sums the gated maps and then the skip term
+x_spa, once for all experts: the gates sum to one.  k = 4 is the dense
+mixture that training runs.  Two spectral experts are always on.
 
-No op keeps an expert's output map: the gate's gradient sum(g * y) needs
-the ungated map y, which the expert's backward pass rebuilds from the
-states it keeps anyway.
+No op keeps an expert's output map: an expert reads its gate's gradient
+from the states it keeps anyway.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def gates(weights: Tensor, selected: list[int]) -> Tensor:
 
 
 def mix(outputs: list[Tensor]) -> Tensor:
-    """The sum of the gated expert maps, in list order, as one tape op:
-    y_0, then + y_j.  The backward pass gives every map the output's
-    gradient; the closure keeps nothing."""
+    """The sum of the maps, in list order, as one tape op: y_0, then + y_j.
+    The backward pass gives every map the output's gradient; the closure
+    keeps nothing."""
     ys = [y.data for y in outputs]
     if any(y.shape != ys[0].shape or y.dtype != ys[0].dtype for y in ys):
         raise ShapeError(f"mix: expert maps {[y.shape for y in ys]} must share one shape and dtype")
@@ -163,7 +163,8 @@ def mix(outputs: list[Tensor]) -> Tensor:
 
 
 def sre_forward(experts: tuple[SsmParams, ...], router: RouterParams, x_spa: Tensor, k: int) -> Tensor:
-    """The router's top-k directional scan experts, gated and summed.
+    """The router's top-k directional scan experts, gated and summed, plus
+    ``x_spa`` once: the D skip of a Mamba block, with D = 1.
 
     Only the k selected experts run, all before the sum.  Below k = 4
     ``gates`` renormalizes their weights to sum to one; at k = 4 the gates
@@ -173,7 +174,7 @@ def sre_forward(experts: tuple[SsmParams, ...], router: RouterParams, x_spa: Ten
     selected = topk_select(weights.data, k)
     g = gates(weights, selected)
     outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j], g, i) for i, j in enumerate(selected)]
-    return mix(outputs)
+    return mix(outputs + [x_spa])
 
 
 def sse_forward(fwd: SsmParams, bwd: SsmParams, x_spe: Tensor) -> Tensor:

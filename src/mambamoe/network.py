@@ -256,11 +256,14 @@ def residual_block(p: ResBlockParams, x: Tensor) -> Tensor:
 
 
 def ffb(p: ResBlockParams, m_i: Tensor, l_next: Tensor | None = None) -> Tensor:
-    """Deepest stage: Res(M_3).  Other stages: M_i + Res(Up(L_{i+1}))."""
+    """Deepest stage: Res(M_3).  Other stages: M_i + Res(Up(L_{i+1})).
+    ``l_next`` is dropped once upsampled: if the caller holds no other
+    reference, it dies before the residual block runs."""
     if l_next is None:
         return residual_block(p, m_i)
     _, h, w = m_i.shape
     up = tt.bilinear_upsample(l_next, (h, w))
+    del l_next
     return tt.add(m_i, residual_block(p, up))
 
 
@@ -340,8 +343,9 @@ def forward_full(
     At inference no tape keeps a map, so each dies with its last reference:
     the scene after the stem; each stem map inside its MoMEB block, which
     it is popped into (``momeb_forward`` says where); each MoMEB map in the
-    ffb that it is popped into.  The decoder outputs l2 and l3 stay held to
-    the end, because the stage heads of training read them.
+    ffb that it is popped into; and the decoder outputs l3 and l2 in the
+    next ffb, once upsampled.  Only when the stage heads will read l2 and
+    l3 after the decoder does ``decoded`` keep them.
     """
     _, h, w = x.shape
     k = N_SPATIAL_EXPERTS if train or topk is None else topk
@@ -354,14 +358,15 @@ def forward_full(
             momeb_forward(params.momeb[i], maps.pop(0), k, sre_on=spec.sre_on, sse_on=spec.sse_on)
             for i in range(N_STAGES)
         ]
-    l3 = ffb(params.ffb[2], maps.pop())
-    l2 = ffb(params.ffb[1], maps.pop(), l3)
-    l1 = ffb(params.ffb[0], maps.pop(), l2)
+    supervised = train and uarb_on
+    decoded = [ffb(params.ffb[2], maps.pop())]  # l3, then l2 while the stage heads need them
+    for i in (1, 0):
+        decoded.append(ffb(params.ffb[i], maps.pop(), decoded[-1] if supervised else decoded.pop()))
 
-    final_logits = classify_head(params.head, l1, (h, w))
+    final_logits = classify_head(params.head, decoded.pop(), (h, w))
     stages: list[StageOutput] = []
-    if train and uarb_on:
-        heads = [final_logits] + [classify_head(params.head, l_i, (h, w)) for l_i in (l2, l3)]
+    if supervised:
+        heads = [final_logits] + [classify_head(params.head, l_i, (h, w)) for l_i in decoded[::-1]]
         stages = [uarb(logits, mask_rng) for logits in heads]
     return ForwardResult(final_logits=final_logits, stages=stages)
 

@@ -3,9 +3,9 @@
 Conventions: a multiply-accumulate is 2 FLOPs; elementwise ops, softmax
 terms and pooling cost 1 FLOP per scalar operation; pure bookkeeping
 (splits, concats, scan reorderings) is free.  One directional scan over T
-tokens of width E with D states costs T * (2D + 4DE + E): the elementwise
-decay and state update, the input and output projections, and the skip
-add; a spatial expert then scales its T E outputs by its router gate.
+tokens of width E with D states costs T * (2D + 4DE): the elementwise
+decay and state update and the two projections.  A spatial expert scales
+its T E outputs by its gate; its block, and each spectral scan, add a skip.
 An expert holds D + 2DE parameters (the decay vector a_log and the two
 projections).  The head is a 1x1 conv at stage 1, then the upsample
 of its K logits; no softmax is taken.  FLOPs are counted for the inference
@@ -60,7 +60,7 @@ def _conv_flops(c_out: int, c_in: int, k: int, h: int, w: int) -> int:
 
 
 def _scan_flops(t: int, d: int, e: int) -> int:
-    return t * (2 * d + 4 * d * e + e)
+    return t * (2 * d + 4 * d * e)
 
 
 def _router_flops(e: int, h: int, w: int) -> int:
@@ -93,9 +93,9 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     momeb_other = 0
     for h, w in sizes:
         spatial_experts += N_EXPERTS * (_scan_flops(h * w, d, half) + half * h * w)  # scan + gate scale
-        spectral = 2 * (h * w) * _scan_flops(half, d, 1) + half * h * w  # both directions + additive fuse
+        spectral = 2 * (h * w) * (_scan_flops(half, d, 1) + half) + half * h * w  # both with skips + fuse
         router = _router_flops(half, h, w)
-        combine = (N_EXPERTS - 1) * half * h * w  # mix adds the gated maps
+        combine = N_EXPERTS * half * h * w  # mix adds the gated maps and the skip term
         mlp = _conv_flops(2 * c, c, 1, h, w) + 2 * c * h * w + _conv_flops(c, 2 * c, 1, h, w)
         momeb_other += (
             2 * ln(h, w) + spectral + router + combine + _conv_flops(c, c, 1, h, w) + mlp + 2 * c * h * w

@@ -3,23 +3,26 @@
 A spatial expert reads its (E, h, w) feature map as h*w tokens in one of
 four frozen visit orders, pushes them through the recurrence
 
-    h_t = lam ⊙ h_{t-1} + B_bar f_t,    y_t = C_out h_t + f_t,    h_0 = 0,
+    h_t = lam ⊙ h_{t-1} + B_bar f_t,    y_t = C_out h_t,    h_0 = 0,
 
 and puts the outputs back on the grid, all in one tape op
-(``spatial_expert_forward``).  The four orders are two strided layouts of
-the map, each read forwards or backwards: row-major is a reshape, and
+(``spatial_expert_forward``).  A spatial expert adds no skip term: every
+expert of a block reads the same map, so the block adds it once
+(``moe.sre_forward``).  The four orders are two strided layouts of the
+map, each read forwards or backwards: row-major is a reshape, and
 column-major with the columns taken right to left is a column flip plus a
 transpose.  The state transition is diagonal, as in S4D and Mamba: state
 d decays by lam_d = exp(-exp(a_log_d)), which lies in [0, 1] for every
 a_log, so a scan of bounded inputs stays bounded however long it runs.  A
-scan over T tokens of width E with D states costs T (2D + 4DE + E) FLOPs.
+scan over T tokens of width E with D states costs T (2D + 4DE) FLOPs.
 
 Spectral experts apply the same map along the band axis with scalar
-tokens (E = 1), sharing one parameter set across the scene.  With scalar
-tokens the recurrence is a causal convolution with kernel
-k_j = sum_d c_d b_d lam_d^j, one Vandermonde product, so the two spectral
-directions together are one (T, T) Toeplitz matrix applied to all pixels
-in one product; they never run the recurrence step by step.
+tokens (E = 1), sharing one parameter set across the scene; each
+direction adds its own skip term f_t.  With scalar tokens the recurrence
+is a causal convolution with kernel k_j = sum_d c_d b_d lam_d^j, one
+Vandermonde product, so the two spectral directions together are one
+(T, T) Toeplitz matrix applied to all pixels in one product; they never
+run the recurrence step by step.
 
 One in-place kernel, ``_linear_scan``, carries every pass of a spatial
 expert through time: the states in the forward pass and the adjoint (the
@@ -32,8 +35,8 @@ of one row or one column takes about T, and only scenes under 16 pixels
 on a side pool to such a map.  Everything outside the recurrence is one
 product over all steps.  Each expert also scales its outputs by its
 router gate.  For its backward pass a spatial expert keeps its input map,
-which the tape keeps anyway, and the (h*w, D) states; the tokens and the
-ungated outputs are computed from them again.
+which the tape keeps anyway, and the (h*w, D) states; the tokens are
+copied from the map again.
 """
 
 from __future__ import annotations
@@ -179,18 +182,18 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     forward pass scans B_bar f into the states, and the backward pass scans
     the reversed C_out^T g into the adjoint dh with the same decay, where g
     is the output gradient times the gate.  Every other term (B_bar f,
-    C_out h + f, and the gradients of a_log, B_bar, C_out and the map) is
+    C_out h, and the gradients of a_log, B_bar, C_out and the map) is
     one product over all steps.  This is the same maths as the step-by-step
     loop; the chunked order of the sums rounds differently, by about 1e-6
     relative in float32.  The gate multiplies the (h*w, E) outputs in
     place, before they go on the grid.
 
-    The op keeps the input map and the states, not the (h*w, E) tokens f
-    nor the ungated outputs y: the map is a view of the layer norm's
-    output, which the spectral expert keeps as well.  The backward pass
-    copies f from it again for the gradient of B_bar, and rebuilds y on the
-    grid as C_out h + f for the gate's gradient sum(g * y); both have the
-    forward's bits.  Only ``gates[i]`` gets a gradient from this op.
+    The op keeps the input map and the states, not the (h*w, E) tokens f:
+    the map is a view of the layer norm's output, which the spectral expert
+    keeps as well.  The backward pass copies f from it again, with the
+    forward's bits, for the gradient of B_bar, and reads the gate's
+    gradient sum(G * C_out h) as the dot product of G C_out with the
+    states.  Only ``gates[i]`` gets a gradient from this op.
     """
     if x.ndim != 3:
         raise ShapeError(f"spatial_expert_forward: map must be (E,h,w), got {x.shape}")
@@ -207,33 +210,24 @@ def spatial_expert_forward(params: SsmParams, x: Tensor, direction: ScanDirectio
     gate = gates.data[i]
 
     x_map = x.data
-    f = _tokens(x_map, direction)
-    states = f @ b.data.T
+    states = _tokens(x_map, direction) @ b.data.T
     _linear_scan(lam, states.reshape(h, w, d))
     out = states @ c.data.T
-    out += f
     out *= gate
 
     def bwd(g_grid):
         g = _tokens(g_grid, direction)
+        d_gates = np.zeros_like(gates.data)
+        d_gates[i] = np.vdot(g @ c.data, states)  # sum(G * C_out h), before gating
         g *= gate
         dh = g @ c.data
         _linear_scan(lam, dh[::-1].reshape(h, w, d))
-        df = dh @ b.data
-        df += g
         d_lam = (dh[1:] * states[:-1]).sum(axis=0)
-        f = _tokens(x_map, direction)
-        d_b = dh.T @ f
-        y = states @ c.data.T
-        y += f
-        gy = _grid(y, direction, h, w)
-        gy *= g_grid
-        d_gates = np.zeros_like(gates.data)
-        d_gates[i] = gy.sum()
-        return d_lam * _decay_slope(a_log.data), d_b, g.T @ states, _grid(df, direction, h, w), d_gates
+        d_b = dh.T @ _tokens(x_map, direction)
+        return d_lam * _decay_slope(a_log.data), d_b, g.T @ states, _grid(dh @ b.data, direction, h, w), d_gates
 
     # the scan, then one multiply per output for the gate
-    n_flops = h * w * (2 * d + 4 * d * e + e) + e * h * w
+    n_flops = h * w * (2 * d + 4 * d * e) + e * h * w
     return custom_op("spatial_expert_forward", (a_log, b, c, x, gates), _grid(out, direction, h, w), bwd, flops=n_flops)
 
 

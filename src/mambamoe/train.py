@@ -263,6 +263,23 @@ def topk_sweep(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray) ->
     return [(k, evaluate(params, scene, test_mask, topk=k)) for k in (1, 2, 3, 4)]
 
 
+def nearest_centroid_predict(scene: HsiScene, train_mask: np.ndarray) -> np.ndarray:
+    """Spectral baseline: each pixel takes the class whose mean training
+    spectrum is nearest in Euclidean distance.  It reads no spatial layout
+    and runs on any scene; a class with no training pixel is never
+    predicted."""
+    labels = scene.labels[train_mask]
+    classes = np.unique(labels[labels > 0])
+    if classes.size == 0:
+        raise ValueError("nearest_centroid_predict: no labeled training pixel")
+    pixels = scene.cube.reshape(scene.header.bands, -1).T.astype(np.float64)  # (N, B)
+    train_pixels = pixels[train_mask.ravel()]
+    centroids = np.stack([train_pixels[labels == c].mean(axis=0) for c in classes])  # (K, B)
+    # |x - c|^2 less the |x|^2 that every class shares
+    d2 = (centroids * centroids).sum(axis=1) - 2.0 * pixels @ centroids.T
+    return classes[d2.argmin(axis=1)].astype(np.uint16).reshape(scene.labels.shape)
+
+
 # --- repeated runs ----------------------------------------------------------------
 
 

@@ -20,7 +20,6 @@ from mambamoe.data import (
     generate_synthetic,
     load_hsc,
     load_palette,
-    nearest_signature_predict,
     normalize_scene,
     render_map,
     save_hsc,
@@ -182,15 +181,6 @@ class TestSynthetic:
         # generator realizes the partition exactly, well within the +/-10% bound
         np.testing.assert_array_equal(counts, implied_counts)
         assert np.all(np.abs(counts - implied_counts) <= 0.1 * implied_counts)
-
-    def test_nearest_signature_oracle_reaches_100_percent(self):
-        # sigma 0.1 with signatures >= 1.0 apart: the scene must be learnable
-        # before any network training enters the picture
-        base = default_synthetic_spec()
-        spec = SyntheticSpec(base.height, base.width, base.bands, base.classes, 0.1, base.seed)
-        scene = generate_synthetic(spec)
-        pred = nearest_signature_predict(spec, scene.cube)
-        assert (pred == scene.labels).mean() == 1.0
 
     def test_signature_separation_enforced(self):
         bands = 4

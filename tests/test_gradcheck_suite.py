@@ -15,3 +15,11 @@ def test_removing_an_entry_redraws_no_other(monkeypatch):
     before = run_entry("router")
     monkeypatch.delitem(ENTRIES, "conv2d")  # an entry listed before it
     assert run_entry("router") == before
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+@pytest.mark.parametrize("name", ["ssm_scan", "mix_top2"])
+def test_gated_expert_entries_pass_at_more_seeds(name, seed):
+    # the entries that read an expert's gate gradient, on seven more draws
+    rep = run_entry(name, seed)
+    assert rep.passed, rep.per_param

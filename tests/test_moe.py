@@ -12,7 +12,7 @@ from mambamoe import moe
 from mambamoe import tensor as tt
 from mambamoe.moe import momeb_forward, route, sre_forward, sse_forward, topk_select
 from mambamoe.network import NetSpec, init_network_params
-from mambamoe.scan import SPATIAL_DIRECTIONS, spatial_expert_forward
+from mambamoe.scan import SPATIAL_DIRECTIONS, _linear_scan, _tokens, spatial_expert_forward
 from mambamoe.tensor import Tensor
 
 F64 = np.float64
@@ -30,8 +30,18 @@ def make_block(channels=4, state=3, seed=0, dtype=F64):
 
 
 def ungated(expert, x, direction):
-    """One spatial expert's map at a unit gate."""
+    """One spatial expert's map at a unit gate: its scan C h, with no skip term."""
     return spatial_expert_forward(expert, x, direction, Tensor(np.ones(1, dtype=x.dtype)), 0)
+
+
+def response_grad(expert, x, direction):
+    """The map G -> sum(G * C h) for the expert's ungated map C h, computed as
+    the expert's backward rule computes it: the token gradient times C,
+    dotted with the (T, D) states."""
+    _, h, w = x.shape
+    states = _tokens(x.data, direction) @ expert.b_bar.data.T
+    _linear_scan(expert.decay, states.reshape(h, w, -1))
+    return lambda g: np.vdot(_tokens(g, direction) @ expert.c_out.data, states)
 
 
 def make_router(channels_half, rng):
@@ -122,10 +132,11 @@ class TestTopkSelect:
         assert sel == oracle
 
 
-def former_mix(weights, outputs, selected):
-    """The ungated expert maps combined as one op, in ``selected`` order:
-    the weights renormalized below k = 4, y_0 w_0 then + y_j w_j, and the
-    router gradient sum(g y_j) read from the maps the closure keeps."""
+def former_mix(weights, outputs, selected, x_spa, response_grads):
+    """The ungated expert maps C h and the skip term combined as one op, in
+    ``selected`` order: the weights renormalized below k = 4, y_0 w_0 then
+    + y_j w_j, then + x_spa; the router gradient of map j is
+    ``response_grads[j](g)``."""
     ys = [y.data for y in outputs]
     p = weights.data
     w = p[selected]
@@ -136,20 +147,23 @@ def former_mix(weights, outputs, selected):
     acc = ys[0] * w[0]
     for y, w_j in zip(ys[1:], w[1:]):
         acc = acc + y * w_j
+    acc = acc + x_spa.data
 
     def bwd(g):
-        dw = np.array([(g * y).sum() for y in ys])
+        dw = np.array([grad(g) for grad in response_grads])
         dp = np.zeros_like(p)
         dp[selected] = dw if dense else (dw - sum(w * dw)) / total
-        return (dp, *(g * w_j for w_j in w))
+        return (dp, *(g * w_j for w_j in w), g)
 
-    return tt.custom_op("former_mix", (weights, *outputs), acc, bwd)
+    return tt.custom_op("former_mix", (weights, *outputs, x_spa), acc, bwd)
 
 
 def former_sre(experts, router, x_spa, k):
     weights = route(router, x_spa)
     selected = topk_select(weights.data, k)
-    return former_mix(weights, [ungated(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected], selected)
+    maps = [ungated(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
+    grads = [response_grad(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
+    return former_mix(weights, maps, selected, x_spa, grads)
 
 
 class TestSreForward:
@@ -168,7 +182,7 @@ class TestSreForward:
         router = make_router(2, rng)
         x = Tensor(rng.normal(size=(2, 3, 3)))
 
-        single = ungated(one, x, SPATIAL_DIRECTIONS[0]).data
+        single = ungated(one, x, SPATIAL_DIRECTIONS[0]).data + x.data
         for k in (1, 2, 3, 4):
             out = sre_forward(experts, router, x, k)
             np.testing.assert_allclose(out.data, single, atol=1e-6)
@@ -178,7 +192,7 @@ class TestSreForward:
         w = route(router, x).data
         best = int(np.argmax(w))
 
-        alone = ungated(experts[best], x, SPATIAL_DIRECTIONS[best]).data
+        alone = ungated(experts[best], x, SPATIAL_DIRECTIONS[best]).data + x.data
         out = sre_forward(experts, router, x, 1).data
         assert out.tobytes() == alone.tobytes()
 
@@ -189,7 +203,7 @@ class TestSreForward:
 
         outs = {j: ungated(experts[j], x, SPATIAL_DIRECTIONS[j]).data for j in sel}
         total = sum(w[j] for j in sel)
-        ref = sum((w[j] / total) * outs[j] for j in sel)
+        ref = sum((w[j] / total) * outs[j] for j in sel) + x.data
         np.testing.assert_allclose(sre_forward(experts, router, x, 2).data, ref, atol=1e-7)
 
     def test_eval_counter_counts_k_per_call(self, monkeypatch):
@@ -216,19 +230,20 @@ class TestSreForward:
             assert [op.name for op in tape.ops] == ["route", "gates"] + ["spatial_expert_forward"] * k + ["mix"]
 
     def test_runtime_flops_are_router_scans_and_mix(self):
-        # each of the k experts scales its map by its gate and mix adds k - 1
-        # maps: 2k - 1 operations per map element beyond the router and scans
+        # each of the k experts scales its map by its gate and mix adds the
+        # k - 1 other maps and the skip term: 2k operations per map element
+        # beyond the router and scans
         experts, router, x = self.make(seed=10)
         e, h, w = x.shape
         d = experts[0].state_dim
-        scan_flops = h * w * (2 * d + 4 * d * e + e)
+        scan_flops = h * w * (2 * d + 4 * d * e)
         with tt.FLOPS:
             route(router, x)
             router_flops = tt.FLOPS.total
         for k in (1, 2, 3, 4):
             with tt.FLOPS:
                 sre_forward(experts, router, x, k)
-                assert tt.FLOPS.total == router_flops + k * scan_flops + (2 * k - 1) * e * h * w
+                assert tt.FLOPS.total == router_flops + k * scan_flops + 2 * k * e * h * w
 
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -254,6 +269,27 @@ class TestSreForward:
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_zero_output_projections_pass_the_view_through_and_train_no_router(self, dtype):
+        # every expert's scan is 0, so the block is its skip term alone, bit
+        # for bit, whatever the gates; and no gate gradient reaches the router
+        rng = np.random.default_rng(40)
+        block = make_block(channels=6, state=3, seed=rng, dtype=dtype)
+        for expert in block.spatial:
+            expert.c_out.data[...] = 0.0
+        router = block.router
+        x = tt.parameter(rng.normal(size=(3, 5, 6)).astype(dtype))
+        probe = Tensor(rng.normal(size=x.shape).astype(dtype))
+        for k in (1, 2, 3, 4):
+            for t in (router.w1, router.b1, router.w2, router.b2):
+                t.zero_grad()
+            with tt.Tape() as tape:
+                out = sre_forward(block.spatial, router, x, k)
+                tape.backward(tt.sum_all(tt.mul(out, probe)))
+            assert np.array_equal(out.data, x.data)
+            for t in (router.w1, router.b1, router.w2, router.b2):
+                assert not t.grad.any()
+
     def test_unselected_experts_not_evaluated(self):
         experts, router, x = self.make(seed=8)
         w = route(router, x).data
@@ -262,7 +298,7 @@ class TestSreForward:
         sre_forward(experts, router, x, 3)
 
 
-class TestDssem:
+class TestMomebCore:
     """The split/expert/concat/fuse core of ``momeb_forward``, seen through
     a block whose MLP branch adds exactly zero."""
 
@@ -274,7 +310,8 @@ class TestDssem:
 
     def test_split_halves_and_concat_order(self):
         block = self.core_block(seed=10, channels=8)
-        # zero SSMs and identity fuse: spatial half passes through, spectral half doubles
+        # zero SSMs and identity fuse: the spatial half is the block's skip
+        # term alone, and the spectral half doubles (each direction's skip)
         for expert in block.spatial:
             for t in (expert.a_log, expert.b_bar, expert.c_out):
                 t.data[...] = 0.0
@@ -304,9 +341,7 @@ class TestDssem:
         x_norm = tt.layer_norm(f, block.ln1_gamma, block.ln1_beta).data
         x_spa, x_spe = Tensor(x_norm[:2].copy()), Tensor(x_norm[2:].copy())
         w = route(block.router, x_spa).data
-        spa = sum(
-            w[j] * ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in range(4)
-        )
+        spa = sum(w[j] * ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in range(4)) + x_spa.data
         spe = sse_forward(block.spectral_fwd, block.spectral_bwd, x_spe).data
         stacked = Tensor(np.concatenate([spa, spe], axis=0))
         ref = f.data + tt.conv2d(stacked, block.fuse_w, block.fuse_b).data
@@ -344,8 +379,8 @@ class TestMomebForward:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_no_op_keeps_an_expert_map(self, k, monkeypatch):
-        # the router gradient reads each map, which the expert's backward
-        # pass rebuilds: once the block has returned, no map is alive
+        # the router gradient reads each expert's states, not its map: once
+        # the block has returned, no map is alive
         block = make_block(channels=4, state=3, seed=20)
         x = tt.parameter(np.random.default_rng(21).normal(size=(4, 5, 5)))
         maps = []
@@ -376,7 +411,7 @@ class TestMomebForward:
         w = route(block.router, x_spa).data
         sel = topk_select(w, 2)
         outs = {j: ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in sel}
-        spa = sum(w[j] / (w[sel[0]] + w[sel[1]]) * outs[j] for j in sel)
+        spa = sum(w[j] / (w[sel[0]] + w[sel[1]]) * outs[j] for j in sel) + x_spa.data
         spe = sse_forward(block.spectral_fwd, block.spectral_bwd, x_spe).data
         f_hat = tt.conv2d(Tensor(np.concatenate([spa, spe], axis=0)), block.fuse_w, block.fuse_b)
         g = tt.add(x, f_hat)

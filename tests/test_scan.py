@@ -79,13 +79,14 @@ def oracle_grads(p, f, g):
 
 
 def unrolled_reference(a, b, c, seq):
-    """Independent step-by-step recurrence (plain numpy loops)."""
+    """Independent step-by-step recurrence (plain numpy loops), y_t = C h_t:
+    no skip term."""
     d = a.shape[0]
     h = np.zeros(d)
     out = np.zeros_like(seq)
     for t in range(seq.shape[0]):
         h = a @ h + b @ seq[t]
-        out[t] = c @ h + seq[t]
+        out[t] = c @ h
     return out
 
 
@@ -95,7 +96,8 @@ def batched_reference(a, b, c, seq):
 
 
 def loop_reference_grads(a, b, c, f, g):
-    """Step-by-step reverse sweep: gradients of sum(g * y) for a (T, E, N) batch."""
+    """Step-by-step reverse sweep: gradients of sum(g * y) for a (T, E, N)
+    batch, y_t = C h_t with no skip term."""
     t_len, _, n = f.shape
     states = np.zeros((t_len, a.shape[0], n))
     h = np.zeros((a.shape[0], n))
@@ -110,7 +112,7 @@ def loop_reference_grads(a, b, c, f, g):
         if t > 0:
             da += dh @ states[t - 1].T
         db += dh @ f[t].T
-        df[t] = g[t] + b.T @ dh
+        df[t] = b.T @ dh
         dh = a.T @ dh
     return da, db, dc, df
 
@@ -150,22 +152,22 @@ def sqrt_t_scan(lam, u):
 def token_form(p, x, g_grid, direction, scan, gate=1.0):
     """The expert's output grid at ``gate`` and the backward rule's five
     gradients for the output gradient ``g_grid``, computed on (T, E) tokens,
-    with ``scan(lam, u)`` carrying a (T, D) stack in place.  The gate's
-    gradient is sum(g * y) over the ungated grid y, as a one-entry vector."""
+    with ``scan(lam, u)`` carrying a (T, D) stack in place.  The output is
+    gate * C h with no skip term; the gate's gradient is sum(G * C h) for
+    the ungated token gradient G, as a one-entry vector."""
     _, h, w = x.shape
     gate = x.dtype.type(gate)
-    lam, f, g = p.decay, _tokens(x, direction), _tokens(g_grid, direction) * gate
+    lam, f, g_ungated = p.decay, _tokens(x, direction), _tokens(g_grid, direction)
     states = f @ p.b_bar.data.T
     scan(lam, states)
     y = states @ p.c_out.data.T
-    y += f
+    g = g_ungated * gate
     dh = g @ p.c_out.data
     scan(lam, dh[::-1])
-    df = dh @ p.b_bar.data
-    df += g
     d_a = (dh[1:] * states[:-1]).sum(axis=0) * _decay_slope(p.a_log.data)
-    d_gate = np.array([(g_grid * _grid(y, direction, h, w)).sum()])
-    return _grid(y * gate, direction, h, w), (d_a, dh.T @ f, g.T @ states, _grid(df, direction, h, w), d_gate)
+    d_gate = np.array([np.vdot(g_ungated @ p.c_out.data, states)])
+    df = _grid(dh @ p.b_bar.data, direction, h, w)
+    return _grid(y * gate, direction, h, w), (d_a, dh.T @ f, g.T @ states, df, d_gate)
 
 
 def expert_with_rule(p, x, g_grid, direction, gate=1.0):
@@ -257,16 +259,16 @@ class TestRecurrence:
         seq = rng.normal(size=(5, 2))
         out = recurrence(p, seq)
         for t in range(5):
-            expected = p.c_out.data @ (p.b_bar.data @ seq[t]) + seq[t]
+            expected = p.c_out.data @ (p.b_bar.data @ seq[t])
             np.testing.assert_allclose(out[t], expected, atol=1e-12)
 
-    def test_identity_when_b_zero(self):
+    def test_zero_map_when_b_zero(self):
         rng = np.random.default_rng(1)
         p = make_expert(4, 3, rng)
         p.b_bar.data[...] = 0.0
         seq = rng.normal(size=(6, 3))
         out = recurrence(p, seq)
-        np.testing.assert_array_equal(out, seq)
+        np.testing.assert_array_equal(out, np.zeros_like(seq))
 
     def test_matches_unrolled_oracle_and_gradient(self):
         rng = np.random.default_rng(2)
@@ -421,13 +423,27 @@ class TestSpatialExpert:
             with pytest.raises(ShapeError, match="gate"):
                 spatial_expert_forward(p, x, ScanDirection.TL_BR, Tensor(gates), i)
 
-    def test_zero_params_identity_every_direction(self):
+    def test_zero_params_zero_map_every_direction(self):
         rng = np.random.default_rng(5)
         zero = SsmParams(parameter(np.zeros(3)), parameter(np.zeros((3, 2))), parameter(np.zeros((2, 3))))
         x = Tensor(rng.normal(size=(2, 4, 5)))
         for direction in SPATIAL_DIRECTIONS:
             out = run_expert(zero, x, direction)
-            np.testing.assert_array_equal(out.data, x.data)
+            np.testing.assert_array_equal(out.data, np.zeros_like(x.data))
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_zero_output_projection_gives_zeros_and_no_gate_gradient(self, dtype):
+        # the output is gate * C h alone, so with C = 0 nothing of the map
+        # reaches it, and the gate, which scales only C h, learns nothing
+        rng = np.random.default_rng(24)
+        p = make_expert(3, 2, rng, dtype=dtype)
+        p.c_out.data[...] = 0.0
+        x = rng.normal(size=(2, 5, 6)).astype(dtype)
+        g_grid = rng.normal(size=x.shape).astype(dtype)
+        for direction in SPATIAL_DIRECTIONS:
+            out, _, grads = expert_with_rule(p, x, g_grid, direction, 0.7)
+            assert out.tobytes() == np.zeros_like(x).tobytes()
+            assert grads[-1].tolist() == [0.0]
 
     def test_directions_differ_on_asymmetric_input_and_match_oracles(self):
         rng = np.random.default_rng(6)
@@ -511,7 +527,7 @@ class TestSpectralExpert:
         x = Tensor(rng.normal(size=(1, 3, 3)))
         out = spectral_bidirectional(p, p, x).data
         fwd = batched_reference(*dense(p), x.data.reshape(1, 1, 9)).reshape(1, 3, 3)
-        np.testing.assert_allclose(out, 2.0 * fwd, atol=1e-12)
+        np.testing.assert_allclose(out, 2.0 * (fwd + x.data), atol=1e-12)
 
     @staticmethod
     def run_with_grads(fwd, bwd, x, probe):
@@ -532,14 +548,16 @@ class TestSpectralExpert:
         x = rng.normal(size=(t_len, 2, 3))
         probe = rng.normal(size=x.shape)
         out, grads = self.run_with_grads(fwd, bwd, x, probe)
-        # per-pixel band sequences (T, E=1, N=6); the backward scan runs on the reversed bands
+        # per-pixel band sequences (T, E=1, N=6); the backward scan runs on
+        # the reversed bands, and each direction adds its skip term f
         f, g = x.reshape(t_len, 1, 6), probe.reshape(t_len, 1, 6)
         ref = batched_reference(*dense(fwd), f)
         ref += batched_reference(*dense(bwd), f[::-1])[::-1]
+        ref += 2.0 * f
         assert rel_err(out, ref.reshape(x.shape)) < 1e-10
         *grads_f, df_f = oracle_grads(fwd, f, g)
         *grads_b, df_b = oracle_grads(bwd, f[::-1], g[::-1])
-        ref_grads = grads_f + grads_b + [(df_f + df_b[::-1]).reshape(x.shape)]
+        ref_grads = grads_f + grads_b + [(df_f + df_b[::-1] + 2.0 * g).reshape(x.shape)]
         for got, want in zip(grads, ref_grads):
             assert rel_err(got, want) < 1e-10
 

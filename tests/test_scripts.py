@@ -34,6 +34,7 @@ def run_script(name: str, *args: str) -> str:
                 "=== ablation: expert blocks off ===",
                 "=== ablation: stage supervision off ===",
                 "=== ablation ordering ===",
+                "nearest-centroid baseline mean OA 1.0000 (same splits)",
                 "=== top-k sweep (first checkpoint) ===",
                 "=== expert weights (first checkpoint) ===",
             ),

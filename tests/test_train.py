@@ -23,8 +23,10 @@ from mambamoe.train import (
     format_metrics_report,
     format_summary_report,
     metrics_from_confusion,
+    nearest_centroid_predict,
     predict_labels,
     run_repeats,
+    split_for_seed,
     split_per_class,
     summarize_metrics,
     topk_sweep,
@@ -165,6 +167,34 @@ class TestMetrics:
         conf = confusion_matrix(y_true, y_pred, 3)
         for cls in range(1, 4):
             assert conf[cls - 1].sum() == (y_true == cls).sum()
+
+
+class TestNearestCentroid:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reaches_100_percent_on_the_bundled_scene(self, seed):
+        # the class signatures lie >= 1.0 apart at noise sigma 0.25: the
+        # spectra alone separate the classes, before any network is trained
+        scene = dataio.generate_synthetic(dataio.default_synthetic_spec())
+        labels = scene.labels.astype(np.int64)
+        train_mask, test_mask = split_for_seed(labels, 15, seed)
+        pred = nearest_centroid_predict(scene, train_mask)
+        assert pred.dtype == np.uint16 and pred.shape == labels.shape
+        assert (pred[test_mask] == labels[test_mask]).mean() == 1.0
+
+    def test_matches_per_pixel_oracle_and_skips_untrained_classes(self):
+        rng = np.random.default_rng(5)
+        scene = small_scene(seed=5)
+        scene.cube[...] = rng.normal(size=scene.cube.shape)  # overlapping classes: a real choice per pixel
+        train_mask = (rng.random(scene.labels.shape) < 0.2) & (scene.labels != 3)
+        pred = nearest_centroid_predict(scene, train_mask)
+        cube = scene.cube.astype(np.float64)
+        centroids = {c: cube[:, train_mask & (scene.labels == c)].mean(axis=1) for c in (1, 2)}
+        for i in range(scene.labels.shape[0]):
+            for j in range(scene.labels.shape[1]):
+                dist = {c: ((cube[:, i, j] - m) ** 2).sum() for c, m in centroids.items()}
+                assert pred[i, j] == min(dist, key=dist.get)
+        with pytest.raises(ValueError, match="no labeled training pixel"):
+            nearest_centroid_predict(scene, np.zeros(scene.labels.shape, dtype=bool))
 
 
 class TestSummaries:
