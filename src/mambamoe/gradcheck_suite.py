@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tt
-from .moe import N_SPATIAL_EXPERTS, MoMebParams, momeb_forward, route, sre_forward
+from .moe import N_SPATIAL_EXPERTS, MoMebParams, mlp, momeb_forward, route, sre_forward
 from .network import (
     HeadParams,
     NetSpec,
@@ -136,6 +136,16 @@ def _momeb(rng: np.random.Generator) -> GradCheckReport:
     return _probed(rng, lambda: momeb_forward(net.momeb[0], xb, N_SPATIAL_EXPERTS), params, (4, 4, 4))
 
 
+def _mlp(rng: np.random.Generator) -> GradCheckReport:
+    # the block's LN2 -> MLP tail as one op, with random LN2 and MLP biases
+    block = _block(rng, channels=4, state_dim=1)
+    params = [block.ln2_gamma, block.ln2_beta, block.mlp_w1, block.mlp_b1, block.mlp_w2, block.mlp_b2]
+    for t in (block.ln2_beta, block.mlp_b1, block.mlp_b2):
+        t.data[...] = rng.normal(size=t.shape)
+    xg = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)
+    return _probed(rng, lambda: mlp(block, xg), params + [xg], (4, 3, 3))
+
+
 def _ffb(rng: np.random.Generator) -> GradCheckReport:
     # fuse two stages through the residual block
     res = ResBlockParams(
@@ -195,6 +205,7 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "conv_relu_pool": _conv_relu_pool,
     "relu": _relu,
     "mix_top2": _mix_top2,
+    "mlp": _mlp,
 }
 """Entry name -> check on its own random draws; ``total_loss`` runs at
 TOTAL_LOSS_THRESHOLD, every other entry at THRESHOLD."""

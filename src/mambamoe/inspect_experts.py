@@ -6,9 +6,12 @@ Two views are reported per scene:
   that stage's feature map (one weight vector per map);
 * per-class expert response shares at the finest stage: each expert's own
   scan magnitude at a pixel (no skip term), normalized across experts,
-  averaged over the pixels of one class.  A scan direction aligned with a class's spatial
-  structure accumulates more state along its runs, so its response share
-  rises on that class; this is what makes stripe orientation visible.
+  averaged over the pixels of one class.  A share is the size of one
+  expert's response relative to the others' on that class's pixels; it
+  does not say which direction suits the class.  A trained model need not
+  give an aligned direction the larger share: at seed 0 (bundled scene,
+  default config) both stripe classes read more horizontal than vertical
+  share.
 """
 
 from __future__ import annotations

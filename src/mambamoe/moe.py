@@ -2,13 +2,14 @@
 
 ``momeb_forward`` is the whole block, one function over one routed path:
 LN -> split -> experts -> concat -> fuse -> residual -> LN -> MLP ->
-residual.  One ``route`` op gives the four spatial experts (one per scan
-direction) their softmax weights, and only the top-k experts run.  One
-``gates`` op turns the selected weights into the experts' gates,
-renormalizing them when k < 4; each expert scales its own map by its
-gate, and one ``mix`` op sums the gated maps and then the skip term
-x_spa, once for all experts: the gates sum to one.  k = 4 is the dense
-mixture that training runs.  Two spectral experts are always on.
+residual, where LN2 -> MLP is one ``mlp`` op that keeps only its input
+and LN2's statistics.  One ``route`` op gives the four spatial experts
+(one per scan direction) their softmax weights, and only the top-k
+experts run.  One ``gates`` op turns the selected weights into the
+experts' gates, renormalizing them when k < 4; each expert scales its own
+map by its gate, and one ``mix`` op sums the gated maps and then the skip
+term x_spa, once for all experts: the gates sum to one.  k = 4 is the
+dense mixture that training runs.  Two spectral experts are always on.
 
 No op keeps an expert's output map: an expert reads its gate's gradient
 from the states it keeps anyway.
@@ -187,6 +188,71 @@ def expert_views(p: MoMebParams, f: Tensor) -> tuple[Tensor, Tensor]:
     return tt.split(tt.layer_norm(f, p.ln1_gamma, p.ln1_beta), 2, axis=0)
 
 
+def _pre_activation(w1: Tensor, b1: Tensor, normed: np.ndarray) -> np.ndarray:
+    """The first 1x1 conv of the MLP on its (C, h, w) input, as a
+    (2C, h*w) array: one product, then the bias."""
+    hid, c = w1.shape[:2]
+    pre = w1.data.reshape(hid, c) @ normed.reshape(c, -1)
+    pre += b1.data[:, None]
+    return pre
+
+
+def mlp(p: MoMebParams, g: Tensor) -> Tensor:
+    """The block's tail, LN2 -> 1x1 conv C -> 2C -> ReLU -> 1x1 conv 2C -> C,
+    as one tape op, bit for bit the chain of ``layer_norm``, ``conv2d``,
+    ``relu`` and ``conv2d``.
+
+    LN2's output dies once the first product has read it.  The ReLU runs in
+    place, after the finite check of the hidden pre-activation: a
+    non-finite value there raises ``NumericalError`` though the ReLU might
+    zero it.  The closure keeps g, LN2's per-pixel mu and inv_std and the
+    six parameter Tensors; the backward pass rebuilds LN2's output and the
+    hidden map with the forward's operations, then applies the conv, ReLU,
+    conv and LN rules in turn.
+    """
+    gamma, beta, w1, b1, w2, b2 = p.ln2_gamma, p.ln2_beta, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2
+    tt.check_layer_norm("mlp", g, gamma, beta)
+    c, h, w = g.shape
+    hid = w1.shape[0]
+    shapes = (w1.shape, b1.shape, w2.shape, b2.shape)
+    if shapes != ((hid, c, 1, 1), (hid,), (c, hid, 1, 1), (c,)):
+        raise ShapeError(f"mlp: weight and bias shapes {shapes} do not fit a 1x1 MLP of width {c}")
+    if any(t.dtype != g.dtype for t in (w1, b1, w2, b2)):
+        raise ShapeError(f"mlp: parameters must share the map's dtype {g.dtype}")
+    x = g.data
+    zero = x.dtype.type(0)
+    normed, mu, inv_std = tt.layer_norm_forward(x, gamma.data, beta.data)
+    hidden = _pre_activation(w1, b1, normed)
+    del normed
+    if not np.all(np.isfinite(hidden)):
+        raise NumericalError("mlp: non-finite values in the hidden pre-activation")
+    np.maximum(hidden, zero, out=hidden)  # -0.0 maps to +0.0
+    out = w2.data.reshape(c, hid) @ hidden
+    del hidden
+    out += b2.data[:, None]
+
+    def bwd(g_out):
+        xhat = tt.layer_norm_xhat(x, mu, inv_std)
+        normed = tt.layer_norm_affine(xhat.copy(), gamma.data, beta.data).reshape(c, h * w)
+        hidden = _pre_activation(w1, b1, normed)
+        np.maximum(hidden, zero, out=hidden)
+        g2 = g_out.reshape(c, h * w)
+        d_hidden = w2.data.reshape(c, hid).T @ g2
+        d_hidden *= hidden > 0
+        d_w2 = (g2 @ hidden.T).reshape(w2.shape)
+        del hidden
+        d_normed = (w1.data.reshape(hid, c).T @ d_hidden).reshape(c, h, w)
+        d_w1 = (d_hidden @ normed.T).reshape(w1.shape)
+        d_b1 = d_hidden.sum(axis=1)
+        del normed, d_hidden
+        dx, d_gamma, d_beta = tt.layer_norm_backward(d_normed, xhat, gamma.data, inv_std)
+        return dx, d_gamma, d_beta, d_w1, d_b1, d_w2, g2.sum(axis=1)
+
+    # LN, both 1x1 products with their biases, and the ReLU
+    flops = tt.layer_norm_flops(c, h, w) + (4 * hid * c + 2 * hid + c) * h * w
+    return tt.custom_op("mlp", (g, gamma, beta, w1, b1, w2, b2), out.reshape(c, h, w), bwd, flops=flops)
+
+
 def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on: bool = True) -> Tensor:
     """The block on the (C, h, w) map ``f`` with the top-k spatial experts;
     a disabled expert branch passes its view through (ablation switch).
@@ -194,9 +260,9 @@ def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on
     Each map is dropped once its last reader has run, so that with no tape
     nothing holds it: the two views once both branches have run, the
     branch outputs after the concat, the concat after the fuse conv, ``f``
-    after the residual add (if the caller holds no reference to it), and
-    LN2's output after the first MLP conv.  A tape's closures keep what
-    its backward pass reads, whatever is dropped here.
+    after the residual add (if the caller holds no reference to it); ``mlp``
+    drops LN2's output and its hidden map itself.  A tape's closures keep
+    what its backward pass reads, whatever is dropped here.
     """
     x_spa, x_spe = expert_views(p, f)
     spa_out = sre_forward(p.spatial, p.router, x_spa, k) if sre_on else x_spa
@@ -208,6 +274,4 @@ def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on
     del mixed
     g = tt.add(f, fused)
     del f, fused
-    m = tt.relu(tt.conv2d(tt.layer_norm(g, p.ln2_gamma, p.ln2_beta), p.mlp_w1, p.mlp_b1))
-    m = tt.conv2d(m, p.mlp_w2, p.mlp_b2)
-    return tt.add(g, m)
+    return tt.add(g, mlp(p, g))

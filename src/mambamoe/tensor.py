@@ -15,14 +15,15 @@ constant.  A node key is the tape's serial number and the op's index, so
 the tape holds no activation tensor: an activation lives only while a
 closure reads it (``relu`` its output, which the conv2d it feeds keeps as
 well, ``conv2d`` and ``layer_norm`` their input, ``conv_relu_pool`` its
-input and its ReLU mask packed to one bit per pixel) or while the caller
-keeps it.
+input and its ReLU mask packed to one bit per pixel, ``moe.mlp`` its input
+and LN2's per-pixel mu and inv_std) or while the caller keeps it.
 Closures that need only a shape keep the shape.  During the replay each
 op drops its closure and routes once it has run, so the arrays it read
 are freed as soon as nothing else holds them.  A tensor made on another
-tape enters as a constant.  A backward rule may build a temporary map:
+tape enters as a constant.  A backward rule may build temporary maps:
 ``conv_relu_pool``'s builds its conv's full-resolution output gradient
-once, and no measured training peak lies there.
+once, and ``moe.mlp``'s rebuilds LN2's output and the (2C, h, w) hidden
+map; no measured training peak lies there.
 """
 
 from __future__ import annotations
@@ -612,55 +613,86 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)
 
 
+def check_layer_norm(name: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    """Raise ``ShapeError`` unless x is a (C, h, w) map with C > 0 and gamma
+    and beta are (C,) vectors of x's dtype."""
+    if x.ndim != 3:
+        raise ShapeError(f"{name}: expects (C,h,w), got {x.shape}")
+    c = x.shape[0]
+    if c == 0:
+        raise ShapeError(f"{name}: channel axis is empty")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"{name}: affine shapes {gamma.shape}/{beta.shape} must be ({c},)")
+    if x.dtype != gamma.dtype or x.dtype != beta.dtype:
+        raise ShapeError(f"{name}: operand dtypes must match")
+
+
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """LayerNorm of the (C, h, w) array x over its channel axis: returns the
+    output and the per-pixel mu and inv_std, from which ``layer_norm_xhat``
+    rebuilds the normalized map with the same bits."""
+    c = x.shape[0]
+    dt = x.dtype.type
+    mu = x.mean(axis=0)
+    # x - mu once, for the variance and the output: x.var(axis=0) and
+    # layer_norm_xhat() with the same bits
+    out = x - mu
+    inv_std = dt(1.0) / np.sqrt(np.add.reduce(out * out, axis=0) / c + dt(LAYER_NORM_EPS))
+    out *= inv_std
+    return layer_norm_affine(out, gamma, beta), mu, inv_std
+
+
+def layer_norm_xhat(x: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """The normalized map (x - mu) * inv_std, as the forward pass made it."""
+    xhat = x - mu
+    xhat *= inv_std
+    return xhat
+
+
+def layer_norm_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """xhat * gamma + beta per channel, in place in xhat."""
+    xhat *= gamma[:, None, None]
+    xhat += beta[:, None, None]
+    return xhat
+
+
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: np.ndarray):
+    """dx, dgamma and dbeta of LayerNorm for the output gradient g, given
+    the normalized map xhat, which this overwrites."""
+    dgamma = (g * xhat).sum(axis=(1, 2))
+    dbeta = g.sum(axis=(1, 2))
+    # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std, in place
+    dx = g * gamma[:, None, None]
+    mean_dxhat, mean_dxhat_xhat = dx.mean(axis=0), (dx * xhat).mean(axis=0)
+    dx -= mean_dxhat
+    xhat *= mean_dxhat_xhat
+    dx -= xhat
+    dx *= inv_std
+    return dx, dgamma, dbeta
+
+
+def layer_norm_flops(c: int, h: int, w: int) -> int:
+    """The forward FLOPs of LayerNorm over a (c, h, w) map."""
+    return h * w * (7 * c + 4)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the channel axis at each spatial location.
 
     The closure keeps x and the per-pixel mu and inv_std, not the
     normalized map xhat: the backward pass recomputes xhat with the
     forward's operations, so it has the same bits.  x is usually kept by
-    another op as well (a residual add or the next conv).
+    another op as well (a residual add or the next conv).  The forward
+    statistics and the backward rule are helpers that ``moe.mlp`` shares.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"layer_norm: expects (C,h,w), got {x.shape}")
-    c = x.shape[0]
-    if c == 0:
-        raise ShapeError("layer_norm: channel axis is empty")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} must be ({c},)")
-    if x.dtype != gamma.dtype or x.dtype != beta.dtype:
-        raise ShapeError("layer_norm: operand dtypes must match")
-    dt = x.data.dtype.type
+    check_layer_norm("layer_norm", x, gamma, beta)
     x_map = x.data
-    mu = x_map.mean(axis=0)
-    # x - mu once, for the variance and the output: x.var(axis=0) and
-    # normalized() with the same bits
-    out = x_map - mu
-    inv_std = dt(1.0) / np.sqrt(np.add.reduce(out * out, axis=0) / c + dt(LAYER_NORM_EPS))
-
-    def normalized():
-        xhat = x_map - mu
-        xhat *= inv_std
-        return xhat
-
-    out *= inv_std
-    out *= gamma.data[:, None, None]
-    out += beta.data[:, None, None]
+    out, mu, inv_std = layer_norm_forward(x_map, gamma.data, beta.data)
 
     def bwd(g):
-        xhat = normalized()
-        dgamma = (g * xhat).sum(axis=(1, 2))
-        dbeta = g.sum(axis=(1, 2))
-        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std, in place
-        dx = g * gamma.data[:, None, None]
-        mean_dxhat, mean_dxhat_xhat = dx.mean(axis=0), (dx * xhat).mean(axis=0)
-        dx -= mean_dxhat
-        xhat *= mean_dxhat_xhat
-        dx -= xhat
-        dx *= inv_std
-        return dx, dgamma, dbeta
+        return layer_norm_backward(g, layer_norm_xhat(x_map, mu, inv_std), gamma.data, inv_std)
 
-    _, h, w = x.shape
-    return _wrap("layer_norm", (x, gamma, beta), out, bwd, flops=h * w * (7 * c + 4))
+    return _wrap("layer_norm", (x, gamma, beta), out, bwd, flops=layer_norm_flops(*x.shape))
 
 
 def _axis_weights(n_src: int, n_dst: int):

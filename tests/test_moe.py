@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mambamoe import moe
 from mambamoe import tensor as tt
-from mambamoe.moe import momeb_forward, route, sre_forward, sse_forward, topk_select
+from mambamoe.moe import mlp, momeb_forward, route, sre_forward, sse_forward, topk_select
 from mambamoe.network import NetSpec, init_network_params
 from mambamoe.scan import SPATIAL_DIRECTIONS, _linear_scan, _tokens, spatial_expert_forward
 from mambamoe.tensor import Tensor
@@ -354,6 +354,86 @@ class TestMomebCore:
         x_norm = tt.layer_norm(f, block.ln1_gamma, block.ln1_beta)
         ref = f.data + tt.conv2d(x_norm, block.fuse_w, block.fuse_b).data
         np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def composed_mlp(block, g):
+    """The block's tail on primitives: LN2, the 1x1 conv C -> 2C, ReLU, the 1x1 conv 2C -> C."""
+    normed = tt.layer_norm(g, block.ln2_gamma, block.ln2_beta)
+    return tt.conv2d(tt.relu(tt.conv2d(normed, block.mlp_w1, block.mlp_b1)), block.mlp_w2, block.mlp_b2)
+
+
+class TestMlp:
+    """``moe.mlp``, the block's LN2 -> MLP tail as one tape op."""
+
+    def tail_block(self, seed, dtype=F64, channels=6):
+        # random LN2 affine and MLP biases, so that every gradient is nonzero
+        rng = np.random.default_rng(seed)
+        block = make_block(channels=channels, state=2, seed=rng, dtype=dtype)
+        block.ln2_gamma.data[...] = 1.0 + 0.3 * rng.normal(size=channels)
+        for t in (block.ln2_beta, block.mlp_b1, block.mlp_b2):
+            t.data[...] = rng.normal(size=t.shape)
+        return block
+
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (6, 16, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_output_and_every_gradient_equal_the_composed_chain_bit_for_bit(self, dtype, shape):
+        # inside the block's residual, so the tape sums the map's two gradients as it does in a block
+        block = self.tail_block(40, dtype)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=shape).astype(dtype)
+        probe = Tensor(rng.normal(size=shape).astype(dtype))
+        params = [block.ln2_gamma, block.ln2_beta, block.mlp_w1, block.mlp_b1, block.mlp_w2, block.mlp_b2]
+
+        def run(tail):
+            for t in params:
+                t.zero_grad()
+            xp = tt.parameter(x)
+            with tt.Tape() as tape:
+                g = tt.scale(xp, 1.5)
+                m = tail(block, g)
+                tape.backward(tt.sum_all(tt.mul(tt.add(g, m), probe)))
+            return [m.data, xp.grad] + [t.grad.copy() for t in params]
+
+        got, want = run(mlp), run(composed_mlp)
+        assert got[0].dtype == dtype
+        assert all(np.any(a != 0) for a in got)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_hidden_pre_activation_overflowing_to_minus_inf_raises(self):
+        # LN2 outputs 1 everywhere (gamma 0, beta 1), so hidden unit 0 sums six
+        # times -1e38 past float32's range; its ReLU would output 0, and so
+        # would every later value that it feeds
+        block = self.tail_block(42, np.float32)
+        block.ln2_gamma.data[...] = 0.0
+        block.ln2_beta.data[...] = 1.0
+        block.mlp_w1.data[0] = -1e38
+        block.mlp_b1.data[0] = 0.0
+        g = Tensor(np.random.default_rng(43).normal(size=(6, 4, 4)).astype(np.float32))
+        with np.errstate(over="ignore"):
+            pre = block.mlp_w1.data[0, :, 0, 0].sum()
+            assert pre == -np.inf and np.maximum(pre, 0) == 0
+            with pytest.raises(tt.NumericalError, match="^mlp: non-finite values in the hidden pre-activation$"):
+                mlp(block, g)
+
+    def test_parameters_that_do_not_fit_the_map_rejected(self):
+        block = self.tail_block(44)
+        g = Tensor(np.ones((6, 2, 2)))
+        block.mlp_b2 = tt.parameter(np.zeros(5))
+        with pytest.raises(tt.ShapeError, match="mlp"):
+            mlp(block, g)
+        block = self.tail_block(44, np.float32)
+        with pytest.raises(tt.ShapeError, match="mlp"):
+            mlp(block, g)
+
+    def test_block_records_the_tail_as_one_op(self):
+        block = self.tail_block(47)
+        x = tt.parameter(np.random.default_rng(48).normal(size=(6, 4, 4)))
+        with tt.Tape() as tape:
+            momeb_forward(block, x, 4)
+        names = [op.name for op in tape.ops]
+        assert names[-3:] == ["add", "mlp", "add"]
+        assert names.count("layer_norm") == 1 and "relu" not in names and "conv2d" in names
 
 
 class TestMomebForward:

@@ -347,6 +347,32 @@ class TestForwardFull:
         stage1_map = 16 * 64 * 64 * 4
         assert peak < 6.1 * stage1_map
 
+    def test_training_step_peak(self):
+        """One training step (``forward_full(train=True)``, ``total_loss``,
+        backward, with the result held to the end) at 128x128x8, C=16, D=8
+        reads 21.79 stage-1 maps (16x64x64 float32) at its tracemalloc peak.
+        When each block's LN2 -> MLP tail was four tape ops whose closures
+        kept LN2's output and the (2C, h, w) ReLU map, it read 25.75."""
+        spec = NetSpec(bands=8, channels=16, state_dim=8, n_class=4)
+        params = init_network_params(spec, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(8, 128, 128)).astype(np.float32))
+        labels = np.random.default_rng(2).integers(0, 5, size=(128, 128))
+
+        def step():
+            with Tape() as tape:
+                result = forward_full(params, x, train=True, mask_rng=np.random.default_rng(3))
+                tape.backward(total_loss(result.stages, labels, result.final_logits))
+
+        step()  # caches the interpolation matrices
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stage1_map = 16 * 64 * 64 * 4
+        assert peak < 23.5 * stage1_map
+
     def test_uniform_router_topk4_equals_dense(self):
         params = tiny_params(seed=26)
         for block in params.momeb:

@@ -6,7 +6,7 @@ import pytest
 
 from mambamoe import tensor as tt
 from mambamoe.data import HsiScene, SceneHeader, normalize_scene
-from mambamoe.moe import route
+from mambamoe.moe import mlp, route
 from mambamoe.network import NetSpec, classify_head, forward_full, init_network_params, stage_sizes
 from mambamoe.profiler import _conv_flops, _router_flops, count_flops, count_params, report_csv
 from mambamoe.tensor import FLOPS, Tensor
@@ -59,6 +59,17 @@ class TestFlops:
         with FLOPS:
             route(router, x)
         assert FLOPS.total == _router_flops(12, 5, 7)
+
+    @pytest.mark.parametrize("h, w", [(5, 7), (16, 12)])
+    def test_mlp_counts_its_analytic_term(self, h, w):
+        # LN2 -> 1x1 conv C -> 2C -> ReLU -> 1x1 conv 2C -> C, one op: count_flops' ln and mlp terms
+        spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
+        block = init_network_params(spec, np.random.default_rng(12)).momeb[0]
+        g = Tensor(np.random.default_rng(13).normal(size=(8, h, w)).astype(np.float32))
+        with FLOPS:
+            mlp(block, g)
+        ln = h * w * (7 * 8 + 4)
+        assert FLOPS.total == ln + _conv_flops(16, 8, 1, h, w) + 16 * h * w + _conv_flops(8, 16, 1, h, w)
 
     def test_topk_savings_equal_runtime_savings(self):
         # each unselected expert saves its scan and its share of the combine, exactly

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mambamoe import moe
 from mambamoe import tensor as tt
-from mambamoe.moe import RouterParams, route
-from mambamoe.network import ResBlockParams, residual_block
+from mambamoe.moe import RouterParams, mlp, route
+from mambamoe.network import NetSpec, ResBlockParams, init_network_params, residual_block
 from mambamoe.tensor import (
     NonDeterministicError,
     NumericalError,
@@ -741,6 +742,36 @@ class TestTapeMemory:
                 # besides its input, the conv keeps its weight, not a copy of the taps
                 assert [v for v in conv_held if isinstance(v, Tensor) and v is not conv_inputs[0]] == [weight]
                 assert not _held_arrays(conv_op.backward)
+
+    def test_mlp_keeps_neither_the_ln_output_nor_the_hidden_map(self, monkeypatch):
+        # the closure keeps its input and LN2's mu and inv_std; the LN output
+        # and the (2C, h, w) hidden map die in the forward pass
+        block = init_network_params(NetSpec(bands=1, channels=6, state_dim=2, n_class=1), np.random.default_rng(25)).momeb[0]
+        g = parameter(rand(np.random.default_rng(26), 6, 5, 7, dtype=np.float32))
+        made = []
+        real_ln, real_pre = tt.layer_norm_forward, moe._pre_activation
+
+        def ln_recorded(*args):
+            out = real_ln(*args)
+            made.append(weakref.ref(out[0]))
+            return out
+
+        def pre_recorded(*args):
+            out = real_pre(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(tt, "layer_norm_forward", ln_recorded)
+        monkeypatch.setattr(moe, "_pre_activation", pre_recorded)
+        with Tape() as tape:
+            out = mlp(block, g)
+            assert len(made) == 2 and all(ref() is None for ref in made)
+            (op,) = tape.ops
+            maps = [a for a in _held_arrays(op.backward) if a.size >= 5 * 7]
+            assert sorted(a.shape for a in maps) == [(5, 7), (5, 7), (6, 5, 7)]
+            assert [a for a in maps if a.ndim == 3][0] is g.data
+            tape.backward(tt.sum_all(out))
+        assert np.all(np.isfinite(g.grad))
 
     def test_relu_without_a_tape_makes_no_mask(self):
         x = Tensor(rand(np.random.default_rng(24), 64, 64, dtype=np.float32))
