@@ -51,8 +51,8 @@ class SceneHeader:
 class HsiScene:
     """Spectral cube (bands, H, W) float32 + label raster (H, W) uint16.
 
-    Label 0 means unlabeled; classes are 1..n_class and every declared
-    class must appear at least once.
+    Label 0 means unlabeled; classes are 1..n_class, no label is negative,
+    and every declared class must appear at least once.
     """
 
     header: SceneHeader
@@ -67,6 +67,8 @@ class HsiScene:
             raise ExtentError(f"label shape {self.labels.shape} does not match header {h.height}x{h.width}")
         if len(h.class_names) != h.n_class:
             raise ExtentError(f"{len(h.class_names)} class names declared for {h.n_class} classes")
+        if self.labels.min(initial=0) < 0:
+            raise ExtentError(f"label id {int(self.labels.min())} is negative")
         if self.labels.max(initial=0) > h.n_class:
             raise ExtentError(f"label id {int(self.labels.max())} exceeds declared class count {h.n_class}")
         present = np.unique(self.labels)

@@ -111,14 +111,15 @@ def _spectral(rng: np.random.Generator) -> GradCheckReport:
 def _router(rng: np.random.Generator) -> GradCheckReport:
     router = _block(rng, channels=8, state_dim=1).router
     xr = parameter(rng.normal(size=(4, 3, 3)), dtype=F64)
-    return _probed(rng, lambda: route(router, xr), [router.w1, router.b1, router.w2, router.b2, xr], (4,))
+    # at k = 4 the gates are the router's softmax in expert order
+    fn = lambda: route(router, xr, N_SPATIAL_EXPERTS)[1]
+    return _probed(rng, fn, [router.w1, router.b1, router.w2, router.b2, xr], (4,))
 
 
-def _mix_top2(rng: np.random.Generator) -> GradCheckReport:
-    # top-2 routing: the router's weights through ``gates``, renormalized,
-    # into the two selected experts' gates and the sum of their maps; b2's
-    # spread keeps the weights far from a tie, so no difference step flips
-    # the selection
+def _sre_top2(rng: np.random.Generator) -> GradCheckReport:
+    # top-2 routing: ``route``'s renormalized gates into the two selected
+    # experts and the sum of their maps; b2's spread keeps the weights far
+    # from a tie, so no difference step flips the selection
     block = _block(rng, channels=4, state_dim=3)
     router = block.router
     router.b2.data[...] = [1.0, 0.5, 0.0, -0.5]
@@ -204,7 +205,7 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "total_loss": _total_loss,
     "conv_relu_pool": _conv_relu_pool,
     "relu": _relu,
-    "mix_top2": _mix_top2,
+    "sre_top2": _sre_top2,
     "mlp": _mlp,
 }
 """Entry name -> check on its own random draws; ``total_loss`` runs at

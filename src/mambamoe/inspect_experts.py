@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HsiScene, normalize_scene
-from .moe import MoMebParams, expert_views, route
+from .moe import N_SPATIAL_EXPERTS, MoMebParams, expert_views, route
 from .network import NetworkParams, extract_features
 from .scan import SPATIAL_DIRECTIONS, spatial_expert_forward
 from .tensor import Tensor
@@ -99,7 +99,9 @@ def inspect_expert_weights(params: NetworkParams, scene: HsiScene) -> InspectRep
     x = normalize_scene(scene)
     feats = extract_features(params.stem, x)
     views = [expert_views(block, f)[0] for block, f in zip(params.momeb, feats)]
-    stage_weights = [route(block.router, x_spa).data.astype(np.float64) for block, x_spa in zip(params.momeb, views)]
+    # at k = 4 the gates are the router's softmax in expert order
+    gates = [route(block.router, x_spa, N_SPATIAL_EXPERTS)[1] for block, x_spa in zip(params.momeb, views)]
+    stage_weights = [g.data.astype(np.float64) for g in gates]
     shares = expert_shares(params.momeb[0], views[0])
     labels_s1 = downsample_labels(scene.labels.astype(np.int64))
     rows = []

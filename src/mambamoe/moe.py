@@ -4,12 +4,12 @@
 LN -> split -> experts -> concat -> fuse -> residual -> LN -> MLP ->
 residual, where LN2 -> MLP is one ``mlp`` op that keeps only its input
 and LN2's statistics.  One ``route`` op gives the four spatial experts
-(one per scan direction) their softmax weights, and only the top-k
-experts run.  One ``gates`` op turns the selected weights into the
-experts' gates, renormalizing them when k < 4; each expert scales its own
-map by its gate, and one ``mix`` op sums the gated maps and then the skip
-term x_spa, once for all experts: the gates sum to one.  k = 4 is the
-dense mixture that training runs.  Two spectral experts are always on.
+(one per scan direction) selects the top-k experts and hands them their
+gates, its softmax weights renormalized when k < 4, and only those
+experts run.  Each expert scales its own map by its gate, and one ``add``
+sums the gated maps and then the skip term x_spa, once for all experts:
+the gates sum to one.  k = 4 is the dense mixture that training runs.
+Two spectral experts are always on.
 
 No op keeps an expert's output map: an expert reads its gate's gradient
 from the states it keeps anyway.
@@ -73,18 +73,24 @@ class MoMebParams:
     mlp_b2: Tensor
 
 
-def route(router: RouterParams, x_spa: Tensor) -> Tensor:
-    """Router weights for one feature map, as one tape op: the channel
-    means -> linear -> ReLU -> linear -> softmax over the 4 experts.
+def route(router: RouterParams, x_spa: Tensor, k: int) -> tuple[list[int], Tensor]:
+    """The top-k experts of one feature map and their gates, as one tape
+    op: the channel means -> linear -> ReLU -> linear -> softmax p over
+    the 4 experts, then ``topk_select``.  Gate i belongs to expert
+    selected[i]; below k = 4 the gates are p_j / total, with total summed
+    in ``selected`` order, and at k = 4 they are p itself, the dense
+    mixture.
 
     One weight vector per map (global average pooling first), so skipping
     an unselected expert skips its whole directional scan.  A non-finite
     pooled vector, pre-activation or logit raises ``NumericalError``: the
     ReLU or the softmax would map some of them to finite weights.
 
-    The backward pass applies the softmax, linear, ReLU, linear and mean
-    rules in turn; the closure keeps the pooled and hidden vectors and the
-    output.
+    The backward pass maps dw, the gradient of each gate w_i, to the
+    gradient of p_j: dw_j when dense, else (dw_j - sum_i w_i dw_i) /
+    total, and 0 for an unselected expert; it then applies the softmax,
+    linear, ReLU, linear and mean rules in turn.  The closure keeps the
+    pooled and hidden vectors, p and the gates.
     """
     w1, b1, w2, b2 = router.w1.data, router.b1.data, router.w2.data, router.b2.data
     if x_spa.shape[0] != router.in_dim:
@@ -98,17 +104,25 @@ def route(router: RouterParams, x_spa: Tensor) -> Tensor:
     logits = _finite("logits", w2 @ hidden + b2)
     e = np.exp(logits - logits.max())
     p = e / e.sum()
+    selected = topk_select(p, k)
+    gates = p[selected]
+    total = sum(gates[1:], gates[0])
+    dense = k == N_SPATIAL_EXPERTS
+    if not dense:
+        gates = gates / total
     inv = x_spa.dtype.type(1.0 / (h * w))
 
-    def bwd(g):
-        d_logits = (g - (g * p).sum()) * p
+    def bwd(dw):
+        dp = np.zeros_like(p)
+        dp[selected] = dw if dense else (dw - sum(gates * dw)) / total
+        d_logits = (dp - (dp * p).sum()) * p
         d_pre = (w2.T @ d_logits) * (hidden > 0)
         dx = np.broadcast_to((w1.T @ d_pre)[:, None, None] * inv, (c, h, w)).copy()
         return np.outer(d_pre, pooled), d_pre, np.outer(d_logits, hidden), d_logits, dx
 
     # the mean, both products, both bias adds, the ReLU and 4 terms per softmax entry
     flops = x_spa.size + 2 * (w1.size + w2.size) + 2 * b1.size + 5 * b2.size
-    return tt.custom_op("route", (router.w1, router.b1, router.w2, router.b2, x_spa), p, bwd, flops=flops)
+    return selected, tt.custom_op("route", (router.w1, router.b1, router.w2, router.b2, x_spa), gates, bwd, flops=flops)
 
 
 def _finite(what: str, v: np.ndarray) -> np.ndarray:
@@ -125,57 +139,16 @@ def topk_select(weights: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order[:k])
 
 
-def gates(weights: Tensor, selected: list[int]) -> Tensor:
-    """The selected experts' gates, as one tape op: gate i belongs to
-    expert selected[i], and weights is the router's softmax.
-
-    With every expert selected, gate w_j is the router weight p_j: the
-    weights already sum to one.  Otherwise w_j = p_j / total, with total
-    summed in ``selected`` order.
-
-    The backward pass takes dw, the gradient of each gate, and gives the
-    router weight p_j dw_j when dense, else (dw_j - sum_i w_i dw_i) /
-    total; an unselected weight gets 0.
-    """
-    p = weights.data
-    w = p[selected]
-    total = sum(w[1:], w[0])
-    dense = len(selected) == N_SPATIAL_EXPERTS
-    if not dense:
-        w = w / total
-
-    def bwd(dw):
-        dp = np.zeros_like(p)
-        dp[selected] = dw if dense else (dw - sum(w * dw)) / total
-        return (dp,)
-
-    return tt.custom_op("gates", (weights,), w, bwd)
-
-
-def mix(outputs: list[Tensor]) -> Tensor:
-    """The sum of the maps, in list order, as one tape op: y_0, then + y_j.
-    The backward pass gives every map the output's gradient; the closure
-    keeps nothing."""
-    ys = [y.data for y in outputs]
-    if any(y.shape != ys[0].shape or y.dtype != ys[0].dtype for y in ys):
-        raise ShapeError(f"mix: expert maps {[y.shape for y in ys]} must share one shape and dtype")
-    n = len(ys)
-    return tt.custom_op("mix", outputs, sum(ys[1:], ys[0]), lambda g: (g,) * n, flops=(n - 1) * ys[0].size)
-
-
 def sre_forward(experts: tuple[SsmParams, ...], router: RouterParams, x_spa: Tensor, k: int) -> Tensor:
     """The router's top-k directional scan experts, gated and summed, plus
     ``x_spa`` once: the D skip of a Mamba block, with D = 1.
 
-    Only the k selected experts run, all before the sum.  Below k = 4
-    ``gates`` renormalizes their weights to sum to one; at k = 4 the gates
-    are the router weights as they are (the dense mixture).
+    Only the k selected experts run, all before the one ``add``; ``route``
+    hands them their gates, which sum to one.
     """
-    weights = route(router, x_spa)
-    selected = topk_select(weights.data, k)
-    g = gates(weights, selected)
+    selected, g = route(router, x_spa, k)
     outputs = [spatial_expert_forward(experts[j], x_spa, SPATIAL_DIRECTIONS[j], g, i) for i, j in enumerate(selected)]
-    return mix(outputs + [x_spa])
+    return tt.add(*outputs, x_spa)
 
 
 def sse_forward(fwd: SsmParams, bwd: SsmParams, x_spe: Tensor) -> Tensor:

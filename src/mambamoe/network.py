@@ -374,14 +374,12 @@ def forward_full(
 def total_loss(stages: Sequence[StageOutput], y_trn: np.ndarray, final_logits: Tensor) -> Tensor:
     """Sum of each stage's cross-entropy over the training labels its mask
     selects, plus the final prediction's over every training label, all
-    equally weighted; stages with empty masks contribute exactly 0.
-    ``y_trn`` holds the training labels, 0 elsewhere."""
-    loss = None
-    for st in stages:
-        term = tt.masked_cross_entropy(st.logits, y_trn, st.mask)
-        loss = term if loss is None else tt.add(loss, term)
-    final_term = tt.masked_cross_entropy(final_logits, y_trn, np.ones(y_trn.shape, dtype=bool))
-    return final_term if loss is None else tt.add(loss, final_term)
+    equally weighted, summed by one ``add`` in that order; stages with
+    empty masks contribute exactly 0.  ``y_trn`` holds the training
+    labels, 0 elsewhere."""
+    terms = [tt.masked_cross_entropy(st.logits, y_trn, st.mask) for st in stages]
+    terms.append(tt.masked_cross_entropy(final_logits, y_trn, np.ones(y_trn.shape, dtype=bool)))
+    return tt.add(*terms) if stages else terms[0]
 
 
 # --- checkpoint io -------------------------------------------------------------

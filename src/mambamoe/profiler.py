@@ -95,7 +95,7 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
         spatial_experts += N_EXPERTS * (_scan_flops(h * w, d, half) + half * h * w)  # scan + gate scale
         spectral = 2 * (h * w) * (_scan_flops(half, d, 1) + half) + half * h * w  # both with skips + fuse
         router = _router_flops(half, h, w)
-        combine = N_EXPERTS * half * h * w  # mix adds the gated maps and the skip term
+        combine = N_EXPERTS * half * h * w  # the block's add sums the gated maps and the skip term
         mlp = _conv_flops(2 * c, c, 1, h, w) + 2 * c * h * w + _conv_flops(c, 2 * c, 1, h, w)
         momeb_other += (
             2 * ln(h, w) + spectral + router + combine + _conv_flops(c, c, 1, h, w) + mlp + 2 * c * h * w
@@ -115,7 +115,7 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     comp["head"] = _conv_flops(k_cls, c, 1, *sizes[0]) + 7 * k_cls * height * width
 
     dense = sum(comp.values())
-    # each unselected expert saves its scan, its gate scale and one add in mix
+    # each unselected expert saves its scan, its gate scale and one term of the add
     per_expert = spatial_experts // N_EXPERTS + half * sum(h * w for h, w in sizes)
     per_k = {k: dense - (N_EXPERTS - k) * per_expert for k in range(1, N_EXPERTS + 1)}
     return dense, per_k, comp

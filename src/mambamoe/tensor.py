@@ -276,9 +276,17 @@ def _scalar(x: Tensor, value: float):
 # --- elementwise and linear primitives --------------------------------------
 
 
-def add(x: Tensor, y: Tensor) -> Tensor:
-    _check_same_shape("add", x, y)
-    return _wrap("add", (x, y), x.data + y.data, lambda g: (g, g), flops=x.size)
+def add(*xs: Tensor) -> Tensor:
+    """The sum of two or more tensors, in argument order: x_0, then + x_j.
+    Every input gets the output's gradient; the closure keeps only their
+    count."""
+    if len(xs) < 2:
+        raise ShapeError(f"add: needs at least two tensors, got {len(xs)}")
+    for x in xs[1:]:
+        _check_same_shape("add", xs[0], x)
+    ys = [x.data for x in xs]
+    n = len(xs)
+    return _wrap("add", xs, sum(ys[1:], ys[0]), lambda g: (g,) * n, flops=(n - 1) * xs[0].size)
 
 
 def mul(x: Tensor, y: Tensor) -> Tensor:

@@ -151,6 +151,16 @@ class TestHscRoundTrip:
         with pytest.raises(ExtentError):
             save_hsc(scene, tmp_path / "l.hsc")
 
+    def test_negative_label_refused_before_writing(self, tmp_path):
+        # stored as uint16, -1 would be written as 65535 and refused on load
+        scene = random_scene(np.random.default_rng(7), bands=1, h=3, w=3, k=2)
+        scene.labels = scene.labels.astype(np.int64)
+        scene.labels[2, 2] = -1
+        path = tmp_path / "n.hsc"
+        with pytest.raises(ExtentError, match="^label id -1 is negative$"):
+            save_hsc(scene, path)
+        assert not path.exists()
+
 
 class TestSynthetic:
     def test_noiseless_pixels_equal_signatures(self):

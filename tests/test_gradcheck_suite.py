@@ -18,8 +18,8 @@ def test_removing_an_entry_redraws_no_other(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(1, 8))
-@pytest.mark.parametrize("name", ["ssm_scan", "mix_top2"])
+@pytest.mark.parametrize("name", ["ssm_scan", "router", "sre_top2"])
 def test_gated_expert_entries_pass_at_more_seeds(name, seed):
-    # the entries that read an expert's gate gradient, on seven more draws
+    # the entries that make or read the experts' gates, on seven more draws
     rep = run_entry(name, seed)
     assert rep.passed, rep.per_param

@@ -61,7 +61,7 @@ class TestRoute:
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 3)))
         for shift in (0.0, 123.456):  # equal logits at any offset
             router.b2.data[...] = shift
-            np.testing.assert_allclose(route(router, x).data, 0.25)
+            np.testing.assert_allclose(route(router, x, 4)[1].data, 0.25)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e4]))
     @settings(max_examples=30, deadline=None)
@@ -71,7 +71,7 @@ class TestRoute:
         x = Tensor(rng.normal(size=(4, 2, 5)))
         if spread:  # logits up to 2e4 apart: the smallest weights underflow to 0
             router.b2.data[...] = rng.uniform(-spread, spread, size=4)
-        w = route(router, x).data
+        w = route(router, x, 4)[1].data
         assert w.min() > 0 or (spread and w.min() == 0)
         assert abs(w.sum() - 1.0) < 1e-6
 
@@ -79,7 +79,7 @@ class TestRoute:
         rng = np.random.default_rng(2)
         router = make_router(2, rng)
         x = rng.normal(size=(2, 2, 2))
-        w = route(router, Tensor(x)).data
+        w = route(router, Tensor(x), 4)[1].data
 
         pooled = x.mean(axis=(1, 2))
         hidden = np.maximum(router.w1.data @ pooled + router.b1.data, 0.0)
@@ -94,14 +94,14 @@ class TestRoute:
         getattr(router, name).data[0] = value
         x = Tensor(np.ones((2, 3, 3), dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(tt.NumericalError, match=f"^route: non-finite values in the {what}$"):
-            route(router, x)
+            route(router, x, 4)
 
     def test_width_and_dtype_mismatch_rejected(self):
         router = make_router(2, 0)
         with pytest.raises(tt.ShapeError, match="router width"):
-            route(router, Tensor(np.ones((3, 2, 2))))
+            route(router, Tensor(np.ones((3, 2, 2))), 4)
         with pytest.raises(tt.ShapeError, match="dtype"):
-            route(router, Tensor(np.ones((2, 2, 2), dtype=np.float32)))
+            route(router, Tensor(np.ones((2, 2, 2), dtype=np.float32)), 4)
 
     def test_expert_ids_carry_directions(self):
         assert [d.name for d in SPATIAL_DIRECTIONS] == ["TL_BR", "BR_TL", "TR_BL", "BL_TR"]
@@ -159,7 +159,7 @@ def former_mix(weights, outputs, selected, x_spa, response_grads):
 
 
 def former_sre(experts, router, x_spa, k):
-    weights = route(router, x_spa)
+    weights = route(router, x_spa, 4)[1]
     selected = topk_select(weights.data, k)
     maps = [ungated(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
     grads = [response_grad(experts[j], x_spa, SPATIAL_DIRECTIONS[j]) for j in selected]
@@ -189,7 +189,7 @@ class TestSreForward:
 
     def test_topk1_equals_argmax_expert_alone(self):
         experts, router, x = self.make(seed=5)
-        w = route(router, x).data
+        w = route(router, x, 4)[1].data
         best = int(np.argmax(w))
 
         alone = ungated(experts[best], x, SPATIAL_DIRECTIONS[best]).data + x.data
@@ -198,7 +198,7 @@ class TestSreForward:
 
     def test_topk_renormalization_against_hand_oracle(self):
         experts, router, x = self.make(seed=6)
-        w = route(router, x).data
+        w = route(router, x, 4)[1].data
         sel = topk_select(w, 2)
 
         outs = {j: ungated(experts[j], x, SPATIAL_DIRECTIONS[j]).data for j in sel}
@@ -216,29 +216,29 @@ class TestSreForward:
             return real(expert, x_spa, direction, *gate)
 
         monkeypatch.setattr(moe, "spatial_expert_forward", counted)
-        w = route(router, x).data
+        w = route(router, x, 4)[1].data
         for k in (1, 2, 3, 4):
             calls.clear()
             sre_forward(experts, router, x, k)
             assert calls == [SPATIAL_DIRECTIONS[j].name for j in topk_select(w, k)]
 
-    def test_one_mix_op_per_call(self):
+    def test_one_add_op_per_call(self):
         experts, router, x = self.make(seed=9)
         for k in (1, 2, 3, 4):
             with tt.Tape() as tape:
                 sre_forward(experts, router, x, k)
-            assert [op.name for op in tape.ops] == ["route", "gates"] + ["spatial_expert_forward"] * k + ["mix"]
+            assert [op.name for op in tape.ops] == ["route"] + ["spatial_expert_forward"] * k + ["add"]
 
-    def test_runtime_flops_are_router_scans_and_mix(self):
-        # each of the k experts scales its map by its gate and mix adds the
-        # k - 1 other maps and the skip term: 2k operations per map element
-        # beyond the router and scans
+    def test_runtime_flops_are_router_scans_and_add(self):
+        # each of the k experts scales its map by its gate and one add sums
+        # the k - 1 other maps and the skip term: 2k operations per map
+        # element beyond the router and scans
         experts, router, x = self.make(seed=10)
         e, h, w = x.shape
         d = experts[0].state_dim
         scan_flops = h * w * (2 * d + 4 * d * e)
         with tt.FLOPS:
-            route(router, x)
+            route(router, x, 4)
             router_flops = tt.FLOPS.total
         for k in (1, 2, 3, 4):
             with tt.FLOPS:
@@ -292,7 +292,7 @@ class TestSreForward:
 
     def test_unselected_experts_not_evaluated(self):
         experts, router, x = self.make(seed=8)
-        w = route(router, x).data
+        w = route(router, x, 4)[1].data
         (excluded,) = set(range(4)) - set(topk_select(w, 3))
         experts[excluded].a_log.data[...] = np.nan  # would raise if touched
         sre_forward(experts, router, x, 3)
@@ -340,7 +340,7 @@ class TestMomebCore:
 
         x_norm = tt.layer_norm(f, block.ln1_gamma, block.ln1_beta).data
         x_spa, x_spe = Tensor(x_norm[:2].copy()), Tensor(x_norm[2:].copy())
-        w = route(block.router, x_spa).data
+        w = route(block.router, x_spa, 4)[1].data
         spa = sum(w[j] * ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in range(4)) + x_spa.data
         spe = sse_forward(block.spectral_fwd, block.spectral_bwd, x_spe).data
         stacked = Tensor(np.concatenate([spa, spe], axis=0))
@@ -480,6 +480,18 @@ class TestMomebForward:
             tape.backward(tt.sum_all(out))
         assert np.all(np.isfinite(x.grad))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_tape_records_one_route_and_one_add_of_the_expert_maps(self, k):
+        block = make_block(channels=4, state=3, seed=22)
+        x = tt.parameter(np.random.default_rng(23).normal(size=(4, 5, 5)))
+        with tt.Tape() as tape:
+            momeb_forward(block, x, k)
+        assert [op.name for op in tape.ops] == (
+            ["layer_norm", "narrow", "narrow", "route"]
+            + ["spatial_expert_forward"] * k
+            + ["add", "spectral_bidirectional", "concat", "conv2d", "add", "mlp", "add"]
+        )
+
     def test_matches_composed_oracle(self):
         # the whole block at k = 2, on primitives: the gradients are gradcheck_suite's "momeb" entry
         block = make_block(channels=4, state=3, seed=18)
@@ -488,7 +500,7 @@ class TestMomebForward:
 
         x_norm = tt.layer_norm(x, block.ln1_gamma, block.ln1_beta).data
         x_spa, x_spe = Tensor(x_norm[:2].copy()), Tensor(x_norm[2:].copy())
-        w = route(block.router, x_spa).data
+        w = route(block.router, x_spa, 4)[1].data
         sel = topk_select(w, 2)
         outs = {j: ungated(block.spatial[j], x_spa, SPATIAL_DIRECTIONS[j]).data for j in sel}
         spa = sum(w[j] / (w[sel[0]] + w[sel[1]]) * outs[j] for j in sel) + x_spa.data

@@ -472,6 +472,15 @@ class TestTotalLoss:
             stages = [self.make_stage(l, m) for l, m in zip(logits, masks)]
             assert run(lambda: total_loss(stages, y_trn, logits[3])) == run(q_form)
 
+    def test_three_stage_terms_and_the_final_term_are_one_add(self):
+        rng = np.random.default_rng(35)
+        y_trn = rng.integers(1, 4, size=(4, 4))
+        logits = [parameter(rng.normal(size=(3, 4, 4))) for _ in range(4)]
+        stages = [self.make_stage(l, np.ones((4, 4))) for l in logits[:3]]
+        with Tape() as tape:
+            total_loss(stages, y_trn, logits[3])
+        assert [op.name for op in tape.ops] == ["masked_cross_entropy"] * 4 + ["add"]
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

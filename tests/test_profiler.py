@@ -57,7 +57,7 @@ class TestFlops:
         router = init_network_params(spec, np.random.default_rng(8)).momeb[0].router
         x = Tensor(np.random.default_rng(9).normal(size=(12, 5, 7)).astype(np.float32))
         with FLOPS:
-            route(router, x)
+            route(router, x, 4)
         assert FLOPS.total == _router_flops(12, 5, 7)
 
     @pytest.mark.parametrize("h, w", [(5, 7), (16, 12)])

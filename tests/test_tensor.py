@@ -56,6 +56,46 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             tt.add(Tensor([1.0], dtype=np.float32), Tensor([1.0], dtype=np.float64))
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_add_of_n_equals_the_chained_binary_adds_bit_for_bit(self, n, dtype):
+        rng = np.random.default_rng(n)
+        xs = [parameter(rand(rng, 3, 4, 5, dtype=dtype)) for _ in range(n)]
+        probe = Tensor(rand(rng, 3, 4, 5, dtype=dtype))
+        with Tape() as tape:
+            out = tt.add(*xs)
+            tape.backward(tt.sum_all(tt.mul(out, probe)))
+        chained = xs[0]
+        for x in xs[1:]:
+            chained = tt.add(chained, x)
+        assert out.data.tobytes() == chained.data.tobytes()
+        for x in xs:
+            assert x.grad.tobytes() == probe.data.tobytes()
+
+    def test_a_tensor_passed_twice_gets_twice_the_gradient(self):
+        rng = np.random.default_rng(6)
+        x, y = parameter(rand(rng, 2, 3)), parameter(rand(rng, 2, 3))
+        probe = Tensor(rand(rng, 2, 3))
+        with Tape() as tape:
+            z = tt.scale(y, 1.0)  # a tape node, not a parameter
+            tape.backward(tt.sum_all(tt.mul(tt.add(x, z, x, z), probe)))
+        assert x.grad.tobytes() == (2 * probe.data).tobytes()
+        assert y.grad.tobytes() == (2 * probe.data).tobytes()
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "odd", [Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)), dtype=np.float32)], ids=["shape", "dtype"]
+    )
+    def test_add_rejects_a_mismatch_at_any_position(self, position, odd):
+        xs = [Tensor(np.ones((2, 3))) for _ in range(3)]
+        xs.insert(position, odd)
+        with pytest.raises(ShapeError, match="^add: "):
+            tt.add(*xs)
+
+    def test_add_needs_two_tensors(self):
+        with pytest.raises(ShapeError, match="at least two"):
+            tt.add(Tensor([1.0]))
+
     def test_nonfinite_output_raises(self):
         big = Tensor(np.array([1e38], dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
@@ -684,7 +724,7 @@ class TestTapeMemory:
         "narrow": ((2, 3, 4), lambda y: tt.sum_all(tt.narrow(y, 1, 1, 2))),
         "concat": ((2, 3, 4), lambda y: tt.sum_all(tt.concat([Tensor(np.ones((1, 3, 4))), y], axis=0))),
         # the router keeps its pooled vector, not the map (pre-activation near 2, far from the ReLU kink)
-        "route": ((2, 3, 4), lambda y: tt.sum_all(tt.mul(route(TestTapeMemory.ROUTER, y), Tensor(np.arange(4.0))))),
+        "route": ((2, 3, 4), lambda y: tt.sum_all(tt.mul(route(TestTapeMemory.ROUTER, y, 4)[1], Tensor(np.arange(4.0))))),
         "masked_cross_entropy": (
             (3, 3, 4),
             lambda y: tt.masked_cross_entropy(y, TestTapeMemory.LABELS, np.ones((3, 4))),
