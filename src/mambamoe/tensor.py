@@ -29,8 +29,11 @@ map; no measured training peak lies there.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +42,14 @@ DEFAULT_DTYPE = np.float32
 
 CE_POSITION_FLOPS = 2  # bookkeeping per supervised pixel beyond the 4K softmax terms
 CONV_BLOCK_PIXELS = 2048  # outputs per block of a 3x3 conv: its accumulator stays in cache
+# Block sizes, in C_out * n * (w+2) outputs, from which a 3x3 conv's block
+# shares its products with the lane; below them the hand-off costs more than
+# it saves.  At 48 -> 48 channels the forward's channel halves were flat at
+# 32x32 and twice as slow at 16x16, while the backward, which hands the lane
+# all nine dW products, ran 1.74 -> 1.30 ms at 32x32 and 0.40 -> 0.45 ms at
+# 16x16 (one BLAS thread, 2-vCPU x86-64 VM).
+LANE_FLOOR = 65536
+LANE_FLOOR_BACKWARD = 32768
 LAYER_NORM_EPS = 1e-5  # added to each pixel's channel variance
 
 
@@ -358,6 +369,48 @@ def split(x: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
     return tuple(narrow(x, axis, i * step, step) for i in range(parts))
 
 
+# --- the lane ----------------------------------------------------------------
+#
+# One worker thread that takes a fixed share of a 3x3 conv's products while
+# the caller runs the rest; the BLAS and ufunc loops release the GIL.  The
+# split never depends on the CPU count, and a lane task never submits to the
+# lane.  Idle, the worker blocks on its queue; interpreter exit joins it.
+
+_lane: ThreadPoolExecutor | None = None
+_lane_lock = threading.Lock()
+
+
+def _lane_executor() -> ThreadPoolExecutor:
+    """The lane, started on first use."""
+    global _lane
+    with _lane_lock:
+        if _lane is None:
+            _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mambamoe-lane")
+        return _lane
+
+
+def _forget_lane() -> None:
+    # a forked child has no worker behind the parent's queue
+    global _lane, _lane_lock
+    _lane, _lane_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _beside(lane_task: Callable[[], None], caller_task: Callable[[], None]) -> None:
+    """Run lane_task on the lane while the caller runs caller_task.  The lane
+    is joined before this returns or raises, since both tasks write into
+    shared buffers; the caller's exception wins over the lane's."""
+    future = _lane_executor().submit(lane_task)
+    try:
+        caller_task()
+    finally:
+        future.exception()  # waits for the lane; a lane error is raised below
+    future.result()
+
+
 # --- spatial primitives ------------------------------------------------------
 
 
@@ -394,7 +447,9 @@ def _fill_window(win: np.ndarray, src: np.ndarray, r0: int, n: int) -> None:
     rows[:, hi - top :] = 0
 
 
-def _shifted_block(taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.ndarray) -> np.ndarray:
+def _shifted_block(
+    taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.ndarray, finish: Callable | None = None
+) -> np.ndarray:
     """Sum of the nine products taps[di, dj] @ the window's span from
     di(w+2)+dj, over a block of n rows; returns the block's outputs as a
     contiguous (C_out, n, w+2) view of ``buf``.
@@ -402,20 +457,39 @@ def _shifted_block(taps: np.ndarray, win: np.ndarray, n: int, w: int, buf: np.nd
     The products accumulate at row stride w+2, in which position r(w+2)+j
     holds pixel (r, j) and the columns j = w, w+1 are junk: callers crop
     them.
+
+    With ``finish``, each run of channels [lo, hi) is handed to
+    ``finish(block, lo, hi)`` as soon as its sum is complete, and a block of
+    at least ``LANE_FLOOR`` outputs shares the lane: the lane sums and
+    finishes channels [C_out//2, C_out) while the caller does [0, C_out//2).
+    Each half runs the same nine products over its own contiguous rows of
+    the sum and the product, so every output keeps its bits.  Otherwise,
+    and always without ``finish``, the caller does all channels at once.
     """
     c_out, row = taps.shape[2], w + 2
     span = n * row
     acc = buf[: c_out * span].reshape(c_out, span)
     tmp = buf[c_out * span : 2 * c_out * span].reshape(c_out, span)
-    for di in range(3):
-        for dj in range(3):
-            off = di * row + dj
-            if di or dj:
-                np.matmul(taps[di, dj], win[:, off : off + span], out=tmp)
-                acc += tmp
-            else:
-                np.matmul(taps[0, 0], win[:, off : off + span], out=acc)
-    return acc.reshape(c_out, n, row)
+    block = acc.reshape(c_out, n, row)
+
+    def channels(lo: int, hi: int) -> None:
+        for di in range(3):
+            for dj in range(3):
+                off = di * row + dj
+                if di or dj:
+                    np.matmul(taps[di, dj, lo:hi], win[:, off : off + span], out=tmp[lo:hi])
+                    acc[lo:hi] += tmp[lo:hi]
+                else:
+                    np.matmul(taps[0, 0, lo:hi], win[:, off : off + span], out=acc[lo:hi])
+        if finish is not None:
+            finish(block, lo, hi)
+
+    half = c_out // 2
+    if finish is not None and c_out * span >= LANE_FLOOR:
+        _beside(partial(channels, half, c_out), partial(channels, 0, half))
+    else:
+        channels(0, c_out)
+    return block
 
 
 def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
@@ -423,58 +497,89 @@ def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
     return np.empty(2 * c_out * _block_rows(h, w) * (w + 2), dtype=dtype)
 
 
+_TAP_ORDER = tuple((di, dj) for di in range(3) for dj in range(3))  # a 3x3 kernel's taps, row-major
+
+
 def _taps(weight: np.ndarray) -> np.ndarray:
     """A (C_out, C_in, 3, 3) kernel as contiguous (3, 3, C_out, C_in) taps."""
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
 
 
-def _conv3_blocks(x: np.ndarray, taps: np.ndarray):
+def _conv3_forward(x: np.ndarray, taps: np.ndarray, finish: Callable) -> None:
     """The forward pass of a 3x3 conv of the (C_in, h, w) array x, one row
-    block at a time: yields (r0, n, acc), where acc is the block's sum of
-    the nine tap products without the bias, at row stride w+2 with two junk
-    columns (``_shifted_block``), in a buffer that the next block reuses.
-    The window and the buffer are freed when the loop ends."""
+    block at a time.  For the block of n rows from row r0, once the sum of
+    the nine tap products (without the bias) of its channels [lo, hi) is
+    complete, ``finish(r0, n, block, lo, hi)`` consumes those rows of the
+    (C_out, n, w+2) block, at row stride w+2 with two junk columns
+    (``_shifted_block``), in a buffer that the next block reuses.  A large
+    block's upper channel half is summed and finished on the lane.  The
+    window and the buffer are freed on return."""
     c_in, h, w = x.shape
     win, buf = _window(c_in, h, w, x.dtype), _block_buffer(taps.shape[2], h, w, x.dtype)
     for r0, n in _row_blocks(h, w):
         _fill_window(win, x, r0, n)
-        yield r0, n, _shifted_block(taps, win, n, w, buf)
+        _shifted_block(taps, win, n, w, buf, partial(finish, r0, n))
 
 
-def _conv3_backward(x: np.ndarray, taps: np.ndarray, g: np.ndarray, need_dx: bool):
-    """dx (or None), dW and db of a 3x3 conv of the (C_in, h, w) array x,
-    whose (C_out, h, w) output gradient is g.
+def _conv3_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: bool):
+    """dx (or None), dW and db of a 3x3 conv of the (C_in, h, w) array x
+    with the (C_out, C_in, 3, 3) kernel weight, whose (C_out, h, w) output
+    gradient is g.
 
     Each block fills one window of x and one of g: dW for a tap gains g
     times that tap's span of x transposed, and the block of dx is the
-    shifted sum over g with the flipped, transposed taps.  db is
-    ``g.sum(axis=(1, 2))``.
+    shifted sum over g with the flipped, transposed taps, built from the
+    weight.  db is ``g.sum(axis=(1, 2))``.
+
+    Once the windows of a block of at least ``LANE_FLOOR_BACKWARD`` outputs
+    (C_out * n * (w+2)) are filled, the lane computes dW's nine products,
+    with the one ``part`` buffer, while the caller computes the block's dx
+    wholly.  Without dx the lane takes taps 0-3 (row-major) and the caller
+    taps 4-8, with a second ``part``.  The lane is joined before the next
+    block's windows are filled.  Every product and every sum keeps its
+    order, and each tap's dW gains its blocks in row order, so no bit
+    depends on the lane.
     """
     c_in, h, w = x.shape
-    c_out, row, dtype = taps.shape[2], w + 2, x.dtype
+    c_out, row, dtype = weight.shape[0], w + 2, x.dtype
     xwin, gwin = _window(c_in, h, w, dtype), _window(c_out, h, w, dtype)
     dtaps = np.empty((3, 3, c_out, c_in), dtype=dtype)
     part = np.empty((c_out, c_in), dtype=dtype)
-    dx = None
+
+    def dw(r0: int, n: int, taps: tuple, scratch: np.ndarray) -> None:
+        g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
+        for di, dj in taps:
+            off = di * row + dj
+            span = xwin[:, off : off + n * row].T
+            if r0:
+                np.matmul(g_rows, span, out=scratch)
+                dtaps[di, dj] += scratch
+            else:
+                np.matmul(g_rows, span, out=dtaps[di, dj])
+
     if need_dx:
         dx = np.empty((c_in, h, w), dtype=dtype)
-        flipped = np.ascontiguousarray(taps[::-1, ::-1].transpose(0, 1, 3, 2))
+        flipped = np.ascontiguousarray(weight.transpose(2, 3, 1, 0)[::-1, ::-1])
         buf = _block_buffer(c_in, h, w, dtype)
+        lane_taps = _TAP_ORDER
+
+        def caller_share(r0: int, n: int) -> None:
+            dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)[:, :, :w]
+
+    else:
+        dx, part2, lane_taps = None, np.empty((c_out, c_in), dtype=dtype), _TAP_ORDER[:4]
+
+        def caller_share(r0: int, n: int) -> None:
+            dw(r0, n, _TAP_ORDER[4:], part2)
+
     for r0, n in _row_blocks(h, w):
         _fill_window(xwin, x, r0, n)
         _fill_window(gwin, g, r0, n)
-        g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
-        for di in range(3):
-            for dj in range(3):
-                off = di * row + dj
-                span = xwin[:, off : off + n * row].T
-                if r0:
-                    np.matmul(g_rows, span, out=part)
-                    dtaps[di, dj] += part
-                else:
-                    np.matmul(g_rows, span, out=dtaps[di, dj])
-        if need_dx:
-            dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)[:, :, :w]
+        if c_out * n * row < LANE_FLOOR_BACKWARD:
+            dw(r0, n, lane_taps, part)
+            caller_share(r0, n)
+        else:
+            _beside(partial(dw, r0, n, lane_taps, part), partial(caller_share, r0, n))
     return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
 
 
@@ -508,17 +613,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
     is nine shifted products (the implicit-GEMM lowering), run over blocks
     of rows (``_row_blocks``) by helpers that ``conv_relu_pool`` shares.
-    ``_conv3_blocks`` allocates one zeroed window for the largest block and
+    ``_conv3_forward`` allocates one zeroed window for the largest block and
     copies each block's rows, with the row above and below, into it at row
     stride w+2 (``_fill_window``); ``_shifted_block`` then sums the nine
     products, each over the window's contiguous span from di(w+2)+dj, into
-    a cache-sized buffer that is cropped into the output.  No padded copy
+    a cache-sized buffer, whose rows get the bias and are cropped into the
+    output.  No padded copy
     of the whole map is made.  The closure keeps x and the weight Tensor,
-    not the taps, which the backward pass rebuilds from the weight: no step
-    changes it before the tape's replay.  That pass, ``_conv3_backward``,
-    fills one window of x and one of g per block, and is also
-    ``conv_relu_pool``'s.  dx is computed only for an input that
+    not the taps: the backward pass builds its flipped taps from the
+    weight, which no step changes before the tape's replay.  That pass,
+    ``_conv3_backward``, fills one window of x and one of g per block, and
+    is also ``conv_relu_pool``'s.  dx is computed only for an input that
     requires a gradient or is a node of the open tape; otherwise it is None.
+
+    A 3x3 conv shares each large block with the lane, one worker thread:
+    the forward pass sums and finishes the upper half of the output
+    channels there, and the backward pass computes dW there beside the
+    caller's dx.  The split is fixed and every product and sum keeps its
+    order, so the bits are those of one thread.  A 1x1 conv runs wholly in
+    the caller.
     """
     c_out, c_in, k = _conv_shapes("conv2d", x, weight, bias)
     _, h, w = x.shape
@@ -537,12 +650,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     else:
         out = np.empty((c_out, h, w), dtype=x.dtype)
-        for r0, n, acc in _conv3_blocks(x.data, _taps(weight.data)):
-            np.add(acc[:, :, :w], bias.data[:, None, None], out=out[:, r0 : r0 + n])
-        del acc  # a view of the block buffer, before the finite check's temporary
+
+        def finish(r0, n, block, lo, hi):
+            # the bias goes onto whole padded rows, which are contiguous, so
+            # that no ufunc buffers the cropped view; the crop is then a copy
+            padded = block[lo:hi]
+            np.add(padded, bias.data[lo:hi, None, None], out=padded)
+            out[lo:hi, r0 : r0 + n] = padded[:, :, :w]
+
+        _conv3_forward(x.data, _taps(weight.data), finish)
 
         def bwd(g):
-            return _conv3_backward(x.data, _taps(weight.data), g, need_dx)
+            return _conv3_backward(x.data, weight.data, g, need_dx)
 
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=_conv_flops(c_out, c_in, k, h, w))
 
@@ -555,16 +674,18 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     (C_out,).  The output is (C_out, h // 2, w // 2): a trailing odd row or
     column is dropped.
 
-    Each row block of the conv (``_conv3_blocks``) gets its bias, is
+    Each row block of the conv (``_conv3_forward``) gets its bias, is
     checked for non-finite values and goes through ``np.maximum`` while it
     is in cache.  Its rows are then pooled as (x00 + x01) + (x10 + x11),
     scaled by 0.25: the horizontal pair sums of each row first, then the
     sums of row pairs.  A block with an odd row count leaves its last row's
     pair sums in a staging row that pairs with the next block's first row.
+    All of this runs per channel, so a large block's upper channel half
+    runs it on the lane, right after its products, as conv2d's bias does.
 
-    The closure keeps x, the weight Tensor (whose taps the backward pass
-    rebuilds, as conv2d's does) and the ReLU mask packed to one bit per
-    pixel (``np.packbits``).  The backward pass builds the conv's
+    The closure keeps x, the weight Tensor (from which the backward pass
+    builds its taps, as conv2d's does) and the ReLU mask packed to one bit
+    per pixel (``np.packbits``).  The backward pass builds the conv's
     (C_out, h, w) output gradient once, from g * 0.25 and the unpacked
     mask, and hands it to conv2d's backward (``_conv3_backward``).  That
     map is the only full-resolution array it adds; no measured training
@@ -584,26 +705,31 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = np.empty((c_out, h2, w2), dtype=dtype)
     # the horizontal pair sums of a block's rows, after a staged row
     cols = np.empty((c_out, _block_rows(h, w) + 1, w2), dtype=dtype)
-    staged = 0  # 1 when cols[:, 0] holds an unpaired row's pair sums
     # backward reads only the ReLU mask, made only when a tape may record the op
     mask = np.empty((c_out, h, (w + 7) // 8), dtype=np.uint8) if tape is not None else None
-    for r0, n, padded in _conv3_blocks(x.data, _taps(weight.data)):
+
+    def finish(r0, n, block, lo, hi):
         # bias and ReLU run over whole padded rows, which are contiguous;
         # the junk columns are cropped before they are checked or read
+        padded = block[lo:hi]
         acc = padded[:, :, :w]
-        np.add(padded, bias.data[:, None, None], out=padded)
+        np.add(padded, bias.data[lo:hi, None, None], out=padded)
         if not np.all(np.isfinite(acc)):
             raise NumericalError("conv_relu_pool: non-finite values in the convolution")
         np.maximum(padded, dtype.type(0), out=padded)  # -0.0 maps to +0.0
         if mask is not None:
-            mask[:, r0 : r0 + n] = np.packbits(acc > 0, axis=2)
-        np.add(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2], out=cols[:, staged : staged + n])
-        pairs, i0 = (staged + n) // 2, (r0 - staged) // 2
-        np.add(cols[:, 0 : 2 * pairs : 2], cols[:, 1 : 2 * pairs : 2], out=out[:, i0 : i0 + pairs])
-        staged = (staged + n) % 2
-        if staged:
-            cols[:, 0] = cols[:, 2 * pairs]
-    del padded, acc, cols  # before the finite check's temporary
+            mask[lo:hi, r0 : r0 + n] = np.packbits(acc > 0, axis=2)
+        # a block that starts at an odd row pairs it with the staged row
+        staged, staging = r0 % 2, cols[lo:hi]
+        pairs = (staged + n) // 2
+        np.add(acc[:, :, 0 : 2 * w2 : 2], acc[:, :, 1 : 2 * w2 : 2], out=staging[:, staged : staged + n])
+        pooled = out[lo:hi, r0 // 2 : r0 // 2 + pairs]
+        np.add(staging[:, 0 : 2 * pairs : 2], staging[:, 1 : 2 * pairs : 2], out=pooled)
+        if (staged + n) % 2:
+            staging[:, 0] = staging[:, 2 * pairs]
+
+    _conv3_forward(x.data, _taps(weight.data), finish)
+    del finish, cols  # before the finite check's temporary
     out *= quarter
 
     def bwd(g):
@@ -615,7 +741,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for a in (0, 1):  # the even and the odd rows of each window
             np.multiply(wide, bits[:, a::2], out=g_conv[:, a : 2 * h2 : 2, : 2 * w2])
         del wide, bits  # before the block loop allocates its windows and buffers
-        return _conv3_backward(x.data, _taps(weight.data), g_conv, need_dx)
+        return _conv3_backward(x.data, weight.data, g_conv, need_dx)
 
     n_flops = _conv_flops(c_out, c_in, 3, h, w) + c_out * h * w + 4 * c_out * h2 * w2
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)

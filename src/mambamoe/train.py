@@ -6,7 +6,9 @@ the per-class split and the Bernoulli supervision masks each draw from
 independent child streams of one seed sequence.  They are bit-reproducible
 for a given seed and BLAS thread count: a threaded BLAS sums matrix
 products in another order, so one and two OpenBLAS threads train to
-different parameter bits.
+different parameter bits.  The 3x3 convs' second thread (the lane of
+``tensor``) does not: its split of each conv is fixed, whatever the CPU
+count, and leaves every product and sum in its order.
 """
 
 from __future__ import annotations
@@ -154,9 +156,15 @@ def train(config: TrainConfig, scene: HsiScene) -> TrainResult:
     """Full-scene training per the experimental protocol: dense experts,
     stage supervision when enabled, one Adam step per epoch.
 
+    The scene is validated first (``HsiScene.validate``): a label outside
+    0..n_class, or a declared class with no pixel, raises ``ExtentError``.
+
     The trained parameters are bit-identical across runs only at a fixed
     seed and a fixed BLAS thread count: another thread count sums the
-    matrix products in another order."""
+    matrix products in another order.  The worker thread that shares each
+    large 3x3 conv (``tensor.conv2d``) splits it the same way on every
+    machine and keeps every sum's order, so it changes no bit."""
+    scene.validate()
     ss_init, _, ss_mask = _seed_streams(config.seed)
 
     x = normalize_scene(scene)

@@ -2,6 +2,9 @@
 
 import errno
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -552,3 +555,19 @@ def _is_float(tok: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+class TestProcessExit:
+    def test_train_exits_0_in_time_after_the_lane_ran(self, tmp_path):
+        # at 48 channels the backward pass of the stem's first conv (32x32)
+        # runs on the lane, whose idle worker must not hold up the exit
+        cfg = write_cfg(tmp_path, epochs=2, channels=48)
+        script = (
+            "import sys; from mambamoe import cli, tensor; code = cli.main(sys.argv[1:]); "
+            "print('lane started:', tensor._lane is not None); sys.exit(code)"
+        )
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "trained 2 epochs" in proc.stdout and "lane started: True" in proc.stdout

@@ -1,5 +1,11 @@
 """Tensor engine: forward oracles, gradient checks, tape semantics."""
 
+import concurrent.futures
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -466,6 +472,220 @@ class TestConvReluPool:
             relu_out = tt.relu(tt.conv2d(Tensor(x), Tensor(wt), Tensor(b))).data
             assert mask.dtype == np.uint8 and mask.tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
             tape.backward(loss)
+
+
+class InlineLane:
+    """A stand-in for the lane's executor: ``submit`` runs the task at once,
+    in the caller, and returns its settled future."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn):
+        self.tasks += 1
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn())
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class CountingLane:
+    """The real lane, counting the tasks handed to it."""
+
+    def __init__(self):
+        self.lane, self.tasks = tt._lane_executor(), 0
+
+    def submit(self, fn):
+        self.tasks += 1
+        return self.lane.submit(fn)
+
+
+def full_channel_conv3(x, w, b):
+    """A 3x3 conv by nine full-channel products over a padded copy of x."""
+    c_out, c_in = w.shape[:2]
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((c_out, h * wd), x.dtype)
+    for di in range(3):
+        for dj in range(3):
+            out += w[:, :, di, dj] @ xp[:, di : di + h, dj : dj + wd].reshape(c_in, -1)
+    return (out + b[:, None]).reshape(c_out, h, wd)
+
+
+def full_channel_conv3_backward(x, w, g):
+    """dx, dW and db of sum(g * conv) for the conv of ``full_channel_conv3``."""
+    c_out, c_in = w.shape[:2]
+    _, h, wd = x.shape
+    xp, gp = np.pad(x, ((0, 0), (1, 1), (1, 1))), np.pad(g, ((0, 0), (1, 1), (1, 1)))
+    g2 = g.reshape(c_out, -1)
+    dx, dw = np.zeros((c_in, h * wd), x.dtype), np.empty_like(w)
+    for di in range(3):
+        for dj in range(3):
+            dw[:, :, di, dj] = g2 @ xp[:, di : di + h, dj : dj + wd].reshape(c_in, -1).T
+            dx += w[:, :, 2 - di, 2 - dj].T @ gp[:, di : di + h, dj : dj + wd].reshape(c_out, -1)
+    return dx.reshape(c_in, h, wd), dw, g.sum(axis=(1, 2))
+
+
+def full_channel_reference(op, x, w, b, g):
+    """Output, dx, dW and db of sum(g * op(x, w, b)), op being conv2d or
+    conv_relu_pool, from the full-channel conv."""
+    conv = full_channel_conv3(x, w, b)
+    if op is tt.conv2d:
+        return (conv, *full_channel_conv3_backward(x, w, g))
+    h2, w2 = g.shape[1:]
+    rows = np.maximum(conv, 0)[:, : 2 * h2, : 2 * w2]
+    cols = rows[:, :, 0::2] + rows[:, :, 1::2]
+    out = (cols[:, 0::2] + cols[:, 1::2]) * 0.25
+    g_conv = np.zeros_like(conv)
+    g_conv[:, : 2 * h2, : 2 * w2] = np.repeat(np.repeat(g * 0.25, 2, axis=1), 2, axis=2) * (rows > 0)
+    return (out, *full_channel_conv3_backward(x, w, g_conv))
+
+
+class TestLane:
+    """The 3x3 convs share large blocks with the lane, a worker thread, and
+    keep the bits of one thread."""
+
+    OPS = [tt.conv2d, tt.conv_relu_pool]
+
+    @staticmethod
+    def operands(c_in, size, c_out, dtype, op):
+        rng = np.random.default_rng(size + c_in)
+        x = rand(rng, c_in, size, size, dtype=dtype)
+        wt = (rand(rng, c_out, c_in, 3, 3) / np.sqrt(9 * c_in)).astype(dtype)
+        g_size = size if op is tt.conv2d else size // 2
+        return x, wt, rand(rng, c_out, dtype=dtype), rand(rng, c_out, g_size, g_size, dtype=dtype)
+
+    @staticmethod
+    def run(op, x, wt, b, g, need_dx=True):
+        """Output, dx (or None), dW and db of sum(g * op(x, w, b))."""
+        xt = parameter(x) if need_dx else Tensor(x)
+        with Tape() as tape:
+            out = op(xt, parameter(wt), parameter(b))
+            return (out.data, *tape.ops[-1].backward(g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("c_in, size, c_out", [(32, 128, 48), (48, 64, 48)])
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_bits_equal_an_inline_lane_and_values_the_full_channel_conv(self, monkeypatch, op, c_in, size, c_out, dtype):
+        x, wt, b, g = self.operands(c_in, size, c_out, dtype, op)
+        want = full_channel_reference(op, x, wt, b, g)
+        lanes = {"threaded": CountingLane(), "inline": InlineLane()}
+        got = {}
+        for name, lane in lanes.items():
+            monkeypatch.setattr(tt, "_lane_executor", lambda lane=lane: lane)
+            got[name] = self.run(op, x, wt, b, g), self.run(op, x, wt, b, g, need_dx=False)
+            assert lane.tasks > 0, name
+        (threaded, threaded_no_dx), (inline, inline_no_dx) = got["threaded"], got["inline"]
+        names = ("out", "dx", "dW", "db")
+        for name, a, e in zip(names, threaded, inline):
+            assert a.dtype == dtype and a.tobytes() == e.tobytes(), name
+        assert threaded_no_dx[1] is None and inline_no_dx[1] is None
+        for name, a, e, full in zip(names, threaded_no_dx, inline_no_dx, threaded):
+            if name != "dx":
+                assert a.tobytes() == e.tobytes() == full.tobytes(), name
+        for name, a, e in zip(names, threaded, want):
+            assert np.max(np.abs(a - e)) <= 1e-6 * np.max(np.abs(e)), name
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_nonfinite_weight_in_either_channel_half_raises_alike(self, op):
+        x, wt, b, _ = self.operands(48, 64, 48, np.float32, op)
+        before = op(Tensor(x), Tensor(wt), Tensor(b)).data
+        messages = []
+        for channel in (0, 47):  # the caller's half, then the lane's
+            bad = wt.copy()
+            bad[channel, 5, 1, 1] = np.nan
+            with pytest.raises(NumericalError, match=op.__name__) as exc:
+                op(Tensor(x), Tensor(bad), Tensor(b))
+            messages.append(str(exc.value))
+            assert op(Tensor(x), Tensor(wt), Tensor(b)).data.tobytes() == before.tobytes()
+        assert messages[0] == messages[1]
+
+    def test_fifty_convs_start_at_most_one_thread(self):
+        x, wt, b, g = self.operands(48, 64, 48, np.float32, tt.conv2d)
+        threads = threading.active_count()
+        for _ in range(25):
+            self.run(tt.conv2d, x, wt, b, g)
+            self.run(tt.conv_relu_pool, x, wt, b, g[:, :32, :32])
+        assert threading.active_count() <= threads + 1
+
+    def test_callers_on_several_threads_share_the_lane(self):
+        # four callers on two cores, switching threads often: each caller's
+        # conv and gradients keep the bits of a lone call
+        x, wt, b, g = self.operands(48, 64, 48, np.float32, tt.conv2d)
+
+        def conv():
+            out = tt.conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
+            return (out, *tt._conv3_backward(x, wt, g, True))
+
+        want, results, errors = conv(), [], []
+
+        def caller():
+            try:
+                results.extend(conv() for _ in range(3))
+            except BaseException as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert len(results) == 12
+        for got in results:
+            assert all(a.tobytes() == e.tobytes() for a, e in zip(got, want))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_lane(self):
+        x, wt, b, _ = self.operands(48, 64, 48, np.float32, tt.conv2d)
+        want = tt.conv2d(Tensor(x), Tensor(wt), Tensor(b)).data  # the lane has run
+        pid = os.fork()
+        if pid == 0:
+            same = tt.conv2d(Tensor(x), Tensor(wt), Tensor(b)).data.tobytes() == want.tobytes()
+            os._exit(0 if same else 1)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on the parent's lane")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_lane_error_is_raised_after_the_caller_task(self):
+        done = []
+
+        def fail():
+            raise ValueError("in the lane")
+
+        with pytest.raises(ValueError, match="in the lane"):
+            tt._beside(fail, lambda: done.append("caller"))
+        assert done == ["caller"]
+
+    def test_caller_error_waits_for_the_lane_and_wins(self):
+        done, started = [], threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(0.05)
+            done.append("lane")
+
+        def fail():
+            assert started.wait(timeout=60)
+            raise KeyError("in the caller")
+
+        with pytest.raises(KeyError, match="in the caller"):
+            tt._beside(slow, fail)
+        assert done == ["lane"]
 
 
 class TestLayerNorm:

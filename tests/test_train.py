@@ -325,3 +325,13 @@ class TestTrainingLoop:
         for bad in ({"topk_infer": 5}, {"samples_per_class": 0}, {"seed": -1}, {"epochs": 0}, {"channels": 7}, {"channels": 0}, {"state_dim": 0}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_rejects_a_label_outside_the_declared_classes(self, bad):
+        # before the split, which would name the stray id as a class
+        scene = dataio.generate_synthetic(dataio.default_synthetic_spec(seed=0))
+        labels = scene.labels.astype(np.int64)
+        labels[0, 0] = bad
+        cfg = TrainConfig(epochs=1, seed=0, samples_per_class=5, channels=8, state_dim=4)
+        with pytest.raises(dataio.ExtentError, match=f"label id {bad} "):
+            train(cfg, dataio.HsiScene(scene.header, scene.cube, labels))
