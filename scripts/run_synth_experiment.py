@@ -13,43 +13,82 @@ Usage: python3 scripts/run_synth_experiment.py [--seeds 16] [--epochs 200]
 import argparse
 from dataclasses import replace
 
-from mambamoe.data import default_synthetic_spec, generate_synthetic
+import numpy as np
+
+from mambamoe.data import HsiScene, default_synthetic_spec, generate_synthetic
 from mambamoe.inspect_experts import inspect_expert_weights
-from mambamoe.train import TrainConfig, format_summary_report, nearest_centroid_predict, run_repeats, topk_sweep
+from mambamoe.train import Metrics, TrainConfig, TrainResult, evaluate, nearest_centroid_predict, score, topk_sweep, train
+
+# (section header, name on the ablation-ordering line, switches off the full model)
+VARIANTS = (
+    ("full model", "full", {}),
+    ("ablation: expert blocks off", "no-expert-blocks", {"momeb_on": False}),
+    ("ablation: stage supervision off", "no-stage-supervision", {"uarb_on": False}),
+)
+
+Run = tuple[TrainResult, Metrics]
+
+
+def run_seeds(config: TrainConfig, scene: HsiScene, seeds: int) -> list[Run]:
+    """Train with seeds seed+0 .. seed+seeds-1, each run paired with its
+    held-out metrics at ``topk_infer``."""
+    runs = []
+    for seed in range(config.seed, config.seed + seeds):
+        result = train(replace(config, seed=seed), scene)
+        runs.append((result, evaluate(result.params, scene, result.test_mask, topk=config.topk_infer)))
+    return runs
+
+
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and population std over the seeds."""
+    v = np.array(values, dtype=np.float64)
+    return float(v.mean()), float(v.std())
+
+
+def format_summary_report(runs: list[Run], class_names: list[str]) -> str:
+    """Per-class and aggregate rows as mean +/- std over the runs."""
+    width = max((len(n) for n in class_names), default=8)
+    per_class = np.stack([m.per_class_acc for _, m in runs])
+    lines = [f"runs: {len(runs)} (seeds {[r.config.seed for r, _ in runs]})"]
+    for i, name in enumerate(class_names):
+        col = per_class[:, i]
+        lines.append(f"{name:<{width}}  {100 * np.nanmean(col):6.2f} +/- {100 * np.nanstd(col):5.2f}")
+    for metric, label in (("oa", "OA (%)"), ("aa", "AA (%)"), ("kappa", "kappa (%)")):
+        mean, std = mean_std([getattr(m, metric) for _, m in runs])
+        lines.append(f"{label:<{width}}  {100 * mean:6.2f} +/- {100 * std:5.2f}")
+    return "\n".join(lines) + "\n"
+
+
+def at_least_one(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=16)
-    parser.add_argument("--epochs", type=int, default=200)
+    parser.add_argument("--seeds", type=at_least_one, default=16)
+    parser.add_argument("--epochs", type=at_least_one, default=200)
     args = parser.parse_args()
 
     scene = generate_synthetic(default_synthetic_spec())
     base = TrainConfig(epochs=args.epochs)  # seeds 0 .. seeds-1
 
-    print("=== full model ===")
-    summary_full, results_full = run_repeats(base, scene, args.seeds)
-    print(format_summary_report(summary_full, scene.header.class_names))
-
-    print("=== ablation: expert blocks off ===")
-    summary_nm, _ = run_repeats(replace(base, momeb_on=False), scene, args.seeds)
-    print(format_summary_report(summary_nm, scene.header.class_names))
-
-    print("=== ablation: stage supervision off ===")
-    summary_nu, _ = run_repeats(replace(base, uarb_on=False), scene, args.seeds)
-    print(format_summary_report(summary_nu, scene.header.class_names))
+    runs = {}
+    for header, name, switches in VARIANTS:
+        print(f"=== {header} ===")
+        runs[name] = run_seeds(replace(base, **switches), scene, args.seeds)
+        print(format_summary_report(runs[name], scene.header.class_names))
 
     print("=== ablation ordering ===")
-    print(f"mean OA  full {summary_full.mean['oa']:.4f}  "
-          f"no-expert-blocks {summary_nm.mean['oa']:.4f}  no-stage-supervision {summary_nu.mean['oa']:.4f}")
-    baseline = [
-        (nearest_centroid_predict(scene, r.train_mask)[r.test_mask] == scene.labels[r.test_mask]).mean()
-        for r in results_full
-    ]
+    print("mean OA  " + "  ".join(f"{name} {mean_std([m.oa for _, m in rs])[0]:.4f}" for name, rs in runs.items()))
+    full = runs["full"]
+    baseline = [score(nearest_centroid_predict(scene, r.train_mask), scene, r.test_mask).oa for r, _ in full]
     print(f"nearest-centroid baseline mean OA {sum(baseline) / len(baseline):.4f} (same splits)")
 
     print("\n=== top-k sweep (first checkpoint) ===")
-    first = results_full[0]
+    first, _ = full[0]
     for k, metrics in topk_sweep(first.params, scene, first.test_mask):
         print(f"k={k}  OA {100 * metrics.oa:6.2f}  AA {100 * metrics.aa:6.2f}  kappa {100 * metrics.kappa:6.2f}")
 

@@ -214,7 +214,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     scene = _load_scene(cfg)
     palette = _palette_for(cfg, scene)  # a bad palette fails before training, not after
     result = training.train(tcfg, scene)
-    metrics = training.evaluate(result.params, scene, result.test_mask, topk=tcfg.topk_infer)
+    pred = training.predict_labels(result.params, scene, topk=tcfg.topk_infer)
+    metrics = training.score(pred, scene, result.test_mask)
     _make_out_dir(out_dir)
     save_checkpoint(
         out_dir / "checkpoint.mmoe",
@@ -225,7 +226,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     (out_dir / "metrics.txt").write_text(
         training.format_metrics_report(metrics, scene.header.class_names), encoding="utf-8"
     )
-    pred = training.predict_labels(result.params, scene, topk=tcfg.topk_infer)
     dataio.render_map(pred, palette, out_dir / "prediction.ppm")
     print(f"trained {tcfg.epochs} epochs in {result.seconds:.1f}s; final loss {result.history[-1][1]:.4f}")
     print(training.format_metrics_report(metrics, scene.header.class_names), end="")

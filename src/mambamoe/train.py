@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,13 +257,19 @@ def predict_labels(params: NetworkParams, scene: HsiScene, topk: int) -> np.ndar
     return (result.final_logits.data.argmax(axis=0) + 1).astype(np.uint16)
 
 
-def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk: int) -> Metrics:
+def score(pred: np.ndarray, scene: HsiScene, test_mask: np.ndarray) -> Metrics:
+    """Held-out metrics of a class map against the scene's labels over the
+    test mask, which must select at least one pixel."""
     if not np.asarray(test_mask).any():
-        raise ValueError("evaluate: empty test mask")
-    pred = predict_labels(params, scene, topk=topk)
+        raise ValueError("score: empty test mask")
     labels = scene.labels.astype(np.int64)
-    conf = confusion_matrix(labels[test_mask], pred[test_mask], scene.header.n_class)
-    return metrics_from_confusion(conf)
+    return metrics_from_confusion(confusion_matrix(labels[test_mask], pred[test_mask], scene.header.n_class))
+
+
+def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk: int) -> Metrics:
+    """``score`` of ``predict_labels``: the held-out metrics of the model's
+    class map at k experts."""
+    return score(predict_labels(params, scene, topk=topk), scene, test_mask)
 
 
 def topk_sweep(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray) -> list[tuple[int, Metrics]]:
@@ -288,41 +294,6 @@ def nearest_centroid_predict(scene: HsiScene, train_mask: np.ndarray) -> np.ndar
     return classes[d2.argmin(axis=1)].astype(np.uint16).reshape(scene.labels.shape)
 
 
-# --- repeated runs ----------------------------------------------------------------
-
-
-@dataclass
-class RepeatSummary:
-    runs: list[Metrics]
-    mean: dict[str, float]
-    std: dict[str, float]
-    seeds: list[int] = field(default_factory=list)
-
-
-def summarize_metrics(runs: list[Metrics], seeds: list[int] | None = None) -> RepeatSummary:
-    names = ("oa", "aa", "kappa")
-    values = {n: np.array([getattr(m, n) for m in runs], dtype=np.float64) for n in names}
-    return RepeatSummary(
-        runs=runs,
-        mean={n: float(v.mean()) for n, v in values.items()},
-        std={n: float(v.std()) for n, v in values.items()},  # population std over the repeat set
-        seeds=list(seeds or []),
-    )
-
-
-def run_repeats(config: TrainConfig, scene: HsiScene, repeats: int) -> tuple[RepeatSummary, list[TrainResult]]:
-    """Repeat the protocol with seeds seed+0 .. seed+repeats-1; returns the
-    summary of the held-out metrics and each run's trained result."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    runs, results = [], []
-    for i in range(repeats):
-        result = train(replace(config, seed=config.seed + i), scene)
-        runs.append(evaluate(result.params, scene, result.test_mask, topk=config.topk_infer))
-        results.append(result)
-    return summarize_metrics(runs, [r.config.seed for r in results]), results
-
-
 # --- report formatting ---------------------------------------------------------------
 
 
@@ -343,17 +314,4 @@ def format_metrics_report(metrics: Metrics, class_names: list[str]) -> str:
     lines.append(f"{'OA (%)':<{width}}  {100 * metrics.oa:6.2f}")
     lines.append(f"{'AA (%)':<{width}}  {100 * metrics.aa:6.2f}")
     lines.append(f"{'kappa (%)':<{width}}  {100 * metrics.kappa:6.2f}")
-    return "\n".join(lines) + "\n"
-
-
-def format_summary_report(summary: RepeatSummary, class_names: list[str]) -> str:
-    """Repeated-run report: per-class and aggregate rows as mean +/- std."""
-    width = max((len(n) for n in class_names), default=8)
-    per_class = np.stack([m.per_class_acc for m in summary.runs])
-    lines = [f"runs: {len(summary.runs)} (seeds {summary.seeds})"]
-    for i, name in enumerate(class_names):
-        col = per_class[:, i]
-        lines.append(f"{name:<{width}}  {100 * np.nanmean(col):6.2f} +/- {100 * np.nanstd(col):5.2f}")
-    for metric, label in (("oa", "OA (%)"), ("aa", "AA (%)"), ("kappa", "kappa (%)")):
-        lines.append(f"{label:<{width}}  {100 * summary.mean[metric]:6.2f} +/- {100 * summary.std[metric]:5.2f}")
     return "\n".join(lines) + "\n"

@@ -536,6 +536,19 @@ def test_ablated_model_evaluates_as_trained(tmp_path, capsys):
     assert row.split()[2] == trained_oa
 
 
+def test_train_runs_one_inference_pass(tmp_path, monkeypatch, capsys):
+    """The metrics and the rendered map come from one prediction."""
+    forward, passes = training.forward_full, []
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs["train"])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_full", counted)
+    assert main(["train", "--config", str(write_cfg(tmp_path, epochs=2)), "--out", str(tmp_path / "run")]) == 0
+    assert passes == [True, True, False]
+
+
 class TestProfileCommand:
     def test_profile_prints_params_and_topk_rows(self, capsys):
         code = main(["profile", "--input", "103x13x13", "--classes", "9"])

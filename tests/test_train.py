@@ -1,4 +1,4 @@
-"""Split sampling, Adam, metrics, repeats, and short training runs."""
+"""Split sampling, Adam, metrics, scoring, and short training runs."""
 
 import weakref
 
@@ -21,14 +21,12 @@ from mambamoe.train import (
     evaluate,
     format_history_csv,
     format_metrics_report,
-    format_summary_report,
     metrics_from_confusion,
     nearest_centroid_predict,
     predict_labels,
-    run_repeats,
+    score,
     split_for_seed,
     split_per_class,
-    summarize_metrics,
     topk_sweep,
     train,
 )
@@ -197,32 +195,30 @@ class TestNearestCentroid:
             nearest_centroid_predict(scene, np.zeros(scene.labels.shape, dtype=bool))
 
 
+class TestScore:
+    def test_oa_is_the_hand_rolled_hit_rate_bit_for_bit(self):
+        # both are a count over n in float64
+        rng = np.random.default_rng(6)
+        scene = small_scene(seed=6)
+        for _ in range(20):
+            pred = rng.integers(1, 4, size=scene.labels.shape).astype(np.uint16)
+            test_mask = rng.random(scene.labels.shape) < 0.7
+            assert score(pred, scene, test_mask).oa == (pred[test_mask] == scene.labels[test_mask]).mean()
+
+    def test_empty_test_mask_raises(self):
+        scene = small_scene()
+        with pytest.raises(ValueError, match="empty test mask"):
+            score(scene.labels, scene, np.zeros(scene.labels.shape, dtype=bool))
+
+
 class TestSummaries:
     def fake_metrics(self, oa):
         return Metrics(confusion=np.eye(2, dtype=np.int64), oa=oa, aa=oa, kappa=oa, per_class_acc=np.array([oa, oa]))
-
-    def test_single_run_zero_std(self):
-        s = summarize_metrics([self.fake_metrics(0.9)])
-        assert s.std["oa"] == 0.0
-
-    def test_mean_std_arithmetic_oracle(self):
-        s = summarize_metrics([self.fake_metrics(v) for v in (0.9, 0.92, 0.94)])
-        np.testing.assert_allclose(s.mean["oa"], 0.92, atol=1e-12)
-        np.testing.assert_allclose(s.std["oa"], np.sqrt(2 * 0.02**2 / 3), atol=1e-5)
-
-    def test_permutation_invariant(self):
-        runs = [self.fake_metrics(v) for v in (0.8, 0.85, 0.95)]
-        a = summarize_metrics(runs)
-        b = summarize_metrics(runs[::-1])
-        assert a.mean == b.mean and a.std == b.std
 
     def test_report_formats(self):
         m = self.fake_metrics(0.875)
         report = format_metrics_report(m, ["alpha", "beta"])
         assert "OA" in report and "kappa" in report and "87.50" in report
-        s = summarize_metrics([m, m])
-        rep2 = format_summary_report(s, ["alpha", "beta"])
-        assert "+/-" in rep2
 
     def test_history_csv(self):
         text = format_history_csv([(1, 2.5, 0.25), (2, 1.25, 0.5)])
@@ -268,6 +264,7 @@ class TestTrainingLoop:
         labels = scene.labels.astype(np.int64)
         conf = confusion_matrix(labels[result.test_mask], pred[result.test_mask], 3)
         np.testing.assert_array_equal(conf, m.confusion)
+        np.testing.assert_array_equal(score(pred, scene, result.test_mask).confusion, m.confusion)
 
     def test_predict_frees_the_scene_and_each_stem_map_once_consumed(self, monkeypatch):
         scene = small_scene()
@@ -302,24 +299,6 @@ class TestTrainingLoop:
         assert [k for k, _ in rows] == [1, 2, 3, 4]
         for _, m in rows:
             assert 0.0 <= m.oa <= 1.0
-
-    def test_run_repeats_aggregates(self):
-        scene = small_scene()
-        cfg = TrainConfig(epochs=3, seed=5, samples_per_class=5, channels=8, state_dim=4)
-        summary, results = run_repeats(cfg, scene, 2)
-        assert len(summary.runs) == 2
-        assert summary.seeds == [5, 6]
-        assert 0.0 <= summary.mean["oa"] <= 1.0
-        assert [r.config.seed for r in results] == [5, 6]
-        for r, m in zip(results, summary.runs):
-            assert r.config.epochs == 3 and len(r.history) == 3
-            # each summarized run is the held-out evaluation of its returned model
-            np.testing.assert_array_equal(evaluate(r.params, scene, r.test_mask, topk=cfg.topk_infer).confusion, m.confusion)
-
-    def test_run_repeats_needs_one_run(self):
-        cfg = TrainConfig(epochs=1, samples_per_class=5, channels=8, state_dim=4)
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            run_repeats(cfg, small_scene(), 0)
 
     def test_config_validation(self):
         for bad in ({"topk_infer": 5}, {"samples_per_class": 0}, {"seed": -1}, {"epochs": 0}, {"channels": 7}, {"channels": 0}, {"state_dim": 0}):
