@@ -72,11 +72,11 @@ def _upsample(rng: np.random.Generator) -> GradCheckReport:
     return _probed(rng, lambda: tt.bilinear_upsample(x, (7, 5)), [x], (2, 7, 5))
 
 
-def _conv_relu_pool(rng: np.random.Generator) -> GradCheckReport:
+def _conv_relu_pool(rng: np.random.Generator, k: int) -> GradCheckReport:
     # a 9x7 map is one block of 9 rows: its odd last row is staged, then
     # dropped with the last column, and must get zero gradient
     x = parameter(rng.normal(size=(2, 9, 7)), dtype=F64)
-    w = parameter(rng.normal(size=(3, 2, 3, 3)), dtype=F64)
+    w = parameter(rng.normal(size=(3, 2, k, k)), dtype=F64)
     b = parameter(rng.normal(size=3), dtype=F64)
     return _probed(rng, lambda: tt.conv_relu_pool(x, w, b), [x, w, b], (3, 4, 3))
 
@@ -203,7 +203,8 @@ ENTRIES: dict[str, Callable[[np.random.Generator], GradCheckReport]] = {
     "ffb": _ffb,
     "head": _head,
     "total_loss": _total_loss,
-    "conv_relu_pool": _conv_relu_pool,
+    "conv_relu_pool": lambda rng: _conv_relu_pool(rng, 3),
+    "conv_relu_pool_1x1": lambda rng: _conv_relu_pool(rng, 1),
     "relu": _relu,
     "sre_top2": _sre_top2,
     "mlp": _mlp,
@@ -224,7 +225,7 @@ def run_suite(seed: int = 0) -> tuple[list[str], bool]:
     for name in ENTRIES:
         rep = run_entry(name, seed)
         status = "ok" if rep.passed else "FAIL"
-        lines.append(f"{name:<16s} max_rel_err {rep.max_rel_err:.3e} [{status}]")
+        lines.append(f"{name:<18s} max_rel_err {rep.max_rel_err:.3e} [{status}]")
         ok &= rep.passed
     lines.append(f"suite: {'PASS' if ok else 'FAIL'} (threshold {THRESHOLD:g}, total-loss threshold {TOTAL_LOSS_THRESHOLD:g})")
     return lines, bool(ok)

@@ -4,8 +4,10 @@ JSON meta line and a parameter manifest.
 
 The encoder is three conv+ReLU+avgpool stages, each one fused op whose
 forward pass never builds its full-resolution map, and each followed by a
-mixture-of-expert block; the decoder fuses stages coarse-to-fine through
-residual blocks and bilinear upsampling; stage 1's head is the prediction.
+mixture-of-expert block.  The first stage's conv is 1x1, a per-pixel
+projection of the bands, and the other two are 3x3.  The decoder fuses
+stages coarse-to-fine through residual blocks and bilinear upsampling;
+stage 1's head is the prediction.
 The head is a 1x1 conv and the upsample of its logits, which it commutes
 with because every interpolation row sums to 1; no softmax is taken.
 During training each decoder stage additionally feeds a cross-entropy term
@@ -29,7 +31,12 @@ from .scan import SsmParams
 from .tensor import ShapeError, Tensor, parameter
 
 CHECKPOINT_MAGIC = b"MMOE1\n"
-CHECKPOINT_VERSION = 2  # version 1 held dense (D, D) transition matrices
+CHECKPOINT_VERSION = 3
+# why a file of an older version cannot be loaded
+_OLD_VERSIONS = {
+    1: "version-1 files hold dense a_bar matrices, which do not convert to the diagonal decay a_log",
+    2: "version-2 files hold a (C, bands, 3, 3) first stem conv, which does not convert to the (C, bands, 1, 1) one",
+}
 _DTYPE_CODES = {"float32": "f4", "float64": "f8"}
 UNCERTAINTY_EPS = 1e-6
 N_STAGES = 3
@@ -130,7 +137,7 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
     hidden = max(half // 2, 1)
 
     stem = StemParams(
-        p("stem.conv1.w", (c, bands, 3, 3)),
+        p("stem.conv1.w", (c, bands, 1, 1)),
         p("stem.conv1.b", (c,)),
         p("stem.conv2.w", (c, c, 3, 3)),
         p("stem.conv2.b", (c,)),
@@ -230,6 +237,7 @@ def stage_sizes(height: int, width: int) -> list[tuple[int, int]]:
 def extract_features(stem: StemParams, x: Tensor) -> list[Tensor]:
     """Three conv+ReLU+avgpool stages; each halves the spatial extent.
 
+    The first stage's conv is 1x1 (bands -> C), the other two 3x3 (C -> C).
     Each stage is one ``tt.conv_relu_pool`` op, which pools each row block
     of the conv as it is made: no stage's forward pass builds its
     full-resolution map.  A scene under 8x8 raises ShapeError
@@ -407,11 +415,10 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     except (ValueError, RecursionError) as exc:  # deep JSON nesting exhausts the parser's stack
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # JSON's 2.0 equals 2 to Python
-        raise CheckpointError(
-            f"{path}: checkpoint version {version!r} is not {CHECKPOINT_VERSION}; version-1 files hold dense "
-            "a_bar matrices, which do not convert to the diagonal decay a_log: retrain the model"
-        )
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # JSON's 3.0 equals 3 to Python
+        why = _OLD_VERSIONS.get(version) if type(version) is int else None
+        advice = f"; {why}: retrain the model" if why else ""
+        raise CheckpointError(f"{path}: checkpoint version {version!r} is not {CHECKPOINT_VERSION}{advice}")
     manifest = []
     for i in range(n_entries):
         line = reader.line(f"malformed manifest line {i + 1}")

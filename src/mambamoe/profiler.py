@@ -38,7 +38,7 @@ def count_params(spec: NetSpec) -> tuple[int, dict[str, int]]:
     half = c // 2
     hidden = max(half // 2, 1)
 
-    stem = _conv_params(c, bands, 3) + 2 * _conv_params(c, c, 3)
+    stem = _conv_params(c, bands, 1) + 2 * _conv_params(c, c, 3)
     router = hidden * half + hidden + N_EXPERTS * hidden + N_EXPERTS
     momeb_one = (
         4 * c  # two LayerNorm affine pairs
@@ -81,12 +81,12 @@ def count_flops(spec: NetSpec, input_shape: tuple[int, int, int]) -> tuple[int, 
     sizes = stage_sizes(height, width)
 
     comp: dict[str, int] = {}
-    # stem: conv+relu at the incoming resolution, pooled output per stage
+    # stem: conv+relu at the incoming resolution, pooled output per stage;
+    # the first conv is 1x1 (bands -> C), the other two 3x3 (C -> C)
     comp["stem"] = 0
     in_sizes = [(height, width), sizes[0], sizes[1]]
-    in_ch = [bands, c, c]
-    for (h, w), ci, (h2, w2) in zip(in_sizes, in_ch, sizes):
-        comp["stem"] += _conv_flops(c, ci, 3, h, w) + c * h * w + 4 * c * h2 * w2
+    for (h, w), (ci, k), (h2, w2) in zip(in_sizes, [(bands, 1), (c, 3), (c, 3)], sizes):
+        comp["stem"] += _conv_flops(c, ci, k, h, w) + c * h * w + 4 * c * h2 * w2
 
     ln = lambda h, w: h * w * (7 * c + 4)
     spatial_experts = 0

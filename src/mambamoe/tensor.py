@@ -500,25 +500,50 @@ def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
 _TAP_ORDER = tuple((di, dj) for di in range(3) for dj in range(3))  # a 3x3 kernel's taps, row-major
 
 
-def _taps(weight: np.ndarray) -> np.ndarray:
-    """A (C_out, C_in, 3, 3) kernel as contiguous (3, 3, C_out, C_in) taps."""
-    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
-
-
-def _conv3_forward(x: np.ndarray, taps: np.ndarray, finish: Callable) -> None:
-    """The forward pass of a 3x3 conv of the (C_in, h, w) array x, one row
-    block at a time.  For the block of n rows from row r0, once the sum of
-    the nine tap products (without the bias) of its channels [lo, hi) is
-    complete, ``finish(r0, n, block, lo, hi)`` consumes those rows of the
+def _conv3_forward(x: np.ndarray, weight: np.ndarray, finish: Callable) -> None:
+    """The forward pass of a 3x3 conv of the (C_in, h, w) array x with the
+    (C_out, C_in, 3, 3) kernel weight, one row block at a time.  For the
+    block of n rows from row r0, once the sum of the nine tap products
+    (without the bias) of its channels [lo, hi) is complete,
+    ``finish(r0, n, block, lo, hi)`` consumes those rows of the
     (C_out, n, w+2) block, at row stride w+2 with two junk columns
     (``_shifted_block``), in a buffer that the next block reuses.  A large
     block's upper channel half is summed and finished on the lane.  The
     window and the buffer are freed on return."""
     c_in, h, w = x.shape
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
     win, buf = _window(c_in, h, w, x.dtype), _block_buffer(taps.shape[2], h, w, x.dtype)
     for r0, n in _row_blocks(h, w):
         _fill_window(win, x, r0, n)
         _shifted_block(taps, win, n, w, buf, partial(finish, r0, n))
+
+
+def _conv1_forward(x: np.ndarray, weight: np.ndarray, finish: Callable) -> None:
+    """The forward pass of a 1x1 conv of the (C_in, h, w) array x, over the
+    row blocks of a 3x3 conv.  Each block of n rows from row r0 is one
+    (C_out, C_in) @ (C_in, n*w) product over a view of x's rows, with no
+    window and no halo; ``finish(r0, n, block, 0, C_out)`` then consumes the
+    (C_out, n, w) block, in a buffer that the next block reuses."""
+    c_in, h, w = x.shape
+    c_out = weight.shape[0]
+    w2 = weight.reshape(c_out, c_in)
+    buf = np.empty(c_out * _block_rows(h, w) * w, dtype=x.dtype)
+    for r0, n in _row_blocks(h, w):
+        block = buf[: c_out * n * w].reshape(c_out, n * w)
+        np.matmul(w2, x[:, r0 : r0 + n].reshape(c_in, n * w), out=block)
+        finish(r0, n, block.reshape(c_out, n, w), 0, c_out)
+
+
+def _conv1_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: bool):
+    """dx (or None), dW and db of a 1x1 conv of the (C_in, h, w) array x
+    with the (C_out, C_in, 1, 1) kernel weight, whose (C_out, h, w) output
+    gradient is g: dW = g2 @ x2.T, db = g2 summed over pixels and
+    dx = W2.T @ g2, over the (C, h*w) views g2 and x2."""
+    c_in, h, w = x.shape
+    c_out = weight.shape[0]
+    g2, x2 = g.reshape(c_out, h * w), x.reshape(c_in, h * w)
+    dx = (weight.reshape(c_out, c_in).T @ g2).reshape(c_in, h, w) if need_dx else None
+    return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
 
 
 def _conv3_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: bool):
@@ -638,15 +663,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     tape = active_tape()
     need_dx = tape is not None and _route(x, tape) is not None
     if k == 1:
-        w2 = weight.data.reshape(c_out, c_in)
-        x2 = x.data.reshape(c_in, h * w)
-        out = (w2 @ x2).reshape(c_out, h, w)
+        out = (weight.data.reshape(c_out, c_in) @ x.data.reshape(c_in, h * w)).reshape(c_out, h, w)
         out += bias.data[:, None, None]
 
         def bwd(g):
-            g2 = g.reshape(c_out, h * w)
-            dx = (w2.T @ g2).reshape(c_in, h, w) if need_dx else None
-            return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
+            return _conv1_backward(x.data, weight.data, g, need_dx)
 
     else:
         out = np.empty((c_out, h, w), dtype=x.dtype)
@@ -658,7 +679,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             np.add(padded, bias.data[lo:hi, None, None], out=padded)
             out[lo:hi, r0 : r0 + n] = padded[:, :, :w]
 
-        _conv3_forward(x.data, _taps(weight.data), finish)
+        _conv3_forward(x.data, weight.data, finish)
 
         def bwd(g):
             return _conv3_backward(x.data, weight.data, g, need_dx)
@@ -667,33 +688,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """One stem stage: the 2x2 mean pool of relu(conv2d(x, weight, bias))
-    for a 3x3 kernel, bit for bit, without the full-resolution map.
+    """One stem stage: the 2x2 mean pool of relu(conv2d(x, weight, bias)),
+    without the full-resolution map.
 
-    x: (C_in, h, w) with h, w >= 2; weight: (C_out, C_in, 3, 3); bias:
-    (C_out,).  The output is (C_out, h // 2, w // 2): a trailing odd row or
-    column is dropped.
+    x: (C_in, h, w) with h, w >= 2; weight: (C_out, C_in, k, k) with k in
+    {1, 3}, read from its shape as conv2d reads it; bias: (C_out,).  The
+    output is (C_out, h // 2, w // 2): a trailing odd row or column is
+    dropped.
 
-    Each row block of the conv (``_conv3_forward``) gets its bias, is
+    The conv runs over row blocks: a 3x3 kernel as ``_conv3_forward``'s nine
+    shifted products, whose output bits are those of the composition; a 1x1
+    kernel as one product per block over a view of x's rows
+    (``_conv1_forward``), with no window and no halo, whose output equals
+    the composition's to float rounding.  Each block gets its bias, is
     checked for non-finite values and goes through ``np.maximum`` while it
     is in cache.  Its rows are then pooled as (x00 + x01) + (x10 + x11),
     scaled by 0.25: the horizontal pair sums of each row first, then the
     sums of row pairs.  A block with an odd row count leaves its last row's
     pair sums in a staging row that pairs with the next block's first row.
-    All of this runs per channel, so a large block's upper channel half
-    runs it on the lane, right after its products, as conv2d's bias does.
+    All of this runs per channel, so a large 3x3 block's upper channel half
+    runs it on the lane, right after its products, as conv2d's bias does;
+    a 1x1 block runs wholly in the caller.
 
-    The closure keeps x, the weight Tensor (from which the backward pass
-    builds its taps, as conv2d's does) and the ReLU mask packed to one bit
-    per pixel (``np.packbits``).  The backward pass builds the conv's
-    (C_out, h, w) output gradient once, from g * 0.25 and the unpacked
-    mask, and hands it to conv2d's backward (``_conv3_backward``).  That
-    map is the only full-resolution array it adds; no measured training
-    peak lies there.
+    With either kernel the closure keeps x, the weight Tensor (which the
+    backward pass reads, as conv2d's does) and the ReLU mask packed to one
+    bit per pixel (``np.packbits``).  The backward pass builds
+    the conv's (C_out, h, w) output gradient once, from g * 0.25 and the
+    unpacked mask, and hands it to conv2d's backward rule for the kernel
+    (``_conv1_backward`` or ``_conv3_backward``), so db is that gradient
+    summed over pixels.  That map is the only full-resolution array it
+    adds; no measured training peak lies there.
     """
     c_out, c_in, k = _conv_shapes("conv_relu_pool", x, weight, bias)
-    if k != 3:
-        raise ShapeError(f"conv_relu_pool: kernel must be 3x3, got {k}x{k}")
     _, h, w = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"conv_relu_pool: spatial extent must be >= 2, got {h}x{w}")
@@ -709,8 +735,8 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     mask = np.empty((c_out, h, (w + 7) // 8), dtype=np.uint8) if tape is not None else None
 
     def finish(r0, n, block, lo, hi):
-        # bias and ReLU run over whole padded rows, which are contiguous;
-        # the junk columns are cropped before they are checked or read
+        # bias and ReLU run over whole rows, which are contiguous; a 3x3
+        # block's two junk columns are cropped before they are checked or read
         padded = block[lo:hi]
         acc = padded[:, :, :w]
         np.add(padded, bias.data[lo:hi, None, None], out=padded)
@@ -728,7 +754,11 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if (staged + n) % 2:
             staging[:, 0] = staging[:, 2 * pairs]
 
-    _conv3_forward(x.data, _taps(weight.data), finish)
+    if k == 1:
+        conv_forward, conv_backward = _conv1_forward, _conv1_backward
+    else:
+        conv_forward, conv_backward = _conv3_forward, _conv3_backward
+    conv_forward(x.data, weight.data, finish)
     del finish, cols  # before the finite check's temporary
     out *= quarter
 
@@ -741,9 +771,9 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for a in (0, 1):  # the even and the odd rows of each window
             np.multiply(wide, bits[:, a::2], out=g_conv[:, a : 2 * h2 : 2, : 2 * w2])
         del wide, bits  # before the block loop allocates its windows and buffers
-        return _conv3_backward(x.data, weight.data, g_conv, need_dx)
+        return conv_backward(x.data, weight.data, g_conv, need_dx)
 
-    n_flops = _conv_flops(c_out, c_in, 3, h, w) + c_out * h * w + 4 * c_out * h2 * w2
+    n_flops = _conv_flops(c_out, c_in, k, h, w) + c_out * h * w + 4 * c_out * h2 * w2
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)
 
 

@@ -485,6 +485,17 @@ class TestTrainEvalPredictPipeline:
         assert "do not convert" in one_error_line(capsys, "data")
         assert not (tmp_path / "v1").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_version_2_checkpoint_exit_2_one_line(self, trained, capsys, write_v2_checkpoint, command):
+        tmp_path, _, out = trained
+        old = tmp_path / "stem3x3.mmoe"
+        write_v2_checkpoint(old, load_checkpoint(out / "checkpoint.mmoe")[0])
+        cfg = write_cfg(tmp_path, name="v2.cfg", checkpoint=str(old))
+        dest = tmp_path / "v2"
+        assert main([command, "--config", str(cfg)] + (["--out", str(dest)] if command == "predict" else [])) == 2
+        assert "version 2 is not 3" in one_error_line(capsys, "data")
+        assert not dest.exists()
+
     def test_non_finite_parameter_exit_2_names_it(self, trained, capsys):
         tmp_path, _, out = trained
         params, _ = load_checkpoint(out / "checkpoint.mmoe")
@@ -572,9 +583,12 @@ def _is_float(tok: str) -> bool:
 
 class TestProcessExit:
     def test_train_exits_0_in_time_after_the_lane_ran(self, tmp_path):
-        # at 48 channels the backward pass of the stem's first conv (32x32)
-        # runs on the lane, whose idle worker must not hold up the exit
-        cfg = write_cfg(tmp_path, epochs=2, channels=48)
+        # at 48 channels the backward pass of the stem's second conv (32x32
+        # on a 64x64 scene) runs on the lane, whose idle worker must not hold
+        # up the exit
+        scene_path = tmp_path / "s64.hsc"
+        save_hsc(generate_synthetic(replace(default_synthetic_spec(), height=64, width=64)), scene_path)
+        cfg = write_cfg(tmp_path, dataset=scene_path, epochs=2, channels=48)
         script = (
             "import sys; from mambamoe import cli, tensor; code = cli.main(sys.argv[1:]); "
             "print('lane started:', tensor._lane is not None); sys.exit(code)"

@@ -323,8 +323,8 @@ class TestFormatBytes:
     @pytest.mark.parametrize(
         "dtype, digest",
         [
-            (np.float32, "a1b5da75db6a8e5e486b4f18bca2712c5a95bed8d9b79b2d9372e8b8e4e5244b"),
-            (np.float64, "f213ef7ceef6768386b6af3e4e14d26552d15ad953abacf987a6fcce10bfd2ac"),
+            (np.float32, "134cdf65d9f8ba4cafb18b327848d234f4f72fe1eed1750ae60a48773271a957"),
+            (np.float64, "e4f5bdddceb451343b863ff98f3f5e8c0d4b28897edd7bdead1ac6ca6249f042"),
         ],
     )
     def test_checkpoint(self, tmp_path, dtype, digest):

@@ -501,10 +501,17 @@ class TestCheckpoint:
         params = init_network_params(tiny_spec(), np.random.default_rng(42), dtype=np.float32)
         path = tmp_path / "dense.mmoe"
         write_v1_checkpoint(path, params)
-        with pytest.raises(CheckpointError, match="version 1 is not 2.*a_bar.*do not convert"):
+        with pytest.raises(CheckpointError, match="version 1 is not 3.*a_bar.*do not convert"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [None, 3, "2", 2.0], ids=["missing", "3", "string-2", "float-2.0"])
+    def test_version_2_three_by_three_stem_refused(self, tmp_path, write_v2_checkpoint):
+        params = init_network_params(tiny_spec(), np.random.default_rng(43), dtype=np.float32)
+        path = tmp_path / "stem3x3.mmoe"
+        write_v2_checkpoint(path, params)
+        with pytest.raises(CheckpointError, match=r"version 2 is not 3.*\(C, bands, 3, 3\) first stem conv.*retrain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [None, 2, 4, "3", 3.0], ids=["missing", "2", "4", "string-3", "float-3.0"])
     def test_other_versions_refused(self, tmp_path, version):
         def set_version(meta):
             if version is None:

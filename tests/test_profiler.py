@@ -26,10 +26,10 @@ def random_spec(rng):
 
 class TestParams:
     def test_single_conv_arithmetic(self):
-        # 3x3 conv with C_in=2, C_out=3: 2*3*9 + 3 = 57
+        # a 1x1 conv from 2 bands to C=4, then two 3x3 convs from 4 to 4
         spec = NetSpec(bands=2, channels=4, state_dim=2, n_class=2)
         _, by_module = count_params(spec)
-        assert by_module["stem"] == (4 * 2 * 9 + 4) + 2 * (4 * 4 * 9 + 4)
+        assert by_module["stem"] == (4 * 2 + 4) + 2 * (4 * 4 * 9 + 4)
 
     def test_ssm_param_arithmetic(self):
         # D=4, E=2: the decay vector 4, plus 4*2 + 2*4 = 20
@@ -130,8 +130,9 @@ class TestFlops:
         assert FLOPS.total == count_flops(spec, (3, 17, 14))[2]["head"]
 
     def test_stem_counts_its_analytic_term_per_stage(self):
-        # each stage is one conv_relu_pool: the conv, c*h*w for the ReLU and
-        # 4*c*h2*w2 for the pool; 17x14 drops a row at the first stage
+        # each stage is one conv_relu_pool: the conv (1x1, then 3x3 twice),
+        # c*h*w for the ReLU and 4*c*h2*w2 for the pool; 17x14 drops a row at
+        # the first stage
         spec = NetSpec(bands=3, channels=8, state_dim=4, n_class=3)
         stem = init_network_params(spec, np.random.default_rng(6)).stem
         f = Tensor(np.random.default_rng(7).normal(size=(3, 17, 14)).astype(np.float32))
@@ -144,7 +145,7 @@ class TestFlops:
         ):
             with FLOPS:
                 f = tt.conv_relu_pool(f, w, b)
-            assert FLOPS.total == _conv_flops(8, w.shape[1], 3, h, wd) + 8 * h * wd + 4 * 8 * h2 * w2
+            assert FLOPS.total == _conv_flops(8, w.shape[1], w.shape[2], h, wd) + 8 * h * wd + 4 * 8 * h2 * w2
             total += FLOPS.total
         assert total == count_flops(spec, (3, 17, 14))[2]["stem"]
 

@@ -409,10 +409,12 @@ class TestConvReluPool:
         x = Tensor(np.ones((2, 4, 4)))
         b = Tensor(np.zeros(3))
         tt.conv_relu_pool(x, Tensor(np.ones((3, 2, 3, 3))), b)
+        tt.conv_relu_pool(x, Tensor(np.ones((3, 2, 1, 1))), b)
         for bad_x, bad_w in [
             (np.ones((2, 1, 4)), np.ones((3, 2, 3, 3))),  # an extent below 2
             (np.ones((2, 4, 1)), np.ones((3, 2, 3, 3))),
-            (np.ones((2, 4, 4)), np.ones((3, 2, 1, 1))),  # a 1x1 kernel
+            (np.ones((2, 4, 4)), np.ones((3, 2, 2, 2))),  # a 2x2 kernel
+            (np.ones((2, 4, 4)), np.ones((3, 2, 5, 5))),  # a 5x5 kernel
             (np.ones((2, 4, 4)), np.ones((3, 1, 3, 3))),  # C_in mismatch
         ]:
             with pytest.raises(ShapeError):
@@ -472,6 +474,93 @@ class TestConvReluPool:
             relu_out = tt.relu(tt.conv2d(Tensor(x), Tensor(wt), Tensor(b))).data
             assert mask.dtype == np.uint8 and mask.tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
             tape.backward(loss)
+
+
+class TestConvReluPool1x1:
+    """With a 1x1 kernel, ``conv_relu_pool`` is one product per row block
+    over a view of x's rows: it equals ``avg_pool2(relu(conv2d))`` to float
+    rounding, and its gradients those of the full-map composition."""
+
+    @staticmethod
+    def operands(rng, c_in, h, w, c_out, dtype):
+        x = rand(rng, c_in, h, w, dtype=dtype)
+        wt = (rand(rng, c_out, c_in, 1, 1) / np.sqrt(c_in)).astype(dtype)
+        return x, wt, rand(rng, c_out, dtype=dtype), rand(rng, c_out, h // 2, w // 2, dtype=dtype)
+
+    # the stem's first stage at train-128 size, whose 15-row blocks stage a
+    # row; odd extents; and a map three rows taller than one block
+    SHAPES = [(32, 128, 128, 48), (2, 9, 7, 3), (2, tt.CONV_BLOCK_PIXELS // 4 + 3, 2, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("c_in, h, w, c_out", SHAPES)
+    def test_output_and_gradients_equal_the_full_map_composition(self, c_in, h, w, c_out, dtype):
+        x, wt, b, g = self.operands(np.random.default_rng(h * w + 1), c_in, h, w, c_out, dtype)
+        got = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
+        want = TestConvReluPool.run(composition, x, wt, b, g)
+        tol = 4 * np.finfo(dtype).eps
+        for name, a, e in zip(("out", "dx", "dW", "db"), got, want):
+            assert a.dtype == dtype and a.shape == e.shape, name
+            assert np.max(np.abs(a - e)) <= tol * np.max(np.abs(e)), name
+
+    @pytest.mark.parametrize("h, w", [(9, 8), (8, 7), (9, 7)])
+    def test_an_odd_extent_drops_the_trailing_row_or_column(self, h, w):
+        x, wt, b, g = self.operands(np.random.default_rng(h + w), 3, h, w, 4, F64)
+        out, dx, dw, db = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
+        even = np.ascontiguousarray(x[:, : h - h % 2, : w - w % 2])
+        out_even, dx_even, dw_even, db_even = TestConvReluPool.run(tt.conv_relu_pool, even, wt, b, g)
+        assert out.tobytes() == out_even.tobytes()
+        assert not dx[:, h - h % 2 :].any() and not dx[:, :, w - w % 2 :].any()
+        assert dx[:, : h - h % 2, : w - w % 2].tobytes() == dx_even.tobytes()
+        np.testing.assert_allclose(dw, dw_even, rtol=1e-12)
+        np.testing.assert_allclose(db, db_even, rtol=1e-12)
+
+    def test_input_gradient_only_for_an_input_on_the_tape(self):
+        x, wt, b, g = self.operands(np.random.default_rng(12), 2, 7, 6, 3, F64)
+        _, dx_ref, dw_ref, db_ref = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
+        with Tape() as tape:
+            tt.conv_relu_pool(Tensor(x), parameter(wt), parameter(b))
+            dx, dw, db = tape.ops[-1].backward(g)
+        assert dx is None
+        assert dw.tobytes() == dw_ref.tobytes() and db.tobytes() == db_ref.tobytes()
+
+    def test_nonfinite_weight_raises_naming_the_op(self):
+        x, wt, b, _ = self.operands(np.random.default_rng(13), 32, 64, 64, 48, np.float32)
+        wt[47, 5, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="conv_relu_pool"):
+            tt.conv_relu_pool(Tensor(x), Tensor(wt), Tensor(b))
+
+    def test_closure_keeps_the_input_the_weight_and_a_packed_mask(self):
+        x, wt, b, _ = self.operands(np.random.default_rng(14), 3, 12, 20, 4, F64)
+        xt, wtt = parameter(x), parameter(wt)
+        with Tape() as tape:
+            y = tt.conv_relu_pool(xt, wtt, parameter(b))
+            alive = weakref.ref(y.data)
+            held = [cell.cell_contents for cell in tape.ops[-1].backward.__closure__]
+            loss = tt.sum_all(tt.scale(y, 1.5))  # scale's rule keeps only the factor
+            del y
+            assert alive() is None
+            tensors = [v for v in held if isinstance(v, Tensor)]
+            arrays = [v for v in held if isinstance(v, np.ndarray)]
+            assert len(tensors) == 2 and {id(v) for v in tensors} == {id(xt), id(wtt)}
+            relu_out = tt.relu(tt.conv2d(Tensor(x), Tensor(wt), Tensor(b))).data
+            assert len(arrays) == 1 and arrays[0].dtype == np.uint8
+            assert arrays[0].tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
+            tape.backward(loss)
+
+    def test_inference_builds_no_full_resolution_map(self):
+        # (32, 128, 128) -> 48 in float32: the conv's map is 3 MiB, the pooled
+        # output 0.75 MiB and one block buffer 0.35 MiB
+        x, wt, b, _ = self.operands(np.random.default_rng(15), 32, 128, 128, 48, np.float32)
+        xt, wtt, bt = Tensor(x), Tensor(wt), Tensor(b)
+        rows = tt.CONV_BLOCK_PIXELS // 130
+        tracemalloc.start()
+        try:
+            out = tt.conv_relu_pool(xt, wtt, bt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block, staging = 48 * rows * 128 * 4, 48 * (rows + 1) * 64 * 4
+        assert peak < out.data.nbytes + block + staging + 2**20
 
 
 class InlineLane:
