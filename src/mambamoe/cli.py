@@ -31,6 +31,7 @@ import numpy as np
 from . import data as dataio
 from . import profiler
 from . import train as training
+from .moe import N_SPATIAL_EXPERTS
 from .network import CheckpointError, NetSpec, load_checkpoint, save_checkpoint, stage_sizes
 from .tensor import NumericalError, ShapeError
 
@@ -192,7 +193,7 @@ def _palette_for(cfg: RunConfig, scene: dataio.HsiScene):
 
 
 def _parse_topk(raw: str) -> list[int]:
-    """``k`` or a sweep ``lo..hi``, each k in [1, 4]."""
+    """``k`` or a sweep ``lo..hi``, each k in [1, N_SPATIAL_EXPERTS]."""
     lo, sweep, hi = raw.partition("..")
     try:
         ks = list(range(int(lo), int(hi) + 1)) if sweep else [int(raw)]
@@ -201,8 +202,8 @@ def _parse_topk(raw: str) -> list[int]:
     if not ks:
         raise ConfigError(f"topk sweep {raw!r} is empty")
     for k in ks:
-        if not 1 <= k <= 4:
-            raise ConfigError(f"topk must be in [1, 4], got {k}")
+        if not 1 <= k <= N_SPATIAL_EXPERTS:
+            raise ConfigError(f"topk must be in [1, {N_SPATIAL_EXPERTS}], got {k}")
     return ks
 
 

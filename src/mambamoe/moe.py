@@ -32,7 +32,7 @@ from .tensor import NumericalError, ShapeError, Tensor
 
 # expert j scans in SPATIAL_DIRECTIONS[j], a frozen order, so weight dumps
 # are comparable across runs
-N_SPATIAL_EXPERTS = 4
+N_SPATIAL_EXPERTS = len(SPATIAL_DIRECTIONS)
 
 
 @dataclass
@@ -161,19 +161,10 @@ def expert_views(p: MoMebParams, f: Tensor) -> tuple[Tensor, Tensor]:
     return tt.split(tt.layer_norm(f, p.ln1_gamma, p.ln1_beta), 2, axis=0)
 
 
-def _pre_activation(w1: Tensor, b1: Tensor, normed: np.ndarray) -> np.ndarray:
-    """The first 1x1 conv of the MLP on its (C, h, w) input, as a
-    (2C, h*w) array: one product, then the bias."""
-    hid, c = w1.shape[:2]
-    pre = w1.data.reshape(hid, c) @ normed.reshape(c, -1)
-    pre += b1.data[:, None]
-    return pre
-
-
 def mlp(p: MoMebParams, g: Tensor) -> Tensor:
     """The block's tail, LN2 -> 1x1 conv C -> 2C -> ReLU -> 1x1 conv 2C -> C,
     as one tape op, bit for bit the chain of ``layer_norm``, ``conv2d``,
-    ``relu`` and ``conv2d``.
+    ``relu`` and ``conv2d``, whose 1x1 rule (``tt.conv1x1``) it runs.
 
     LN2's output dies once the first product has read it.  The ReLU runs in
     place, after the finite check of the hidden pre-activation: a
@@ -195,35 +186,30 @@ def mlp(p: MoMebParams, g: Tensor) -> Tensor:
     x = g.data
     zero = x.dtype.type(0)
     normed, mu, inv_std = tt.layer_norm_forward(x, gamma.data, beta.data)
-    hidden = _pre_activation(w1, b1, normed)
+    hidden = tt.conv1x1(w1.data, b1.data, normed)
     del normed
     if not np.all(np.isfinite(hidden)):
         raise NumericalError("mlp: non-finite values in the hidden pre-activation")
     np.maximum(hidden, zero, out=hidden)  # -0.0 maps to +0.0
-    out = w2.data.reshape(c, hid) @ hidden
+    out = tt.conv1x1(w2.data, b2.data, hidden)
     del hidden
-    out += b2.data[:, None]
 
     def bwd(g_out):
         xhat = tt.layer_norm_xhat(x, mu, inv_std)
-        normed = tt.layer_norm_affine(xhat.copy(), gamma.data, beta.data).reshape(c, h * w)
-        hidden = _pre_activation(w1, b1, normed)
+        normed = tt.layer_norm_affine(xhat.copy(), gamma.data, beta.data)
+        hidden = tt.conv1x1(w1.data, b1.data, normed)
         np.maximum(hidden, zero, out=hidden)
-        g2 = g_out.reshape(c, h * w)
-        d_hidden = w2.data.reshape(c, hid).T @ g2
+        d_hidden, d_w2, d_b2 = tt.conv1x1_backward(hidden, w2.data, g_out, True)
         d_hidden *= hidden > 0
-        d_w2 = (g2 @ hidden.T).reshape(w2.shape)
         del hidden
-        d_normed = (w1.data.reshape(hid, c).T @ d_hidden).reshape(c, h, w)
-        d_w1 = (d_hidden @ normed.T).reshape(w1.shape)
-        d_b1 = d_hidden.sum(axis=1)
+        d_normed, d_w1, d_b1 = tt.conv1x1_backward(normed, w1.data, d_hidden, True)
         del normed, d_hidden
         dx, d_gamma, d_beta = tt.layer_norm_backward(d_normed, xhat, gamma.data, inv_std)
-        return dx, d_gamma, d_beta, d_w1, d_b1, d_w2, g2.sum(axis=1)
+        return dx, d_gamma, d_beta, d_w1, d_b1, d_w2, d_b2
 
     # LN, both 1x1 products with their biases, and the ReLU
     flops = tt.layer_norm_flops(c, h, w) + (4 * hid * c + 2 * hid + c) * h * w
-    return tt.custom_op("mlp", (g, gamma, beta, w1, b1, w2, b2), out.reshape(c, h, w), bwd, flops=flops)
+    return tt.custom_op("mlp", (g, gamma, beta, w1, b1, w2, b2), out, bwd, flops=flops)
 
 
 def momeb_forward(p: MoMebParams, f: Tensor, k: int, sre_on: bool = True, sse_on: bool = True) -> Tensor:

@@ -158,14 +158,14 @@ def _build_network_params(spec: NetSpec, alloc: Callable[[str, tuple[int, ...]],
             ln1_beta=p(f"{prefix}.ln1.beta", (c,)),
             ln2_gamma=p(f"{prefix}.ln2.gamma", (c,)),
             ln2_beta=p(f"{prefix}.ln2.beta", (c,)),
-            spatial=tuple(ssm(f"{prefix}.spatial{j}", half) for j in range(4)),
+            spatial=tuple(ssm(f"{prefix}.spatial{j}", half) for j in range(N_SPATIAL_EXPERTS)),
             spectral_fwd=ssm(f"{prefix}.spectral_fwd", 1),
             spectral_bwd=ssm(f"{prefix}.spectral_bwd", 1),
             router=RouterParams(
                 p(f"{prefix}.router.w1", (hidden, half)),
                 p(f"{prefix}.router.b1", (hidden,)),
-                p(f"{prefix}.router.w2", (4, hidden)),
-                p(f"{prefix}.router.b2", (4,)),
+                p(f"{prefix}.router.w2", (N_SPATIAL_EXPERTS, hidden)),
+                p(f"{prefix}.router.b2", (N_SPATIAL_EXPERTS,)),
             ),
             fuse_w=p(f"{prefix}.fuse.w", (c, c, 1, 1)),
             fuse_b=p(f"{prefix}.fuse.b", (c,)),

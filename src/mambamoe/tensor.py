@@ -8,6 +8,9 @@ values propagate.
 Training runs in float32; gradient checking requires float64 (central
 finite differences are unreliable in single precision).
 
+``conv1x1`` and ``conv1x1_backward`` are the one 1x1 conv rule, which
+``conv2d``, ``conv_relu_pool``'s backward pass and ``moe.mlp`` share.
+
 The tape keeps what the backward pass reads, and no more.  Each recorded
 op holds its backward closure and one route per input: the parameter
 tensor itself, the node key of the op that made the input, or None for a
@@ -497,9 +500,6 @@ def _block_buffer(c_out: int, h: int, w: int, dtype) -> np.ndarray:
     return np.empty(2 * c_out * _block_rows(h, w) * (w + 2), dtype=dtype)
 
 
-_TAP_ORDER = tuple((di, dj) for di in range(3) for dj in range(3))  # a 3x3 kernel's taps, row-major
-
-
 def _conv3_forward(x: np.ndarray, weight: np.ndarray, finish: Callable) -> None:
     """The forward pass of a 3x3 conv of the (C_in, h, w) array x with the
     (C_out, C_in, 3, 3) kernel weight, one row block at a time.  For the
@@ -534,15 +534,23 @@ def _conv1_forward(x: np.ndarray, weight: np.ndarray, finish: Callable) -> None:
         finish(r0, n, block.reshape(c_out, n, w), 0, c_out)
 
 
-def _conv1_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: bool):
-    """dx (or None), dW and db of a 1x1 conv of the (C_in, h, w) array x
-    with the (C_out, C_in, 1, 1) kernel weight, whose (C_out, h, w) output
-    gradient is g: dW = g2 @ x2.T, db = g2 summed over pixels and
-    dx = W2.T @ g2, over the (C, h*w) views g2 and x2."""
-    c_in, h, w = x.shape
-    c_out = weight.shape[0]
-    g2, x2 = g.reshape(c_out, h * w), x.reshape(c_in, h * w)
-    dx = (weight.reshape(c_out, c_in).T @ g2).reshape(c_in, h, w) if need_dx else None
+def conv1x1(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 1x1 conv of the (C_in, ...) array x: one (C_out, C_in) @ (C_in, N)
+    product over x's N trailing elements, then the bias; the output has x's
+    trailing shape."""
+    c_out, c_in = weight.shape[:2]
+    out = weight.reshape(c_out, c_in) @ x.reshape(c_in, -1)
+    out += bias[:, None]
+    return out.reshape(c_out, *x.shape[1:])
+
+
+def conv1x1_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: bool):
+    """dx (or None), dW and db of ``conv1x1`` of x, whose output gradient is
+    g: dW = g2 @ x2.T, db = g2 summed over its N elements and dx = W2.T @ g2
+    in x's shape, over the (C, N) views g2 and x2."""
+    c_out, c_in = weight.shape[:2]
+    g2, x2 = g.reshape(c_out, -1), x.reshape(c_in, -1)
+    dx = (weight.reshape(c_out, c_in).T @ g2).reshape(x.shape) if need_dx else None
     return dx, (g2 @ x2.T).reshape(weight.shape), g2.sum(axis=1)
 
 
@@ -556,14 +564,12 @@ def _conv3_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: b
     shifted sum over g with the flipped, transposed taps, built from the
     weight.  db is ``g.sum(axis=(1, 2))``.
 
-    Once the windows of a block of at least ``LANE_FLOOR_BACKWARD`` outputs
-    (C_out * n * (w+2)) are filled, the lane computes dW's nine products,
-    with the one ``part`` buffer, while the caller computes the block's dx
-    wholly.  Without dx the lane takes taps 0-3 (row-major) and the caller
-    taps 4-8, with a second ``part``.  The lane is joined before the next
-    block's windows are filled.  Every product and every sum keeps its
-    order, and each tap's dW gains its blocks in row order, so no bit
-    depends on the lane.
+    Without dx the caller computes dW.  With dx, a block of at least
+    ``LANE_FLOOR_BACKWARD`` outputs (C_out * n * (w+2)) shares the lane:
+    it computes dW's nine products while the caller computes the block's
+    dx, and is joined before the next block's windows are filled.  Every
+    product and every sum keeps its order, and each tap's dW gains its
+    blocks in row order, so no bit depends on the lane.
     """
     c_in, h, w = x.shape
     c_out, row, dtype = weight.shape[0], w + 2, x.dtype
@@ -571,41 +577,39 @@ def _conv3_backward(x: np.ndarray, weight: np.ndarray, g: np.ndarray, need_dx: b
     dtaps = np.empty((3, 3, c_out, c_in), dtype=dtype)
     part = np.empty((c_out, c_in), dtype=dtype)
 
-    def dw(r0: int, n: int, taps: tuple, scratch: np.ndarray) -> None:
+    def dw(r0: int, n: int) -> None:
         g_rows = gwin[:, row + 1 : row + 1 + n * row]  # g at row stride w+2, junk columns zero
-        for di, dj in taps:
+        for di, dj in itertools.product(range(3), range(3)):
             off = di * row + dj
             span = xwin[:, off : off + n * row].T
             if r0:
-                np.matmul(g_rows, span, out=scratch)
-                dtaps[di, dj] += scratch
+                np.matmul(g_rows, span, out=part)
+                dtaps[di, dj] += part
             else:
                 np.matmul(g_rows, span, out=dtaps[di, dj])
 
+    dx = None
     if need_dx:
         dx = np.empty((c_in, h, w), dtype=dtype)
         flipped = np.ascontiguousarray(weight.transpose(2, 3, 1, 0)[::-1, ::-1])
         buf = _block_buffer(c_in, h, w, dtype)
-        lane_taps = _TAP_ORDER
 
-        def caller_share(r0: int, n: int) -> None:
+        def dx_rows(r0: int, n: int) -> None:
             dx[:, r0 : r0 + n] = _shifted_block(flipped, gwin, n, w, buf)[:, :, :w]
-
-    else:
-        dx, part2, lane_taps = None, np.empty((c_out, c_in), dtype=dtype), _TAP_ORDER[:4]
-
-        def caller_share(r0: int, n: int) -> None:
-            dw(r0, n, _TAP_ORDER[4:], part2)
 
     for r0, n in _row_blocks(h, w):
         _fill_window(xwin, x, r0, n)
         _fill_window(gwin, g, r0, n)
-        if c_out * n * row < LANE_FLOOR_BACKWARD:
-            dw(r0, n, lane_taps, part)
-            caller_share(r0, n)
+        if need_dx and c_out * n * row >= LANE_FLOOR_BACKWARD:
+            _beside(partial(dw, r0, n), partial(dx_rows, r0, n))
         else:
-            _beside(partial(dw, r0, n, lane_taps, part), partial(caller_share, r0, n))
+            dw(r0, n)
+            if need_dx:
+                dx_rows(r0, n)
     return dx, dtaps.transpose(2, 3, 0, 1), g.sum(axis=(1, 2))
+
+
+_CONV_BACKWARD = {1: conv1x1_backward, 3: _conv3_backward}  # by kernel size, for conv2d and conv_relu_pool
 
 
 def _conv_shapes(name: str, x: Tensor, weight: Tensor, bias: Tensor) -> tuple[int, int, int]:
@@ -635,21 +639,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x: (C_in, h, w); weight: (C_out, C_in, k, k) with k in {1, 3};
     bias: (C_out,).  The padding is (k - 1) // 2.
 
-    A 1x1 kernel is one (C_out, C_in) x (C_in, h*w) product.  A 3x3 kernel
-    is nine shifted products (the implicit-GEMM lowering), run over blocks
-    of rows (``_row_blocks``) by helpers that ``conv_relu_pool`` shares.
-    ``_conv3_forward`` allocates one zeroed window for the largest block and
-    copies each block's rows, with the row above and below, into it at row
-    stride w+2 (``_fill_window``); ``_shifted_block`` then sums the nine
-    products, each over the window's contiguous span from di(w+2)+dj, into
-    a cache-sized buffer, whose rows get the bias and are cropped into the
-    output.  No padded copy
-    of the whole map is made.  The closure keeps x and the weight Tensor,
-    not the taps: the backward pass builds its flipped taps from the
-    weight, which no step changes before the tape's replay.  That pass,
-    ``_conv3_backward``, fills one window of x and one of g per block, and
-    is also ``conv_relu_pool``'s.  dx is computed only for an input that
-    requires a gradient or is a node of the open tape; otherwise it is None.
+    A 1x1 kernel is ``conv1x1`` and ``conv1x1_backward``, the rule that
+    ``moe.mlp`` shares.  A 3x3 kernel is nine shifted products (the
+    implicit-GEMM lowering), run over blocks of rows (``_row_blocks``) by
+    helpers that ``conv_relu_pool`` shares.  ``_conv3_forward`` allocates
+    one zeroed window for the largest block and copies each block's rows,
+    with the row above and below, into it at row stride w+2
+    (``_fill_window``); ``_shifted_block`` then sums the nine products, each
+    over the window's contiguous span from di(w+2)+dj, into a cache-sized
+    buffer, whose rows get the bias and are cropped into the output.  No
+    padded copy of the whole map is made.  The closure keeps x and the
+    weight Tensor, not the taps: the backward pass builds its flipped taps
+    from the weight, which no step changes before the tape's replay.  That
+    pass, ``_conv3_backward``, fills one window of x and one of g per
+    block, and is also ``conv_relu_pool``'s.  dx is computed only for an
+    input that requires a gradient or is a node of the open tape; otherwise
+    it is None.
 
     A 3x3 conv shares each large block with the lane, one worker thread:
     the forward pass sums and finishes the upper half of the output
@@ -663,12 +668,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     tape = active_tape()
     need_dx = tape is not None and _route(x, tape) is not None
     if k == 1:
-        out = (weight.data.reshape(c_out, c_in) @ x.data.reshape(c_in, h * w)).reshape(c_out, h, w)
-        out += bias.data[:, None, None]
-
-        def bwd(g):
-            return _conv1_backward(x.data, weight.data, g, need_dx)
-
+        out = conv1x1(weight.data, bias.data, x.data)
     else:
         out = np.empty((c_out, h, w), dtype=x.dtype)
 
@@ -681,8 +681,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
         _conv3_forward(x.data, weight.data, finish)
 
-        def bwd(g):
-            return _conv3_backward(x.data, weight.data, g, need_dx)
+    def bwd(g):
+        return _CONV_BACKWARD[k](x.data, weight.data, g, need_dx)
 
     return _wrap("conv2d", (x, weight, bias), out, bwd, flops=_conv_flops(c_out, c_in, k, h, w))
 
@@ -715,7 +715,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     bit per pixel (``np.packbits``).  The backward pass builds
     the conv's (C_out, h, w) output gradient once, from g * 0.25 and the
     unpacked mask, and hands it to conv2d's backward rule for the kernel
-    (``_conv1_backward`` or ``_conv3_backward``), so db is that gradient
+    (``conv1x1_backward`` or ``_conv3_backward``), so db is that gradient
     summed over pixels.  That map is the only full-resolution array it
     adds; no measured training peak lies there.
     """
@@ -754,10 +754,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if (staged + n) % 2:
             staging[:, 0] = staging[:, 2 * pairs]
 
-    if k == 1:
-        conv_forward, conv_backward = _conv1_forward, _conv1_backward
-    else:
-        conv_forward, conv_backward = _conv3_forward, _conv3_backward
+    conv_forward = _conv1_forward if k == 1 else _conv3_forward
     conv_forward(x.data, weight.data, finish)
     del finish, cols  # before the finite check's temporary
     out *= quarter
@@ -771,7 +768,7 @@ def conv_relu_pool(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for a in (0, 1):  # the even and the odd rows of each window
             np.multiply(wide, bits[:, a::2], out=g_conv[:, a : 2 * h2 : 2, : 2 * w2])
         del wide, bits  # before the block loop allocates its windows and buffers
-        return conv_backward(x.data, weight.data, g_conv, need_dx)
+        return _CONV_BACKWARD[k](x.data, weight.data, g_conv, need_dx)
 
     n_flops = _conv_flops(c_out, c_in, k, h, w) + c_out * h * w + 4 * c_out * h2 * w2
     return _wrap("conv_relu_pool", (x, weight, bias), out, bwd, flops=n_flops)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HsiScene, normalize_scene
+from .moe import N_SPATIAL_EXPERTS
 from .network import NetSpec, NetworkParams, forward_full, init_network_params, total_loss
 from .tensor import NumericalError, Tape, Tensor
 
@@ -59,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 1 <= self.topk_infer <= 4:
-            raise ValueError(f"topk_infer must be in [1, 4], got {self.topk_infer}")
+        if not 1 <= self.topk_infer <= N_SPATIAL_EXPERTS:
+            raise ValueError(f"topk_infer must be in [1, {N_SPATIAL_EXPERTS}], got {self.topk_infer}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
         if self.seed < 0:
@@ -71,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"channels must be even and >= 2, got {self.channels}")
         if self.state_dim < 1:
             raise ValueError(f"state_dim must be >= 1, got {self.state_dim}")
+        if not isinstance(self.uarb_on, bool):
+            raise TypeError(f"TrainConfig: uarb_on must be a bool, got {self.uarb_on!r}")
 
 
 def split_per_class(labels: np.ndarray, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +277,7 @@ def evaluate(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray, topk
 
 def topk_sweep(params: NetworkParams, scene: HsiScene, test_mask: np.ndarray) -> list[tuple[int, Metrics]]:
     """Evaluate one trained model at every expert-selection level."""
-    return [(k, evaluate(params, scene, test_mask, topk=k)) for k in (1, 2, 3, 4)]
+    return [(k, evaluate(params, scene, test_mask, topk=k)) for k in range(1, N_SPATIAL_EXPERTS + 1)]
 
 
 def nearest_centroid_predict(scene: HsiScene, train_mask: np.ndarray) -> np.ndarray:

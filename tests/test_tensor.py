@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mambamoe import moe
 from mambamoe import tensor as tt
 from mambamoe.moe import RouterParams, mlp, route
 from mambamoe.network import NetSpec, ResBlockParams, init_network_params, residual_block
@@ -359,9 +358,9 @@ class TestConvReluPool:
     backward pass holds one, the conv's output gradient."""
 
     @staticmethod
-    def operands(rng, c_in, h, w, c_out, dtype):
+    def operands(rng, c_in, h, w, c_out, dtype, k=3):
         x = rand(rng, c_in, h, w, dtype=dtype)
-        wt = (rand(rng, c_out, c_in, 3, 3) / np.sqrt(9 * c_in)).astype(dtype)
+        wt = (rand(rng, c_out, c_in, k, k) / np.sqrt(k * k * c_in)).astype(dtype)
         return x, wt, rand(rng, c_out, dtype=dtype), rand(rng, c_out, h // 2, w // 2, dtype=dtype)
 
     @staticmethod
@@ -392,9 +391,12 @@ class TestConvReluPool:
         for name, a, e in zip(("out", "dx", "dW", "db"), got, want):
             assert a.dtype == dtype and a.tobytes() == e.tobytes(), name
 
-    def test_input_gradient_only_for_an_input_on_the_tape(self):
-        x, wt, b, g = self.operands(np.random.default_rng(8), 2, 7, 6, 3, F64)
-        _, dx_ref, dw_ref, db_ref = self.run(composition, x, wt, b, g)
+    @pytest.mark.parametrize("k, seed", [(3, 8), (1, 12)])
+    def test_input_gradient_only_for_an_input_on_the_tape(self, k, seed):
+        x, wt, b, g = self.operands(np.random.default_rng(seed), 2, 7, 6, 3, F64, k)
+        # a 1x1 stage equals the composition only to float rounding
+        reference = composition if k == 3 else tt.conv_relu_pool
+        _, dx_ref, dw_ref, db_ref = self.run(reference, x, wt, b, g)
         with Tape() as tape:
             tt.conv_relu_pool(Tensor(x), parameter(wt), parameter(b))
             dx, dw, db = tape.ops[-1].backward(g)
@@ -426,19 +428,26 @@ class TestConvReluPool:
         with pytest.raises(NumericalError, match="conv_relu_pool"):
             tt.conv_relu_pool(Tensor(x), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
 
-    def test_inference_builds_no_full_resolution_map(self):
-        # (32, 128, 128) -> 48 in float32: the conv's map is 3 MiB, the pooled
-        # output 0.75 MiB, one window 0.28 MiB and one block buffer 0.75 MiB
-        x, wt, b, _ = self.operands(np.random.default_rng(9), 32, 128, 128, 48, np.float32)
+    @pytest.mark.parametrize("k, seed", [(3, 9), (1, 15)])
+    def test_inference_builds_no_full_resolution_map(self, k, seed):
+        # (32, 128, 128) -> 48 in float32: the conv's map is 3 MiB and the
+        # pooled output 0.75 MiB; a 3x3 stage adds one window (0.28 MiB) and
+        # one block buffer (0.75 MiB), a 1x1 stage one block (0.35 MiB)
+        x, wt, b, _ = self.operands(np.random.default_rng(seed), 32, 128, 128, 48, np.float32, k)
         xt, wtt, bt = Tensor(x), Tensor(wt), Tensor(b)
+        rows = tt.CONV_BLOCK_PIXELS // 130
         tracemalloc.start()
         try:
             out = tt.conv_relu_pool(xt, wtt, bt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        staging = 48 * (tt.CONV_BLOCK_PIXELS // 130 + 1) * 64 * 4
-        assert peak < out.data.nbytes + window_bytes(32, 128, 128) + block_buffer_bytes(48, 128, 128) + staging + 2**20
+        staging = 48 * (rows + 1) * 64 * 4
+        if k == 3:
+            buffers = window_bytes(32, 128, 128) + block_buffer_bytes(48, 128, 128)
+        else:
+            buffers = 48 * rows * 128 * 4
+        assert peak < out.data.nbytes + buffers + staging + 2**20
 
     def test_backward_holds_one_conv_output_gradient(self):
         # (48, 128, 128) -> 48 in float32: dx and the conv's output gradient
@@ -457,80 +466,10 @@ class TestConvReluPool:
         g_conv_bytes = 48 * 128 * 128 * 4
         assert peak < dx.nbytes + g_conv_bytes + 2 * window_bytes(48, 128, 128) + block_buffer_bytes(48, 128, 128) + 2**20
 
-    def test_closure_keeps_the_input_and_a_packed_mask(self):
-        x, wt, b, _ = self.operands(np.random.default_rng(11), 3, 12, 20, 4, F64)
-        xt, wtt = parameter(x), parameter(wt)
-        with Tape() as tape:
-            y = tt.conv_relu_pool(xt, wtt, parameter(b))
-            alive = weakref.ref(y.data)
-            held = [cell.cell_contents for cell in tape.ops[-1].backward.__closure__]
-            loss = tt.sum_all(tt.scale(y, 1.5))  # scale's rule keeps only the factor
-            del y
-            assert alive() is None
-            arrays = [a.data if isinstance(a, Tensor) else a for a in held if isinstance(a, (Tensor, np.ndarray))]
-            maps = [a for a in arrays if a.size > wt.size]  # the taps are weight-sized
-            assert len(maps) == 2 and any(a is xt.data for a in maps)
-            mask = next(a for a in maps if a is not xt.data)
-            relu_out = tt.relu(tt.conv2d(Tensor(x), Tensor(wt), Tensor(b))).data
-            assert mask.dtype == np.uint8 and mask.tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
-            tape.backward(loss)
-
-
-class TestConvReluPool1x1:
-    """With a 1x1 kernel, ``conv_relu_pool`` is one product per row block
-    over a view of x's rows: it equals ``avg_pool2(relu(conv2d))`` to float
-    rounding, and its gradients those of the full-map composition."""
-
-    @staticmethod
-    def operands(rng, c_in, h, w, c_out, dtype):
-        x = rand(rng, c_in, h, w, dtype=dtype)
-        wt = (rand(rng, c_out, c_in, 1, 1) / np.sqrt(c_in)).astype(dtype)
-        return x, wt, rand(rng, c_out, dtype=dtype), rand(rng, c_out, h // 2, w // 2, dtype=dtype)
-
-    # the stem's first stage at train-128 size, whose 15-row blocks stage a
-    # row; odd extents; and a map three rows taller than one block
-    SHAPES = [(32, 128, 128, 48), (2, 9, 7, 3), (2, tt.CONV_BLOCK_PIXELS // 4 + 3, 2, 3)]
-
-    @pytest.mark.parametrize("dtype", [np.float32, F64])
-    @pytest.mark.parametrize("c_in, h, w, c_out", SHAPES)
-    def test_output_and_gradients_equal_the_full_map_composition(self, c_in, h, w, c_out, dtype):
-        x, wt, b, g = self.operands(np.random.default_rng(h * w + 1), c_in, h, w, c_out, dtype)
-        got = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
-        want = TestConvReluPool.run(composition, x, wt, b, g)
-        tol = 4 * np.finfo(dtype).eps
-        for name, a, e in zip(("out", "dx", "dW", "db"), got, want):
-            assert a.dtype == dtype and a.shape == e.shape, name
-            assert np.max(np.abs(a - e)) <= tol * np.max(np.abs(e)), name
-
-    @pytest.mark.parametrize("h, w", [(9, 8), (8, 7), (9, 7)])
-    def test_an_odd_extent_drops_the_trailing_row_or_column(self, h, w):
-        x, wt, b, g = self.operands(np.random.default_rng(h + w), 3, h, w, 4, F64)
-        out, dx, dw, db = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
-        even = np.ascontiguousarray(x[:, : h - h % 2, : w - w % 2])
-        out_even, dx_even, dw_even, db_even = TestConvReluPool.run(tt.conv_relu_pool, even, wt, b, g)
-        assert out.tobytes() == out_even.tobytes()
-        assert not dx[:, h - h % 2 :].any() and not dx[:, :, w - w % 2 :].any()
-        assert dx[:, : h - h % 2, : w - w % 2].tobytes() == dx_even.tobytes()
-        np.testing.assert_allclose(dw, dw_even, rtol=1e-12)
-        np.testing.assert_allclose(db, db_even, rtol=1e-12)
-
-    def test_input_gradient_only_for_an_input_on_the_tape(self):
-        x, wt, b, g = self.operands(np.random.default_rng(12), 2, 7, 6, 3, F64)
-        _, dx_ref, dw_ref, db_ref = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
-        with Tape() as tape:
-            tt.conv_relu_pool(Tensor(x), parameter(wt), parameter(b))
-            dx, dw, db = tape.ops[-1].backward(g)
-        assert dx is None
-        assert dw.tobytes() == dw_ref.tobytes() and db.tobytes() == db_ref.tobytes()
-
-    def test_nonfinite_weight_raises_naming_the_op(self):
-        x, wt, b, _ = self.operands(np.random.default_rng(13), 32, 64, 64, 48, np.float32)
-        wt[47, 5, 0, 0] = np.nan
-        with pytest.raises(NumericalError, match="conv_relu_pool"):
-            tt.conv_relu_pool(Tensor(x), Tensor(wt), Tensor(b))
-
-    def test_closure_keeps_the_input_the_weight_and_a_packed_mask(self):
-        x, wt, b, _ = self.operands(np.random.default_rng(14), 3, 12, 20, 4, F64)
+    @pytest.mark.parametrize("k, seed", [(3, 11), (1, 14)])
+    def test_closure_keeps_the_input_the_weight_and_a_packed_mask(self, k, seed):
+        # the Tensors, not the taps or any other weight-sized array
+        x, wt, b, _ = self.operands(np.random.default_rng(seed), 3, 12, 20, 4, F64, k)
         xt, wtt = parameter(x), parameter(wt)
         with Tape() as tape:
             y = tt.conv_relu_pool(xt, wtt, parameter(b))
@@ -547,20 +486,44 @@ class TestConvReluPool1x1:
             assert arrays[0].tobytes() == np.packbits(relu_out > 0, axis=2).tobytes()
             tape.backward(loss)
 
-    def test_inference_builds_no_full_resolution_map(self):
-        # (32, 128, 128) -> 48 in float32: the conv's map is 3 MiB, the pooled
-        # output 0.75 MiB and one block buffer 0.35 MiB
-        x, wt, b, _ = self.operands(np.random.default_rng(15), 32, 128, 128, 48, np.float32)
-        xt, wtt, bt = Tensor(x), Tensor(wt), Tensor(b)
-        rows = tt.CONV_BLOCK_PIXELS // 130
-        tracemalloc.start()
-        try:
-            out = tt.conv_relu_pool(xt, wtt, bt)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        block, staging = 48 * rows * 128 * 4, 48 * (rows + 1) * 64 * 4
-        assert peak < out.data.nbytes + block + staging + 2**20
+
+class TestConvReluPool1x1:
+    """With a 1x1 kernel, ``conv_relu_pool`` is one product per row block
+    over a view of x's rows: it equals ``avg_pool2(relu(conv2d))`` to float
+    rounding, and its gradients those of the full-map composition."""
+
+    # the stem's first stage at train-128 size, whose 15-row blocks stage a
+    # row; odd extents; and a map three rows taller than one block
+    SHAPES = [(32, 128, 128, 48), (2, 9, 7, 3), (2, tt.CONV_BLOCK_PIXELS // 4 + 3, 2, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("c_in, h, w, c_out", SHAPES)
+    def test_output_and_gradients_equal_the_full_map_composition(self, c_in, h, w, c_out, dtype):
+        x, wt, b, g = TestConvReluPool.operands(np.random.default_rng(h * w + 1), c_in, h, w, c_out, dtype, k=1)
+        got = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
+        want = TestConvReluPool.run(composition, x, wt, b, g)
+        tol = 4 * np.finfo(dtype).eps
+        for name, a, e in zip(("out", "dx", "dW", "db"), got, want):
+            assert a.dtype == dtype and a.shape == e.shape, name
+            assert np.max(np.abs(a - e)) <= tol * np.max(np.abs(e)), name
+
+    @pytest.mark.parametrize("h, w", [(9, 8), (8, 7), (9, 7)])
+    def test_an_odd_extent_drops_the_trailing_row_or_column(self, h, w):
+        x, wt, b, g = TestConvReluPool.operands(np.random.default_rng(h + w), 3, h, w, 4, F64, k=1)
+        out, dx, dw, db = TestConvReluPool.run(tt.conv_relu_pool, x, wt, b, g)
+        even = np.ascontiguousarray(x[:, : h - h % 2, : w - w % 2])
+        out_even, dx_even, dw_even, db_even = TestConvReluPool.run(tt.conv_relu_pool, even, wt, b, g)
+        assert out.tobytes() == out_even.tobytes()
+        assert not dx[:, h - h % 2 :].any() and not dx[:, :, w - w % 2 :].any()
+        assert dx[:, : h - h % 2, : w - w % 2].tobytes() == dx_even.tobytes()
+        np.testing.assert_allclose(dw, dw_even, rtol=1e-12)
+        np.testing.assert_allclose(db, db_even, rtol=1e-12)
+
+    def test_nonfinite_weight_raises_naming_the_op(self):
+        x, wt, b, _ = TestConvReluPool.operands(np.random.default_rng(13), 32, 64, 64, 48, np.float32, k=1)
+        wt[47, 5, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="conv_relu_pool"):
+            tt.conv_relu_pool(Tensor(x), Tensor(wt), Tensor(b))
 
 
 class InlineLane:
@@ -676,6 +639,17 @@ class TestLane:
                 assert a.tobytes() == e.tobytes() == full.tobytes(), name
         for name, a, e in zip(names, threaded, want):
             assert np.max(np.abs(a - e)) <= 1e-6 * np.max(np.abs(e)), name
+
+    def test_a_backward_without_dx_leaves_the_lane_idle(self, monkeypatch):
+        # 48 -> 48 on 64x64: with dx, the blocks of 31 rows go to the lane
+        x, wt, _, g = self.operands(48, 64, 48, np.float32, tt.conv2d)
+        lane = CountingLane()
+        monkeypatch.setattr(tt, "_lane_executor", lambda: lane)
+        dx, dw, db = tt._conv3_backward(x, wt, g, False)
+        assert dx is None and lane.tasks == 0
+        _, dw_full, db_full = tt._conv3_backward(x, wt, g, True)
+        assert lane.tasks > 0
+        assert dw.tobytes() == dw_full.tobytes() and db.tobytes() == db_full.tobytes()
 
     @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
     def test_nonfinite_weight_in_either_channel_half_raises_alike(self, op):
@@ -1098,20 +1072,21 @@ class TestTapeMemory:
         block = init_network_params(NetSpec(bands=1, channels=6, state_dim=2, n_class=1), np.random.default_rng(25)).momeb[0]
         g = parameter(rand(np.random.default_rng(26), 6, 5, 7, dtype=np.float32))
         made = []
-        real_ln, real_pre = tt.layer_norm_forward, moe._pre_activation
+        real_ln, real_conv = tt.layer_norm_forward, tt.conv1x1
 
         def ln_recorded(*args):
             out = real_ln(*args)
             made.append(weakref.ref(out[0]))
             return out
 
-        def pre_recorded(*args):
-            out = real_pre(*args)
-            made.append(weakref.ref(out))
+        def conv_recorded(weight, bias, x):
+            out = real_conv(weight, bias, x)
+            if out.shape[0] == 2 * 6:  # the hidden map, not the op's output
+                made.append(weakref.ref(out))
             return out
 
         monkeypatch.setattr(tt, "layer_norm_forward", ln_recorded)
-        monkeypatch.setattr(moe, "_pre_activation", pre_recorded)
+        monkeypatch.setattr(tt, "conv1x1", conv_recorded)
         with Tape() as tape:
             out = mlp(block, g)
             assert len(made) == 2 and all(ref() is None for ref in made)

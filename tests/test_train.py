@@ -305,6 +305,12 @@ class TestTrainingLoop:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_a_non_bool_uarb_on_is_refused(self, flag):
+        # a truthy string would train with stage supervision on
+        with pytest.raises(TypeError, match="uarb_on must be a bool"):
+            TrainConfig(uarb_on=flag)
+
     @pytest.mark.parametrize("bad", [-1, 9])
     def test_rejects_a_label_outside_the_declared_classes(self, bad):
         # before the split, which would name the stray id as a class
