@@ -213,10 +213,16 @@ class SyntheticSpec:
     seed: int
 
     def validate(self) -> None:
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         by_orient = {}
         for cls in self.classes:
             if cls.signature.shape != (self.bands,):
                 raise ValueError(f"class {cls.name}: signature length {cls.signature.shape} != bands {self.bands}")
+            if not np.isfinite(cls.signature).all():
+                raise ValueError(f"class {cls.name}: signature holds a non-finite value")
+            if cls.stripe_period < 1:
+                raise ValueError(f"class {cls.name}: stripe_period must be >= 1, got {cls.stripe_period}")
             if cls.orientation in by_orient:
                 raise ValueError(f"duplicate orientation {cls.orientation}")
             by_orient[cls.orientation] = cls
@@ -260,14 +266,32 @@ def synthetic_label_map(spec: SyntheticSpec) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> HsiScene:
-    """Signature-per-class cube plus per-band Gaussian noise; fully labeled."""
+    """Signature-per-class cube plus per-band Gaussian noise; fully labeled.
+
+    Draws the cube band by band from one generator seeded with
+    ``spec.seed``: each band's noise fills one reused float64 (H, W)
+    buffer, is scaled by ``noise_sigma``, gets the band's class signatures
+    through the label map, and is cast into that band of the float32 cube.
+    That is the same stream, in the same order, and the same two float64
+    operations per element as a whole-cube draw of
+    ``sig_table[labels].transpose(2, 0, 1) + noise_sigma * noise``, so the
+    bits are the same.  The peak is about the float32 cube plus three
+    (H, W) arrays of 8-byte items: the buffer, the label index and one
+    band's gathered signatures.
+    """
     labels = synthetic_label_map(spec)
-    sig_table = np.zeros((len(spec.classes) + 1, spec.bands))
+    band_sigs = np.zeros((spec.bands, len(spec.classes) + 1))  # row b: band b of every class, label 0 first
     for i, cls in enumerate(spec.classes):
-        sig_table[i + 1] = cls.signature
-    cube = sig_table[labels].transpose(2, 0, 1)  # (bands, H, W)
+        band_sigs[:, i + 1] = cls.signature
     rng = np.random.default_rng(spec.seed)
-    cube = cube + spec.noise_sigma * rng.standard_normal(cube.shape)
+    cube = np.empty((spec.bands, spec.height, spec.width), dtype=np.float32)
+    band = np.empty((spec.height, spec.width))
+    index = labels.astype(np.intp)  # indexing by the uint16 labels would convert them in every band
+    for sigs, dst in zip(band_sigs, cube):
+        rng.standard_normal(out=band)
+        band *= spec.noise_sigma
+        band += sigs[index]
+        dst[...] = band
     header = SceneHeader(
         bands=spec.bands,
         height=spec.height,
@@ -276,7 +300,7 @@ def generate_synthetic(spec: SyntheticSpec) -> HsiScene:
         class_names=[cls.name for cls in spec.classes],
         provenance=f"synthetic seed={spec.seed} sigma={spec.noise_sigma}",
     )
-    scene = HsiScene(header, cube.astype(np.float32), labels)
+    scene = HsiScene(header, cube, labels)
     scene.validate()
     return scene
 

@@ -20,6 +20,13 @@ def write_old_checkpoint(path, version, spec, entries):
 
 
 @pytest.fixture
+def bundled_scene_sha256():
+    """The sha256 of the bundled scene's .hsc file (``default_synthetic_spec()``,
+    seed 11): the generator and the writer together must keep every byte."""
+    return "20f5cdd12561e4330895944f30322a6d8b0ad5f4cac0fe28e1ec28c5807b5398"
+
+
+@pytest.fixture
 def write_v1_checkpoint():
     """Writer of the version-1 checkpoint layout: the same container, with a
     dense (D, D) ``a_bar`` in place of each ``a_log`` (here diag(lam))."""

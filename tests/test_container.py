@@ -316,9 +316,9 @@ class TestFormatBytes:
     """The files' digests are pinned: a writer change that moves one byte
     of either format fails here."""
 
-    def test_bundled_scene(self, tmp_path):
+    def test_bundled_scene(self, tmp_path, bundled_scene_sha256):
         blob = hsc_bytes(tmp_path / "s.hsc", bundled_scene())
-        assert hashlib.sha256(blob).hexdigest() == "20f5cdd12561e4330895944f30322a6d8b0ad5f4cac0fe28e1ec28c5807b5398"
+        assert hashlib.sha256(blob).hexdigest() == bundled_scene_sha256
 
     @pytest.mark.parametrize(
         "dtype, digest",

@@ -1,6 +1,11 @@
 """Scene container round-trips, synthetic generation, normalization, PPM."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,9 @@ from mambamoe.data import (
     save_hsc,
     synthetic_label_map,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def random_scene(rng, bands=None, h=None, w=None, k=None):
     bands = bands or int(rng.integers(1, 6))
@@ -202,6 +210,31 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="5 \\* noise_sigma"):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("signature", np.nan, "class disc: signature holds a non-finite value"),
+            ("signature", -np.inf, "class disc: signature holds a non-finite value"),
+            ("noise_sigma", np.nan, "noise_sigma must be finite and >= 0, got nan"),
+            ("noise_sigma", np.inf, "noise_sigma must be finite and >= 0, got inf"),
+            ("noise_sigma", -0.25, "noise_sigma must be finite and >= 0, got -0.25"),
+            ("stripe_period", 0, "class stripes-vertical: stripe_period must be >= 1, got 0"),
+            ("stripe_period", -4, "class stripes-vertical: stripe_period must be >= 1, got -4"),
+        ],
+        ids=["nan-signature", "minus-inf-signature", "nan-sigma", "inf-sigma", "negative-sigma", "period-0", "period-minus-4"],
+    )
+    def test_hostile_spec_refused(self, field, value, match):
+        spec = default_synthetic_spec()
+        if field == "signature":
+            spec.classes[2].signature[3] = value
+        elif field == "noise_sigma":
+            spec.noise_sigma = value
+        else:
+            spec.classes[0].stripe_period = value
+        for build in (spec.validate, lambda: generate_synthetic(spec)):
+            with pytest.raises(ValueError, match=match):
+                build()
+
     def test_background_required(self):
         spec = SyntheticSpec(
             16, 16, 2, [SynthClass("v", "vertical", np.array([1.0, 0.0]))], noise_sigma=0.0, seed=0
@@ -220,6 +253,91 @@ class TestSynthetic:
         horizontal = labels == ids["horizontal"]
         rows_with_h = np.where(horizontal.any(axis=1))[0]
         assert len(rows_with_h) > 0 and len(cols_with_v) > 0
+
+
+def whole_cube_reference(spec):
+    """The generator as one whole-cube draw: the gathered signature cube plus
+    the scaled noise cube, both float64, then cast to float32."""
+    labels = synthetic_label_map(spec)
+    sig_table = np.zeros((len(spec.classes) + 1, spec.bands))
+    for i, cls in enumerate(spec.classes):
+        sig_table[i + 1] = cls.signature
+    shape = (spec.bands, spec.height, spec.width)
+    rng = np.random.default_rng(spec.seed)
+    cube = sig_table[labels].transpose(2, 0, 1) + spec.noise_sigma * rng.standard_normal(shape)
+    return cube.astype(np.float32), labels
+
+
+def block_spec(size, bands, seed):
+    """A four-class square scene, one block of bands//4 bright bands per class."""
+    block = bands // 4
+
+    def sig(i):
+        s = np.zeros(bands)
+        s[i * block : (i + 1) * block] = 1.25
+        return s
+
+    classes = [
+        SynthClass("stripes-vertical", "vertical", sig(0), stripe_period=size // 4),
+        SynthClass("stripes-horizontal", "horizontal", sig(1), stripe_period=size // 4),
+        SynthClass("disc", "blob", sig(2)),
+        SynthClass("background", "background", sig(3)),
+    ]
+    return SyntheticSpec(size, size, bands, classes, noise_sigma=0.25, seed=seed)
+
+
+def odd_spec():
+    """13x17x5, three classes, no horizontal stripes, uneven signatures."""
+    classes = [
+        SynthClass("v", "vertical", np.array([1.5, -0.25, 0.0, 0.75, 2.0]), stripe_period=3),
+        SynthClass("disc", "blob", np.array([-1.0, 1.0, 0.5, 0.0, -0.5])),
+        SynthClass("bg", "background", np.array([0.1, 0.2, 1.7, -1.3, 0.0])),
+    ]
+    return SyntheticSpec(13, 17, 5, classes, noise_sigma=0.3, seed=7)
+
+
+class TestSyntheticBits:
+    """The band-by-band generator makes the whole-cube draw's bytes."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(default_synthetic_spec(seed=s) for s in range(4)),
+            block_spec(128, 32, seed=0),
+            odd_spec(),
+        ],
+        ids=["bundled-0", "bundled-1", "bundled-2", "bundled-3", "128x128x32", "13x17x5"],
+    )
+    def test_byte_equal_to_the_whole_cube_draw(self, spec):
+        cube, labels = whole_cube_reference(spec)
+        scene = generate_synthetic(spec)
+        assert scene.cube.dtype == np.float32
+        assert scene.cube.tobytes() == cube.tobytes()
+        assert scene.labels.tobytes() == labels.tobytes()
+
+    def test_peak_memory_below_one_and_a_half_cubes(self):
+        spec = block_spec(128, 32, seed=0)
+        tracemalloc.start()
+        try:
+            cube = generate_synthetic(spec).cube
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cube.nbytes, (peak, cube.nbytes)
+
+    def test_synth_command_writes_the_pinned_scene(self, tmp_path, bundled_scene_sha256):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = tmp_path / "synth"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mambamoe.cli", "synth", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256((out / "synthetic.hsc").read_bytes()).hexdigest()
+        assert digest == bundled_scene_sha256
 
 
 class TestNormalize:
